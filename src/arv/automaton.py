@@ -81,21 +81,29 @@ def make_automaton(variables, n_locations, initial, final, transitions, eps=()) 
     )
 
 
-def accepts(a: SymbolicAutomaton, trace) -> bool:
-    """NFA membership for an epsilon-free automaton."""
+def reached_sets(a: SymbolicAutomaton, samples):
+    """Set-wise NFA run of an epsilon-free automaton: yields the set of
+    locations reached after each sample."""
     if not a.eps_free:
-        raise ValueError("acceptance requires an epsilon-free automaton")
+        raise ValueError("simulation requires an epsilon-free automaton")
     by_src: dict = {}
     for src, guard, dst in a.transitions:
         by_src.setdefault(src, []).append((guard, dst))
     current = set(a.initial)
-    for sample in trace.samples:
+    for sample in samples:
         nxt = set()
         for q in current:
             for guard, dst in by_src.get(q, ()):
                 if dst not in nxt and P.evaluate(sample, guard):
                     nxt.add(dst)
         current = nxt
+        yield current
+
+
+def accepts(a: SymbolicAutomaton, trace) -> bool:
+    """NFA membership for an epsilon-free automaton."""
+    current = set(a.initial)
+    for current in reached_sets(a, trace.samples):
         if not current:
             break
     return bool(current & a.final)

@@ -14,6 +14,7 @@ import math
 import os
 import random
 import sys
+from collections import deque
 from pathlib import Path
 
 from . import automaton as A
@@ -21,7 +22,7 @@ from . import fixtures as FX
 from . import monitor as M
 from . import predicate as P
 from .distance import PointwiseDistance, default_distance, vpd, vpd_brute_force
-from .errors import ArvError
+from .errors import ArvError, UnsupportedFragmentError
 from .generators import (
     CLOSED_OPS,
     random_automaton,
@@ -71,40 +72,29 @@ def _out_path(base: str, trace_path: str, many: bool) -> Path:
 
 def cmd_monitor(args) -> int:
     _, spec = _load_spec(args.spec)
-    semiring = by_name(args.semiring)
-    mode = args.mode
-    if args.prefix_series:
-        mode = "prefix-series"
+    w_pos, w_neg = M.build_monitor_pair(spec, by_name(args.semiring))
     many = len(args.trace) > 1
     for trace_path in args.trace:
         trace = read_trace_csv(trace_path)
-        if mode == "prefix-series":
-            series = M.robustness_prefix_series(trace, spec, semiring)
+        if args.prefix_series:
             lines = ["t,rho,satisfied"]
-            lines += [
-                f"{t},{_csv_num(rho)},{str(sat).lower()}" for t, rho, sat in series
-            ]
-            text = "\n".join(lines) + "\n"
-            target = args.prefix_series or args.out
-            if target:
-                _atomic_write(_out_path(target, trace_path, many), text)
-            else:
-                sys.stdout.write(text)
-            final_t, final_rho, final_sat = series[-1]
+            for t, verdict in enumerate(M.verdicts(trace, w_pos, w_neg), start=1):
+                lines.append(f"{t},{_fmt_num(verdict.rho)},{str(verdict.satisfied).lower()}")
+            _atomic_write(_out_path(args.prefix_series, trace_path, many), "\n".join(lines) + "\n")
+            status = "satisfied" if verdict.satisfied else "violated"
             print(
-                f"{trace_path}: prefix series of {final_t} rows, "
-                f"final rho = {_fmt_num(final_rho)} ({'satisfied' if final_sat else 'violated'})"
+                f"{trace_path}: prefix series of {t} rows, "
+                f"final rho = {_fmt_num(verdict.rho)} ({status})"
             )
         else:
-            verdict = M.robustness(trace, spec, semiring)
-            doc = _verdict_doc(verdict)
+            (verdict,) = deque(M.verdicts(trace, w_pos, w_neg), maxlen=1)
             status = "satisfied" if verdict.satisfied else "violated"
             print(
                 f"{trace_path}: rho = {_fmt_num(verdict.rho)} ({status}), "
                 f"d_phi = {_fmt_num(verdict.d_phi)}, d_not_phi = {_fmt_num(verdict.d_not_phi)}"
             )
             if args.json or args.out:
-                text = json.dumps(doc, indent=2) + "\n"
+                text = json.dumps(_verdict_doc(verdict), indent=2) + "\n"
                 if args.out:
                     _atomic_write(_out_path(args.out, trace_path, many), text)
                 else:
@@ -118,10 +108,6 @@ def _fmt_num(x: float) -> str:
     if float(x).is_integer():
         return str(int(x))
     return repr(float(x))
-
-
-def _csv_num(x: float) -> str:
-    return _fmt_num(x)
 
 
 def cmd_translate(args) -> int:
@@ -319,10 +305,9 @@ def main(argv=None) -> int:
     p_mon.add_argument("--spec", required=True, help="spec file (#lang stl|sre, default stl)")
     p_mon.add_argument("--trace", required=True, action="append", help="trace CSV (repeatable)")
     p_mon.add_argument("--semiring", default="minmax", choices=sorted(SEMIRINGS))
-    p_mon.add_argument("--mode", default="final", choices=["final", "prefix-series"])
     p_mon.add_argument("--prefix-series", metavar="PATH", help="write per-prefix CSV here")
     p_mon.add_argument("--json", action="store_true", help="print the verdict as JSON")
-    p_mon.add_argument("--out", help="write the verdict/series to this path")
+    p_mon.add_argument("--out", help="write the verdict JSON to this path")
     p_mon.set_defaults(fn=cmd_monitor)
 
     p_tr = sub.add_parser("translate", help="compile a specification to an automaton")
@@ -362,6 +347,14 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:
+        # wide windows and deep nesting still unfold recursively
+        print(
+            "error: specification too deeply nested or its windows too wide "
+            "(recursion limit reached)",
+            file=sys.stderr,
+        )
+        return UnsupportedFragmentError.exit_code
 
 
 if __name__ == "__main__":

@@ -4,20 +4,21 @@ One dynamic-programming pass keeps, per location, the best cost of
 reaching it with the consumed prefix; adding a sample costs one sweep
 over the transitions, independent of trace length.  The robustness
 verdict combines the distances to a specification and to its negation
-into a signed degree, with the sign resolved against the qualitative
-semantics when the degree is zero.
+into a signed degree; the qualitative verdict, which resolves the sign
+when the degree is zero, comes from a set-wise run of the same
+specification automaton in the same pass.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 from . import automaton as A
 from . import speclang as S
 from .distance import PointwiseDistance, Valuation, default_distance, point_dist, vpd
-from .errors import UnboundVariableError, UnsupportedFragmentError
-from .predicate import evaluate as pred_eval
+from .errors import UnboundVariableError
 from .semiring import Semiring, SemiringValue, to_signed
 from .speclang import SreExpr, StlFormula, Trace
 from .translate import translate_sre, translate_stl
@@ -111,14 +112,6 @@ def trace_value(trace: Trace, w: A.WeightedAutomaton) -> SemiringValue:
     return out
 
 
-def _value_and_reach(trace: Trace, w: A.WeightedAutomaton):
-    _check_variables(w, trace)
-    stream = ValueStream(w)
-    for sample in trace.samples:
-        stream.step(sample)
-    return stream.value, stream.path_exists
-
-
 @dataclass(frozen=True)
 class RobustnessVerdict:
     """Signed robustness degree plus the qualitative verdict.
@@ -145,32 +138,11 @@ def _rho(v1, exists1, v2, exists2, semiring: Semiring) -> float:
     return to_signed(v1, negate=True)
 
 
-def _reject_past(formula: StlFormula):
-    stack = [formula]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, S.PAST_OPERATORS):
-            name = {
-                S.Since: "S",
-                S.Once: "P",
-                S.Historically: "H",
-                S.Prev: "Y",
-            }[type(node)]
-            raise UnsupportedFragmentError(
-                f"past operator {name!r} is not translatable to an automaton"
-            )
-        for attr in ("arg", "left", "right"):
-            child = getattr(node, attr, None)
-            if child is not None:
-                stack.append(child)
-
-
 def build_monitor_pair(spec, semiring: Semiring, dist: PointwiseDistance | None = None):
     """The weighted automata for a specification and its negation."""
     if dist is None:
         dist = default_distance(semiring)
     if isinstance(spec, StlFormula):
-        _reject_past(spec)
         pos = translate_stl(spec)
         neg = translate_stl(S.negate(spec))
     elif isinstance(spec, SreExpr):
@@ -181,10 +153,28 @@ def build_monitor_pair(spec, semiring: Semiring, dist: PointwiseDistance | None 
     return A.decorate(pos, semiring, dist), A.decorate(neg, semiring, dist)
 
 
-def _qualitative(trace: Trace, spec) -> bool:
-    if isinstance(spec, StlFormula):
-        return S.eval_stl(trace, 0, spec)
-    return S.sre_accepts(trace, spec)
+def verdicts(trace: Trace, w_pos: A.WeightedAutomaton, w_neg: A.WeightedAutomaton):
+    """One ``RobustnessVerdict`` per prefix of the trace, in one pass.
+
+    ``w_pos``/``w_neg`` are a pair from ``build_monitor_pair``.  Both
+    value streams and a set-wise run of the positive automaton advance
+    together; ``satisfied`` is whether that run reaches a final location.
+    """
+    _check_variables(w_pos, trace)
+    _check_variables(w_neg, trace)
+    semiring = w_pos.semiring
+    final = w_pos.base.final
+    pos, neg = ValueStream(w_pos), ValueStream(w_neg)
+    runs = A.reached_sets(w_pos.base, trace.samples)
+    for sample, reached in zip(trace.samples, runs):
+        d_phi = pos.step(sample)
+        d_not_phi = neg.step(sample)
+        yield RobustnessVerdict(
+            rho=_rho(d_phi, pos.path_exists, d_not_phi, neg.path_exists, semiring),
+            satisfied=not final.isdisjoint(reached),
+            d_phi=d_phi,
+            d_not_phi=d_not_phi,
+        )
 
 
 def robustness(
@@ -194,15 +184,8 @@ def robustness(
     dist: PointwiseDistance | None = None,
 ) -> RobustnessVerdict:
     """Signed distance of the trace to the specification language."""
-    w_pos, w_neg = build_monitor_pair(spec, semiring, dist)
-    v1, exists1 = _value_and_reach(trace, w_pos)
-    v2, exists2 = _value_and_reach(trace, w_neg)
-    return RobustnessVerdict(
-        rho=_rho(v1, exists1, v2, exists2, semiring),
-        satisfied=_qualitative(trace, spec),
-        d_phi=v1,
-        d_not_phi=v2,
-    )
+    (verdict,) = deque(verdicts(trace, *build_monitor_pair(spec, semiring, dist)), maxlen=1)
+    return verdict
 
 
 def robustness_prefix_series(
@@ -211,88 +194,11 @@ def robustness_prefix_series(
     semiring: Semiring,
     dist: PointwiseDistance | None = None,
 ) -> list[tuple[int, float, bool]]:
-    """(t, rho, satisfied) for every prefix, in one pass per automaton.
-
-    The qualitative column comes from simulating the positive automaton
-    set-wise, so the whole series costs one sweep per sample.
-    """
-    w_pos, w_neg = build_monitor_pair(spec, semiring, dist)
-    _check_variables(w_pos, trace)
-    _check_variables(w_neg, trace)
-    pos_stream = ValueStream(w_pos)
-    neg_stream = ValueStream(w_neg)
-
-    base = w_pos.base
-    by_src: dict = {}
-    for i, (src, guard, dst) in enumerate(base.transitions):
-        by_src.setdefault(src, []).append((w_pos.guards[i], dst))
-    current = set(base.initial)
-
-    out = []
-    for t, sample in enumerate(trace.samples, start=1):
-        pos_stream.step(sample)
-        neg_stream.step(sample)
-        nxt = set()
-        for q in current:
-            for dnf, dst in by_src.get(q, ()):
-                if dst not in nxt and any(
-                    all(pred_eval(sample, lit) for lit in clause) for clause in dnf.clauses
-                ):
-                    nxt.add(dst)
-        current = nxt
-        satisfied = bool(current & base.final)
-        rho = _rho(
-            pos_stream.value,
-            pos_stream.path_exists,
-            neg_stream.value,
-            neg_stream.path_exists,
-            semiring,
-        )
-        out.append((t, rho, satisfied))
-    return out
-
-
-def deterministic_robustness(
-    trace: Trace, w: A.WeightedAutomaton
-) -> RobustnessVerdict:
-    """Single-pass verdict for a deterministic, complete automaton.
-
-    The negation's distance is read off the non-accepting locations of
-    the same cost vector, so no second automaton is needed.
-    """
-    base = w.base
-    _check_variables(w, trace)
-    if len(base.initial) != 1:
-        raise ValueError("deterministic evaluation needs a single initial location")
-    stream = ValueStream(w)
-    run = next(iter(base.initial))
-    by_src: dict = {}
-    for i, (src, guard, dst) in enumerate(base.transitions):
-        by_src.setdefault(src, []).append((w.guards[i], dst))
-    for sample in trace.samples:
-        stream.step(sample)
-        taken = [
-            dst
-            for dnf, dst in by_src.get(run, ())
-            if any(all(pred_eval(sample, lit) for lit in clause) for clause in dnf.clauses)
-        ]
-        if len(taken) != 1:
-            raise ValueError("automaton is not deterministic and complete")
-        run = taken[0]
-    satisfied = run in base.final
-    finals = set(base.final)
-    non_finals = [q for q in range(base.n_locations) if q not in finals]
-    costs = stream._costs
-    sr = w.semiring
-    v_acc = sr.sum(costs[q] for q in sorted(finals))
-    v_rej = sr.sum(costs[q] for q in non_finals)
-    exists_acc = stream.path_exists
-    exists_rej = any(stream._reach[q] for q in non_finals)
-    if satisfied:
-        rho = math.inf if not exists_rej else to_signed(v_rej, negate=False)
-    else:
-        rho = -math.inf if not exists_acc else to_signed(v_acc, negate=True)
-    return RobustnessVerdict(rho=rho, satisfied=satisfied, d_phi=v_acc, d_not_phi=v_rej)
+    """(t, rho, satisfied) for every prefix, in one pass."""
+    pair = build_monitor_pair(spec, semiring, dist)
+    return [
+        (t, v.rho, v.satisfied) for t, v in enumerate(verdicts(trace, *pair), start=1)
+    ]
 
 
 # --- brute-force oracles -------------------------------------------------------
@@ -342,6 +248,12 @@ def path_enumeration_value(
     for q in sorted(base.initial):
         walk(q, 0, sr.e_times)
     return acc
+
+
+def _qualitative(trace: Trace, spec) -> bool:
+    if isinstance(spec, StlFormula):
+        return S.eval_stl(trace, 0, spec)
+    return S.sre_accepts(trace, spec)
 
 
 def trace_distance_brute_force(

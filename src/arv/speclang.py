@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 
 from . import predicate as P
@@ -218,29 +219,44 @@ class Trace:
         return Trace(vs, [dict(zip(vs, (float(x) for x in row))) for row in rows])
 
 
+def _csv_rows(fh) -> list[tuple[int, list[str]]]:
+    """Non-blank CSV rows, each with the line number it ends on."""
+    reader = csv.reader(fh)
+    return [(reader.line_num, r) for r in reader if any(cell.strip() for cell in r)]
+
+
 def read_trace_csv(text_or_path, from_path: bool = True) -> Trace:
     """Header row of variable names, one numeric row per sample; blank
-    lines skipped."""
+    lines skipped.  Errors name the file line of the offending row."""
     if from_path:
         with open(text_or_path, newline="", encoding="utf-8") as fh:
-            rows = [r for r in csv.reader(fh) if any(cell.strip() for cell in r)]
+            rows = _csv_rows(fh)
     else:
-        rows = [
-            r
-            for r in csv.reader(io.StringIO(text_or_path))
-            if any(cell.strip() for cell in r)
-        ]
+        rows = _csv_rows(io.StringIO(text_or_path))
     if not rows:
         raise ParseError("trace file has no header row")
-    header = [h.strip() for h in rows[0]]
+    header = [h.strip() for h in rows[0][1]]
+    for col, name in enumerate(header, start=1):
+        if not name:
+            raise ParseError(f"trace header column {col} has no name")
+        if name in header[: col - 1]:
+            raise ParseError(f"trace header names column {name!r} twice")
     data = []
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in rows[1:]:
         if len(row) != len(header):
             raise ParseError(f"trace row {lineno} has {len(row)} cells, expected {len(header)}")
-        try:
-            data.append([float(cell) for cell in row])
-        except ValueError:
-            raise ParseError(f"non-numeric cell in trace row {lineno}") from None
+        values = []
+        for name, cell in zip(header, row):
+            try:
+                value = float(cell)
+            except ValueError:
+                raise ParseError(f"non-numeric cell in trace row {lineno}, column {name!r}") from None
+            if not math.isfinite(value):
+                raise ParseError(
+                    f"non-finite value {cell.strip()!r} in trace row {lineno}, column {name!r}"
+                )
+            values.append(value)
+        data.append(values)
     if not data:
         raise ParseError("trace file has no samples")
     return Trace.from_rows(header, data)

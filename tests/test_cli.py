@@ -97,6 +97,41 @@ def test_monitor_exit_codes(tmp_path):
     assert main(["monitor", "--spec", spec_file_text(tmp_path), "--trace", bad_trace]) == 2
 
 
+def test_monitor_non_finite_sample_is_parse_error(spec_file, tmp_path, capsys):
+    trace = write(tmp_path / "t.csv", "x\n1\nnan\n")
+    assert main(["monitor", "--spec", spec_file, "--trace", trace]) == 2
+    assert "row 3, column 'x'" in capsys.readouterr().err
+
+
+def test_monitor_wide_window_is_clean_error(tmp_path, capsys):
+    spec = write(tmp_path / "wide.stl", "F[0,200] x >= 1\n")
+    trace = write(tmp_path / "t.csv", "x\n0\n1\n")
+    assert main(["monitor", "--spec", spec, "--trace", trace]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("series", [False, True])
+def test_monitor_compiles_spec_once_for_many_traces(spec_file, tmp_path, monkeypatch, series):
+    import arv.monitor
+
+    calls = []
+    build = arv.monitor.build_monitor_pair
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(arv.monitor, "build_monitor_pair", counting)
+    t1 = write(tmp_path / "a.csv", "x\n1\n")
+    t2 = write(tmp_path / "b.csv", "x\n20\n3\n")
+    argv = ["monitor", "--spec", spec_file, "--trace", t1, "--trace", t2]
+    argv += ["--prefix-series", str(tmp_path / "s.csv")] if series else ["--json"]
+    assert main(argv) == 0
+    assert len(calls) == 1
+
+
 def spec_file_text(tmp_path):
     return write(tmp_path / "ok.stl", "G(x <= 1)\n")
 

@@ -4,13 +4,12 @@ import random
 import pytest
 
 from arv import fixtures as FX
-from arv.automaton import decorate, determinize, make_automaton
+from arv.automaton import decorate, make_automaton
 from arv.distance import PointwiseDistance, default_distance
 from arv.errors import UnboundVariableError, UnsupportedFragmentError
 from arv.generators import random_stl, random_trace
 from arv.monitor import (
     ValueStream,
-    deterministic_robustness,
     path_enumeration_value,
     robustness,
     robustness_prefix_series,
@@ -19,7 +18,7 @@ from arv.monitor import (
 )
 from arv import predicate as P
 from arv.semiring import BOOLEAN, MINMAX, TROPICAL
-from arv.speclang import Trace, eval_stl, parse_sre, parse_stl
+from arv.speclang import StlFormula, Trace, eval_stl, parse_sre, parse_stl, sre_accepts
 from arv.translate import translate_stl
 
 INF = math.inf
@@ -250,18 +249,35 @@ def test_prefix_series_boolean_range_and_constant_case():
     assert [rho for _, rho, _ in series] == [3.0, 3.0, 3.0, 3.0]
 
 
-def test_deterministic_shortcut_matches_two_automata():
-    rng = random.Random(53)
-    for _ in range(30):
-        f = random_stl(rng, ["x"], depth=2)
-        det = determinize(translate_stl(f))
-        for semiring in ALL:
-            w = decorate(det, semiring, default_distance(semiring))
-            t = random_trace(rng, ("x",), rng.randint(1, 4))
-            fast = deterministic_robustness(t, w)
-            slow = robustness(t, f, semiring)
-            assert fast.rho == slow.rho
-            assert fast.satisfied == slow.satisfied
+def test_verdicts_never_consult_the_reference_evaluators(monkeypatch):
+    """rho and satisfied come from the compiled automata alone, and agree
+    with what the reference evaluators say."""
+    import arv.speclang
+    from arv.generators import random_sre
+
+    rng = random.Random(59)
+    cases = []
+    for _ in range(20):
+        cases.append((random_stl(rng, ["x"], depth=2), random_trace(rng, ("x",), 5)))
+        cases.append((random_sre(rng, ["x"], depth=2), random_trace(rng, ("x",), 4)))
+    expected = []
+    for spec, t in cases:
+        single = [robustness(t, spec, sr) for sr in ALL]
+        series = [robustness_prefix_series(t, spec, sr) for sr in ALL]
+        if isinstance(spec, StlFormula):
+            assert all(v.satisfied == eval_stl(t, 0, spec) for v in single)
+        else:
+            assert all(v.satisfied == sre_accepts(t, spec) for v in single)
+        expected.append((single, series))
+
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("reference evaluator called on the monitoring path")
+
+    monkeypatch.setattr(arv.speclang, "eval_stl", forbidden)
+    monkeypatch.setattr(arv.speclang, "sre_accepts", forbidden)
+    for (spec, t), (single, series) in zip(cases, expected):
+        assert [robustness(t, spec, sr) for sr in ALL] == single
+        assert [robustness_prefix_series(t, spec, sr) for sr in ALL] == series
 
 
 def test_signed_degree_matches_enumerated_language_distance():
@@ -321,12 +337,3 @@ def test_value_identity_iff_accepted_for_closed_guards():
         for semiring in ALL:
             w = decorate(auto, semiring, default_distance(semiring))
             assert (trace_value(t, w) == semiring.e_times) == accepted
-
-
-def test_deterministic_shortcut_rejects_nondeterministic():
-    a = make_automaton(
-        ("x",), 2, {0}, {1}, [(0, P.TOP, 0), (0, P.TOP, 1)]
-    )
-    w = decorate(a, MINMAX, PointwiseDistance.ABS_DIFF)
-    with pytest.raises(ValueError):
-        deterministic_robustness(tr(1), w)

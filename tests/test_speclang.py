@@ -327,6 +327,38 @@ def test_trace_csv_errors(tmp_path):
         read_trace_csv(p)
 
 
+def test_trace_csv_rejects_nan_naming_row_and_column(tmp_path):
+    p = tmp_path / "bad.csv"
+    p.write_text("x,y\n1,2\n3,nan\n")
+    with pytest.raises(ParseError, match=r"row 3, column 'y'"):
+        read_trace_csv(p)
+    p.write_text("x,y\n\n1,2\n\n3,nan\n")
+    with pytest.raises(ParseError, match=r"row 5, column 'y'"):
+        read_trace_csv(p)
+
+
+@pytest.mark.parametrize("cell", ["inf", "-inf", "1e999"])
+def test_trace_csv_rejects_infinite_naming_row_and_column(tmp_path, cell):
+    p = tmp_path / "bad.csv"
+    p.write_text(f"x,y\n{cell},2\n")
+    with pytest.raises(ParseError, match=r"row 2, column 'x'"):
+        read_trace_csv(p)
+
+
+def test_trace_csv_rejects_duplicate_column(tmp_path):
+    p = tmp_path / "bad.csv"
+    p.write_text("x,x\n1,2\n")
+    with pytest.raises(ParseError, match=r"'x' twice"):
+        read_trace_csv(p)
+
+
+def test_trace_csv_rejects_empty_column_name(tmp_path):
+    p = tmp_path / "bad.csv"
+    p.write_text("x, \n1,2\n")
+    with pytest.raises(ParseError, match=r"column 2 has no name"):
+        read_trace_csv(p)
+
+
 def test_trace_csv_skips_blank_lines(tmp_path):
     p = tmp_path / "t.csv"
     p.write_text("x\n\n1\n\n2\n")

@@ -1,8 +1,10 @@
 """Symbolic automata over real-valued valuations and their weighted form.
 
-Transitions carry predicates instead of letters.  The algebra here
-(epsilon elimination, product, union, mintermization, subset
-determinization, complementation) keeps the symbolic guards intact and
+Transitions carry predicates instead of letters and every automaton is
+epsilon-free: epsilon moves exist only inside the SRE builder
+(``translate``), which eliminates them before an automaton is made.
+The algebra here (product, trimming, subset determinization over
+minterm cells, complementation) keeps the symbolic guards intact and
 relies on interval reasoning for satisfiability, so no solver is needed.
 """
 
@@ -21,22 +23,13 @@ from .semiring import Semiring
 
 @dataclass(frozen=True)
 class SymbolicAutomaton:
-    """Locations with predicate-guarded transitions.
-
-    ``eps`` transitions are only permitted while composing fragments;
-    monitor-facing automata are epsilon-free.
-    """
+    """Locations with predicate-guarded transitions."""
 
     variables: tuple[str, ...]
     n_locations: int
     initial: frozenset[int]
     final: frozenset[int]
     transitions: tuple[tuple[int, P.Pred, int], ...]
-    eps: tuple[tuple[int, int], ...] = ()
-
-    @property
-    def eps_free(self) -> bool:
-        return not self.eps
 
     def __eq__(self, other):
         if not isinstance(other, SymbolicAutomaton):
@@ -47,7 +40,6 @@ class SymbolicAutomaton:
             and self.initial == other.initial
             and self.final == other.final
             and sorted(self.transitions, key=_trans_key) == sorted(other.transitions, key=_trans_key)
-            and sorted(self.eps) == sorted(other.eps)
         )
 
     def __hash__(self):
@@ -59,7 +51,7 @@ def _trans_key(t):
     return (src, dst, P.print_predicate(guard))
 
 
-def make_automaton(variables, n_locations, initial, final, transitions, eps=()) -> SymbolicAutomaton:
+def make_automaton(variables, n_locations, initial, final, transitions) -> SymbolicAutomaton:
     """Normalize and prune: unsatisfiable guards and duplicate edges go."""
     pruned = []
     seen = set()
@@ -77,15 +69,12 @@ def make_automaton(variables, n_locations, initial, final, transitions, eps=()) 
         initial=frozenset(initial),
         final=frozenset(final),
         transitions=tuple(pruned),
-        eps=tuple(sorted(set(map(tuple, eps)))),
     )
 
 
 def reached_sets(a: SymbolicAutomaton, samples):
-    """Set-wise NFA run of an epsilon-free automaton: yields the set of
-    locations reached after each sample."""
-    if not a.eps_free:
-        raise ValueError("simulation requires an epsilon-free automaton")
+    """Set-wise NFA run: yields the set of locations reached after each
+    sample."""
     by_src: dict = {}
     for src, guard, dst in a.transitions:
         by_src.setdefault(src, []).append((guard, dst))
@@ -101,7 +90,7 @@ def reached_sets(a: SymbolicAutomaton, samples):
 
 
 def accepts(a: SymbolicAutomaton, trace) -> bool:
-    """NFA membership for an epsilon-free automaton."""
+    """NFA membership."""
     current = set(a.initial)
     for current in reached_sets(a, trace.samples):
         if not current:
@@ -109,56 +98,8 @@ def accepts(a: SymbolicAutomaton, trace) -> bool:
     return bool(current & a.final)
 
 
-def eps_closure(a: SymbolicAutomaton) -> list[set[int]]:
-    succ: list[set[int]] = [set() for _ in range(a.n_locations)]
-    for src, dst in a.eps:
-        succ[src].add(dst)
-    closures = []
-    for q in range(a.n_locations):
-        seen = {q}
-        stack = [q]
-        while stack:
-            s = stack.pop()
-            for t in succ[s]:
-                if t not in seen:
-                    seen.add(t)
-                    stack.append(t)
-        closures.append(seen)
-    return closures
-
-
-def eps_eliminate(a: SymbolicAutomaton) -> SymbolicAutomaton:
-    """Saturate guarded transitions through epsilon moves and drop them."""
-    if a.eps_free:
-        return a
-    closures = eps_closure(a)
-    transitions = []
-    for q in range(a.n_locations):
-        for s in closures[q]:
-            for src, guard, dst in a.transitions:
-                if src == s:
-                    transitions.append((q, guard, dst))
-    final = {q for q in range(a.n_locations) if closures[q] & a.final}
-    return make_automaton(a.variables, a.n_locations, a.initial, final, transitions)
-
-
-def union(a: SymbolicAutomaton, b: SymbolicAutomaton) -> SymbolicAutomaton:
-    off = a.n_locations
-    variables = tuple(sorted(set(a.variables) | set(b.variables)))
-    return make_automaton(
-        variables,
-        a.n_locations + b.n_locations,
-        set(a.initial) | {q + off for q in b.initial},
-        set(a.final) | {q + off for q in b.final},
-        list(a.transitions) + [(s + off, g, d + off) for s, g, d in b.transitions],
-        list(a.eps) + [(s + off, d + off) for s, d in b.eps],
-    )
-
-
 def product(a: SymbolicAutomaton, b: SymbolicAutomaton) -> SymbolicAutomaton:
     """Synchronous intersection; guards conjoin and unsatisfiable pairs drop."""
-    if not (a.eps_free and b.eps_free):
-        raise ValueError("product requires epsilon-free automata")
     variables = tuple(sorted(set(a.variables) | set(b.variables)))
     a_out: dict = {}
     for src, g, dst in a.transitions:
@@ -246,30 +187,8 @@ def _location_cells(a: SymbolicAutomaton, out_transitions, variables):
     return result
 
 
-def mintermize(a: SymbolicAutomaton) -> SymbolicAutomaton:
-    """Rewrite each location's outgoing guards into pairwise-disjoint,
-    satisfiable cells; targets are preserved."""
-    if not a.eps_free:
-        raise ValueError("mintermize requires an epsilon-free automaton")
-    variables = a.variables or ("_",)
-    by_src: dict = {}
-    for i, t in enumerate(a.transitions):
-        by_src.setdefault(t[0], []).append((i, t))
-    transitions = []
-    for src in range(a.n_locations):
-        outs = by_src.get(src, [])
-        if not outs:
-            continue
-        for pred, covered in _location_cells(a, outs, variables):
-            for t_idx in covered:
-                transitions.append((src, pred, a.transitions[t_idx][2]))
-    return make_automaton(a.variables, a.n_locations, a.initial, a.final, transitions)
-
-
 def determinize(a: SymbolicAutomaton) -> SymbolicAutomaton:
     """Subset construction over minterm cells, completed with a sink."""
-    if not a.eps_free:
-        raise ValueError("determinize requires an epsilon-free automaton")
     variables = a.variables or ("_",)
     by_src: dict = {}
     for i, t in enumerate(a.transitions):
@@ -310,39 +229,6 @@ def complement(a: SymbolicAutomaton) -> SymbolicAutomaton:
     return replace(det, final=frozenset(flipped))
 
 
-def is_deterministic_complete(a: SymbolicAutomaton, probe_values=None) -> bool:
-    """True when every location has exactly one enabled transition for
-    every valuation over the probe grid (defaults to guard thresholds
-    plus offset points)."""
-    if not a.eps_free or len(a.initial) != 1:
-        return False
-    thresholds = set()
-    for _, guard, _ in a.transitions:
-        for clause in P.to_dnf(guard).clauses:
-            for lit in clause:
-                if isinstance(lit, P.Cmp):
-                    thresholds.add(lit.k)
-                elif isinstance(lit, P.Not):
-                    thresholds.add(lit.arg.k)
-    if probe_values is None:
-        probe_values = sorted(
-            {t for k in (thresholds or {0.0}) for t in (k - 1.0, k - 0.5, k, k + 0.5, k + 1.0)}
-        )
-    variables = a.variables or ("_",)
-    by_src: dict = {}
-    for src, guard, dst in a.transitions:
-        by_src.setdefault(src, []).append(guard)
-    from itertools import product as iproduct
-
-    for q in range(a.n_locations):
-        guards = by_src.get(q, [])
-        for point in iproduct(probe_values, repeat=len(variables)):
-            v = dict(zip(variables, point))
-            if sum(1 for g in guards if P.evaluate(v, g)) != 1:
-                return False
-    return True
-
-
 # --- normalization -----------------------------------------------------------
 
 
@@ -352,9 +238,6 @@ def canonicalize(a: SymbolicAutomaton) -> SymbolicAutomaton:
     by_src: dict = {}
     for src, guard, dst in a.transitions:
         by_src.setdefault(src, []).append((P.print_predicate(guard), dst, guard))
-    eps_by_src: dict = {}
-    for src, dst in a.eps:
-        eps_by_src.setdefault(src, []).append(dst)
 
     order = []
     seen = set()
@@ -364,9 +247,7 @@ def canonicalize(a: SymbolicAutomaton) -> SymbolicAutomaton:
         order.append(q)
     while queue:
         q = queue.pop(0)
-        succs = [(g_str, dst) for g_str, dst, _ in sorted(by_src.get(q, []), key=lambda x: (x[0], x[1]))]
-        succs += [("", dst) for dst in sorted(eps_by_src.get(q, []))]
-        for _, dst in succs:
+        for _, dst, _ in sorted(by_src.get(q, []), key=lambda x: (x[0], x[1])):
             if dst not in seen:
                 seen.add(dst)
                 order.append(dst)
@@ -381,22 +262,18 @@ def canonicalize(a: SymbolicAutomaton) -> SymbolicAutomaton:
             key=_trans_key,
         )
     )
-    eps = tuple(sorted((renum[s], renum[d]) for s, d in a.eps))
     return SymbolicAutomaton(
         variables=a.variables,
         n_locations=a.n_locations,
         initial=frozenset(renum[q] for q in a.initial),
         final=frozenset(renum[q] for q in a.final),
         transitions=transitions,
-        eps=eps,
     )
 
 
 def trim(a: SymbolicAutomaton) -> SymbolicAutomaton:
     """Drop locations that lie on no initial-to-final path.  Initial
     locations survive even when dead so the automaton stays runnable."""
-    if not a.eps_free:
-        raise ValueError("trim requires an epsilon-free automaton")
     fwd = set(a.initial)
     frontier = list(a.initial)
     succ: dict = {}
@@ -455,8 +332,6 @@ def decorate(a: SymbolicAutomaton, semiring: Semiring, dist: PointwiseDistance) 
     """Attach the weight rule: guards normalize to conjunction-minimal
     DNF (required whenever multiplication is not idempotent) and
     unsatisfiable transitions are pruned."""
-    if not a.eps_free:
-        raise ValueError("decorate requires an epsilon-free automaton")
     transitions = []
     guards = []
     for src, guard, dst in a.transitions:
@@ -476,8 +351,10 @@ def decorate(a: SymbolicAutomaton, semiring: Semiring, dist: PointwiseDistance) 
 
 
 def compiled_weights(w: WeightedAutomaton):
-    """Per-transition ``valuation -> weight`` closures."""
-    return [compile_weight(g, w.semiring, w.dist) for g in w.guards]
+    """Per-transition ``valuation -> weight`` closures, compiled once per
+    distinct guard."""
+    compiled = {g: compile_weight(g, w.semiring, w.dist) for g in dict.fromkeys(w.guards)}
+    return [compiled[g] for g in w.guards]
 
 
 # --- serialization -----------------------------------------------------------
@@ -492,8 +369,6 @@ def to_dot(a: SymbolicAutomaton) -> str:
     for src, guard, dst in a.transitions:
         label = P.print_predicate(guard).replace('"', '\\"')
         lines.append(f'  {src} -> {dst} [label="{label}"];')
-    for src, dst in a.eps:
-        lines.append(f'  {src} -> {dst} [label="ε" style=dashed];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

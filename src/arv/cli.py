@@ -1,9 +1,9 @@
 """Batch command-line front end.
 
 Subcommands: ``monitor`` (verdict or prefix series for trace files),
-``translate`` (spec to DOT/JSON), ``oracle`` (randomized cross-check
-suites), ``fixtures`` (reproduce the worked example tables) and ``vpd``
-(score one valuation against one predicate).
+``translate`` (spec to DOT/JSON), ``oracle`` (the randomized cross-check
+suites of ``oracles``), ``fixtures`` (reproduce the worked example
+tables) and ``vpd`` (score one valuation against one predicate).
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import argparse
 import json
 import math
 import os
-import random
+import re
 import sys
 from collections import deque
 from pathlib import Path
@@ -20,18 +20,11 @@ from pathlib import Path
 from . import automaton as A
 from . import fixtures as FX
 from . import monitor as M
+from . import oracles as O
 from . import predicate as P
-from .distance import PointwiseDistance, default_distance, vpd, vpd_brute_force
-from .errors import ArvError, UnsupportedFragmentError
-from .generators import (
-    CLOSED_OPS,
-    random_automaton,
-    random_dnf,
-    random_stl,
-    random_trace,
-    random_valuation,
-)
-from .semiring import BOOLEAN, MINMAX, SEMIRINGS, TROPICAL, by_name
+from .distance import PointwiseDistance, default_distance, vpd
+from .errors import ArvError, ParseError, UnsupportedFragmentError
+from .semiring import SEMIRINGS, TROPICAL, by_name
 from .speclang import parse_spec_text, read_trace_csv
 from .translate import translate_stl
 
@@ -58,7 +51,10 @@ def _atomic_write(path: Path, text: str):
 
 
 def _load_spec(path: str):
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"spec file {path} is not UTF-8 text (byte {exc.start})") from None
     return parse_spec_text(text)
 
 
@@ -129,11 +125,34 @@ def cmd_translate(args) -> int:
     return 0
 
 
-def cmd_vpd(args) -> int:
+_NAME = re.compile(r"[^\W\d]\w*")
+
+
+def _parse_valuation(text: str) -> dict:
+    """``name=value`` bindings separated by commas; each name once, each
+    value a finite number."""
     valuation = {}
-    for binding in args.valuation.split(","):
-        name, _, value = binding.partition("=")
-        valuation[name.strip()] = float(value)
+    for binding in text.split(","):
+        name, eq, value = binding.partition("=")
+        name = name.strip()
+        if not eq:
+            raise ParseError(f"valuation binding {binding.strip()!r} lacks '='")
+        if not _NAME.fullmatch(name):
+            raise ParseError(f"bad variable name {name!r} in valuation")
+        if name in valuation:
+            raise ParseError(f"valuation binds {name!r} twice")
+        try:
+            x = float(value)
+        except ValueError:
+            raise ParseError(f"non-numeric value {value.strip()!r} for {name!r}") from None
+        if not math.isfinite(x):
+            raise ParseError(f"non-finite value {value.strip()!r} for {name!r}")
+        valuation[name] = x
+    return valuation
+
+
+def cmd_vpd(args) -> int:
+    valuation = _parse_valuation(args.valuation)
     pred = P.parse_predicate(args.pred)
     semiring = by_name(args.semiring)
     dist = (
@@ -147,88 +166,12 @@ def cmd_vpd(args) -> int:
     return 0
 
 
-# --- randomized cross-check suites -------------------------------------------
-
-
-def vpd_cross_check(cases: int, seed: int) -> int:
-    """Distance engine vs grid fold: closed literals, thresholds in
-    [-8, 8], valuations and grid on [-12, 12]."""
-    rng = random.Random(seed)
-    grid = range(-12, 13)
-    mismatches = 0
-    for _ in range(cases):
-        variables = ["x"] if rng.random() < 0.6 else ["x", "y"]
-        dnf = random_dnf(rng, variables, ops=CLOSED_OPS)
-        valuation = random_valuation(rng, variables)
-        expected = vpd_brute_force(valuation, dnf, MINMAX, PointwiseDistance.ABS_DIFF, grid)
-        if vpd(valuation, dnf, MINMAX, PointwiseDistance.ABS_DIFF) != expected:
-            mismatches += 1
-        minimized = P.wedge_minimize(dnf)
-        expected = vpd_brute_force(valuation, dnf, TROPICAL, PointwiseDistance.ABS_DIFF, grid)
-        if vpd(valuation, minimized, TROPICAL, PointwiseDistance.ABS_DIFF) != expected:
-            mismatches += 1
-    return mismatches
-
-
-def value_cross_check(cases: int, seed: int) -> int:
-    """Dynamic program vs explicit path enumeration on random automata."""
-    rng = random.Random(seed)
-    mismatches = 0
-    for _ in range(cases):
-        variables = ("x", "y")
-        auto = random_automaton(rng, variables, max_transitions=6)
-        trace = random_trace(rng, variables, rng.randint(1, 5))
-        for semiring in (BOOLEAN, MINMAX, TROPICAL):
-            w = A.decorate(auto, semiring, default_distance(semiring))
-            if M.trace_value(trace, w) != M.path_enumeration_value(trace, w):
-                mismatches += 1
-    return mismatches
-
-
-def _guards_closed(auto: A.SymbolicAutomaton) -> bool:
-    for _, guard, _ in auto.transitions:
-        for clause in P.to_dnf(guard).clauses:
-            for lit in clause:
-                if isinstance(lit, P.Cmp) and lit.op == "<":
-                    return False
-                if isinstance(lit, P.Not) and lit.arg.op == "<=":
-                    return False
-    return True
-
-
-def language_distance_cross_check(cases: int, seed: int) -> int:
-    """End-to-end pipeline vs the trace-to-language grid fold.
-
-    Formulas are resampled until the compiled guards contain only closed
-    comparisons, so the grid attains every infimum.
-    """
-    rng = random.Random(seed)
-    grid = range(0, 5)
-    mismatches = 0
-    done = 0
-    while done < cases:
-        formula = random_stl(rng, ["x"], depth=2, ops=CLOSED_OPS)
-        auto = translate_stl(formula)
-        if not _guards_closed(auto):
-            continue
-        done += 1
-        trace = random_trace(rng, ("x",), rng.randint(1, 3), 0, 4)
-        for semiring in (BOOLEAN, MINMAX, TROPICAL):
-            dist = default_distance(semiring)
-            w = A.decorate(auto, semiring, dist)
-            got = M.trace_value(trace, w)
-            expected = M.trace_distance_brute_force(trace, formula, semiring, dist, grid)
-            if got != expected:
-                mismatches += 1
-    return mismatches
-
-
 def cmd_oracle(args) -> int:
     total = 0
     checks = [
-        ("valuation-predicate distance", vpd_cross_check, args.vpd_cases),
-        ("trace value vs path enumeration", value_cross_check, args.value_cases),
-        ("pipeline vs language distance", language_distance_cross_check, args.language_cases),
+        ("valuation-predicate distance", O.vpd_cross_check, args.vpd_cases),
+        ("trace value vs path enumeration", O.value_cross_check, args.value_cases),
+        ("pipeline vs language distance", O.language_distance_cross_check, args.language_cases),
     ]
     for label, fn, cases in checks:
         mism = fn(cases, args.seed)
@@ -265,7 +208,7 @@ def cmd_fixtures(_args) -> int:
             source = "published run"
         else:
             table = {
-                q: [FX.state_costs_by_paths(trace, w, i)[q] for i in range(len(trace) + 1)]
+                q: [O.path_costs(trace, w, i)[q] for i in range(len(trace) + 1)]
                 for q in range(auto.n_locations)
             }
             final_expected = FX.TROPICAL_FINAL

@@ -11,22 +11,9 @@ identity (the distance to an empty set).
 from __future__ import annotations
 
 import enum
-from itertools import product
 
 from .errors import UnboundVariableError
-from .predicate import (
-    Bottom,
-    Cmp,
-    Dnf,
-    Not,
-    Top,
-    _clause_sat,
-    _index,
-    dnf_variables,
-    evaluate,
-    evaluate_dnf,
-    is_sat,
-)
+from .predicate import Cmp, Dnf, Top, _clause_sat, _index, dnf_variables
 from .semiring import Semiring, SemiringValue
 
 Valuation = dict
@@ -52,21 +39,6 @@ def default_distance(semiring: Semiring) -> PointwiseDistance:
     return PointwiseDistance.ABS_DIFF
 
 
-def _literal_weight(valuation, lit, dist, semiring):
-    if isinstance(lit, Top):
-        return semiring.e_times
-    if isinstance(lit, Bottom):
-        return semiring.e_plus
-    cmpnode = lit.arg if isinstance(lit, Not) else lit
-    try:
-        v = valuation[cmpnode.var]
-    except KeyError:
-        raise UnboundVariableError(f"unbound variable {cmpnode.var!r}") from None
-    if evaluate(valuation, lit):
-        return semiring.e_times
-    return point_dist(v, cmpnode.k, dist)
-
-
 def vpd(
     valuation: Valuation,
     dnf: Dnf,
@@ -86,54 +58,18 @@ def vpd(
         and not demonstration
     ):
         raise ValueError(f"semiring {semiring.name!r} requires ∧-minimal DNF")
-    idx = _index(dnf_variables(dnf) or ["_"])
-    acc = semiring.e_plus
-    for clause in dnf.clauses:
-        if not _clause_sat(clause, idx):
-            continue
-        acc = semiring.oplus(
-            acc,
-            semiring.product(
-                _literal_weight(valuation, lit, dist, semiring) for lit in clause
-            ),
-        )
-    return acc
-
-
-def vpd_brute_force(
-    valuation: Valuation,
-    dnf: Dnf,
-    semiring: Semiring,
-    dist: PointwiseDistance,
-    grid: range,
-) -> SemiringValue:
-    """Literal fold of the set-distance definition over a finite grid.
-
-    Sums, with semiring addition, over every grid valuation satisfying
-    the predicate, the product over variables of the pointwise
-    distances.  Exact for the real-valued definition when thresholds and
-    valuation values lie on the grid and all literals are closed.
-    """
-    variables = dnf_variables(dnf)
-    if not variables:
-        return semiring.e_times if is_sat(dnf) else semiring.e_plus
-    acc = semiring.e_plus
-    for point in product(grid, repeat=len(variables)):
-        candidate = dict(zip(variables, (float(x) for x in point)))
-        if not evaluate_dnf(candidate, dnf):
-            continue
-        weight = semiring.product(
-            point_dist(valuation[x], candidate[x], dist) for x in variables
-        )
-        acc = semiring.oplus(acc, weight)
-    return acc
+    try:
+        return compile_weight(dnf, semiring, dist)(valuation)
+    except KeyError as exc:
+        raise UnboundVariableError(f"unbound variable {exc.args[0]!r}") from None
 
 
 def compile_weight(dnf: Dnf, semiring: Semiring, dist: PointwiseDistance):
     """Build a fast ``valuation -> weight`` closure for one guard.
 
     Unsatisfiable clauses are dropped up front; the per-step loop then
-    only touches live literals.  Behaviour matches ``vpd`` exactly.
+    only touches live literals.  This is the only scoring loop: ``vpd``
+    compiles its guard and applies the closure once.
     """
     idx = _index(dnf_variables(dnf) or ["_"])
     clauses = []

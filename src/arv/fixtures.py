@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 from . import predicate as P
-from .automaton import SymbolicAutomaton, WeightedAutomaton, make_automaton
-from .distance import vpd
-from .semiring import Semiring
+from .automaton import SymbolicAutomaton, make_automaton
 from .speclang import Trace
 
 # three-location automaton: wait anywhere, then hit the guard twice in a row
@@ -61,25 +59,3 @@ MINMAX_FINAL = 1.0
 # the min-plus run, anchored to path enumeration (weights 10, 6 and 2)
 TROPICAL_PATH_WEIGHTS = (10.0, 6.0, 2.0)
 TROPICAL_FINAL = 2.0
-
-
-def state_costs_by_paths(trace: Trace, w: WeightedAutomaton, steps: int) -> dict:
-    """Per-location cost after ``steps`` samples, by explicit enumeration
-    of all transition sequences (independent of the recurrence)."""
-    base = w.base
-    sr: Semiring = w.semiring
-    by_src: dict = {}
-    for i, (src, guard, dst) in enumerate(base.transitions):
-        by_src.setdefault(src, []).append((i, dst))
-    paths = {q: [sr.e_times] if q in base.initial else [] for q in range(base.n_locations)}
-    for step in range(steps):
-        sample = trace.samples[step]
-        nxt: dict = {q: [] for q in range(base.n_locations)}
-        for q, weights in paths.items():
-            if not weights:
-                continue
-            for i, dst in by_src.get(q, ()):
-                step_w = vpd(sample, w.guards[i], sr, w.dist)
-                nxt[dst].extend(sr.otimes(wgt, step_w) for wgt in weights)
-        paths = nxt
-    return {q: sr.sum(ws) for q, ws in paths.items()}

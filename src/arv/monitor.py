@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from . import automaton as A
 from . import speclang as S
-from .distance import PointwiseDistance, Valuation, default_distance, point_dist, vpd
+from .distance import PointwiseDistance, Valuation, default_distance
 from .errors import UnboundVariableError
 from .semiring import Semiring, SemiringValue, to_signed
 from .speclang import SreExpr, StlFormula, Trace
@@ -199,96 +199,3 @@ def robustness_prefix_series(
     return [
         (t, v.rho, v.satisfied) for t, v in enumerate(verdicts(trace, *pair), start=1)
     ]
-
-
-# --- brute-force oracles -------------------------------------------------------
-
-
-def path_enumeration_value(
-    trace: Trace, w: A.WeightedAutomaton, max_paths: int = 10**6
-) -> SemiringValue:
-    """Fold over every structurally-accepting transition sequence.
-
-    Enumerates all length-n location paths from an initial to a final
-    location, multiplies the per-step valuation distances, and sums the
-    path weights.  Independent of the dynamic-programming order.
-    """
-    base = w.base
-    _check_variables(w, trace)
-    n = len(trace)
-    by_src: dict = {}
-    for i, (src, guard, dst) in enumerate(base.transitions):
-        by_src.setdefault(src, []).append((i, dst))
-
-    counts = {q: 1 for q in base.initial}
-    for _ in range(n):
-        nxt: dict = {}
-        for q, c in counts.items():
-            for _, dst in by_src.get(q, ()):
-                nxt[dst] = nxt.get(dst, 0) + c
-        counts = nxt
-    total = sum(c for q, c in counts.items() if q in base.final)
-    if total > max_paths:
-        raise ValueError(f"{total} accepting paths exceed the bound {max_paths}")
-
-    sr = w.semiring
-    acc = sr.e_plus
-
-    def walk(q, depth, weight):
-        nonlocal acc
-        if depth == n:
-            if q in base.final:
-                acc = sr.oplus(acc, weight)
-            return
-        sample = trace.samples[depth]
-        for i, dst in by_src.get(q, ()):
-            step_w = vpd(sample, w.guards[i], sr, w.dist)
-            walk(dst, depth + 1, sr.otimes(weight, step_w))
-
-    for q in sorted(base.initial):
-        walk(q, 0, sr.e_times)
-    return acc
-
-
-def _qualitative(trace: Trace, spec) -> bool:
-    if isinstance(spec, StlFormula):
-        return S.eval_stl(trace, 0, spec)
-    return S.sre_accepts(trace, spec)
-
-
-def trace_distance_brute_force(
-    trace: Trace,
-    spec,
-    semiring: Semiring,
-    dist: PointwiseDistance,
-    grid,
-    max_candidates: int = 10**7,
-) -> SemiringValue:
-    """Fold of the trace-to-language distance over an explicit grid.
-
-    Enumerates every same-length trace with values on the grid, keeps
-    the ones satisfying the specification, and sums the multiplied
-    pointwise sample distances.  Exact for closed comparisons whose
-    thresholds lie on the grid.
-    """
-    variables = trace.variables
-    n = len(trace)
-    values = [float(g) for g in grid]
-    total = len(values) ** (len(variables) * n)
-    if total > max_candidates:
-        raise ValueError(f"{total} candidate traces exceed the bound {max_candidates}")
-
-    from itertools import product
-
-    acc = semiring.e_plus
-    points = list(product(values, repeat=len(variables)))
-    for combo in product(points, repeat=n):
-        candidate = Trace(variables, [dict(zip(variables, pt)) for pt in combo])
-        if not _qualitative(candidate, spec):
-            continue
-        weight = semiring.e_times
-        for s_orig, s_cand in zip(trace.samples, candidate.samples):
-            for x in variables:
-                weight = semiring.otimes(weight, point_dist(s_orig[x], s_cand[x], dist))
-        acc = semiring.oplus(acc, weight)
-    return acc

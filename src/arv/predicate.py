@@ -156,12 +156,8 @@ def evaluate(valuation: dict, p: Pred) -> bool:
     raise TypeError(f"not a predicate node: {p!r}")
 
 
-def evaluate_clause(valuation: dict, clause) -> bool:
-    return all(evaluate(valuation, lit) for lit in clause)
-
-
 def evaluate_dnf(valuation: dict, dnf: Dnf) -> bool:
-    return any(evaluate_clause(valuation, c) for c in dnf.clauses)
+    return any(all(evaluate(valuation, lit) for lit in c) for c in dnf.clauses)
 
 
 # --- DNF conversion -------------------------------------------------------

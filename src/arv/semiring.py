@@ -40,9 +40,6 @@ class Semiring:
         """Natural order: a precedes b iff a ⊕ b = a ("smaller is better")."""
         return self.oplus(a, b) == a
 
-    def nat_lt(self, a: SemiringValue, b: SemiringValue) -> bool:
-        return a != b and self.nat_leq(a, b)
-
     def sum(self, values) -> SemiringValue:
         """Fold ``oplus`` over an iterable; empty iterables give e_plus."""
         acc = self.e_plus

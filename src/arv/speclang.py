@@ -205,10 +205,12 @@ class Trace:
     def __post_init__(self):
         if not self.samples:
             raise ValueError("traces must contain at least one sample")
-        for sample in self.samples:
+        for i, sample in enumerate(self.samples):
             for v in self.variables:
                 if v not in sample:
                     raise UnboundVariableError(f"sample missing variable {v!r}")
+                if not math.isfinite(sample[v]):
+                    raise ParseError(f"non-finite value {sample[v]!r} at sample {i}, variable {v!r}")
 
     def __len__(self):
         return len(self.samples)
@@ -228,11 +230,17 @@ def _csv_rows(fh) -> list[tuple[int, list[str]]]:
 def read_trace_csv(text_or_path, from_path: bool = True) -> Trace:
     """Header row of variable names, one numeric row per sample; blank
     lines skipped.  Errors name the file line of the offending row."""
-    if from_path:
-        with open(text_or_path, newline="", encoding="utf-8") as fh:
-            rows = _csv_rows(fh)
-    else:
-        rows = _csv_rows(io.StringIO(text_or_path))
+    source = f"trace file {text_or_path}" if from_path else "trace text"
+    try:
+        if from_path:
+            with open(text_or_path, newline="", encoding="utf-8") as fh:
+                rows = _csv_rows(fh)
+        else:
+            rows = _csv_rows(io.StringIO(text_or_path))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{source} is not UTF-8 text (byte {exc.start})") from None
+    except csv.Error as exc:
+        raise ParseError(f"{source} is not valid CSV: {exc}") from None
     if not rows:
         raise ParseError("trace file has no header row")
     header = [h.strip() for h in rows[0][1]]

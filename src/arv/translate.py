@@ -9,8 +9,9 @@ guard and defers the rest.  A location accepts when everything pending
 is negative, since negated next-obligations hold vacuously once the
 trace ends while positive ones still demand a successor.
 
-Regular expressions compile compositionally with epsilon transitions,
-which are eliminated before the automaton is returned.
+Regular expressions compile compositionally into fragments with epsilon
+transitions; epsilon moves exist only here and are eliminated whenever a
+fragment becomes an automaton.
 """
 
 from __future__ import annotations
@@ -19,14 +20,7 @@ from dataclasses import dataclass
 
 from . import predicate as P
 from . import speclang as S
-from .automaton import (
-    SymbolicAutomaton,
-    canonicalize,
-    eps_eliminate,
-    make_automaton,
-    product,
-    trim,
-)
+from .automaton import SymbolicAutomaton, canonicalize, make_automaton, product, trim
 from .errors import UnsupportedFragmentError
 from .predicate import comparison
 
@@ -202,10 +196,39 @@ def _shift(frag: _Frag, off: int) -> _Frag:
     )
 
 
-def _frag_automaton(frag: _Frag, variables) -> SymbolicAutomaton:
-    return make_automaton(
-        variables, frag.n, frag.initial, frag.final, frag.transitions, frag.eps
-    )
+def eps_closure(frag: _Frag) -> list[set[int]]:
+    succ: list[set[int]] = [set() for _ in range(frag.n)]
+    for src, dst in frag.eps:
+        succ[src].add(dst)
+    closures = []
+    for q in range(frag.n):
+        seen = {q}
+        stack = [q]
+        while stack:
+            s = stack.pop()
+            for t in succ[s]:
+                if t not in seen:
+                    seen.add(t)
+                    stack.append(t)
+        closures.append(seen)
+    return closures
+
+
+def eps_eliminate(frag: _Frag, variables) -> SymbolicAutomaton:
+    """The automaton of a fragment: guarded transitions saturated through
+    epsilon moves, which are then dropped."""
+    closures = eps_closure(frag)
+    by_src: dict = {}
+    for src, guard, dst in frag.transitions:
+        by_src.setdefault(src, []).append((guard, dst))
+    transitions = [
+        (q, guard, dst)
+        for q in range(frag.n)
+        for s in sorted(closures[q])
+        for guard, dst in by_src.get(s, ())
+    ]
+    final = {q for q in range(frag.n) if closures[q] & frag.final}
+    return make_automaton(variables, frag.n, frag.initial, final, transitions)
 
 
 def _from_automaton(a: SymbolicAutomaton) -> _Frag:
@@ -214,7 +237,7 @@ def _from_automaton(a: SymbolicAutomaton) -> _Frag:
         set(a.initial),
         set(a.final),
         list(a.transitions),
-        list(a.eps),
+        [],
     )
 
 
@@ -248,8 +271,8 @@ def _build(expr: S.SreExpr, variables) -> _Frag:
             left.eps + right.eps,
         )
     if isinstance(expr, S.SreIntersect):
-        left = eps_eliminate(_frag_automaton(_build(expr.left, variables), variables))
-        right = eps_eliminate(_frag_automaton(_build(expr.right, variables), variables))
+        left = eps_eliminate(_build(expr.left, variables), variables)
+        right = eps_eliminate(_build(expr.right, variables), variables)
         return _from_automaton(product(left, right))
     if isinstance(expr, S.SreStar):
         inner = _build(expr.arg, variables)
@@ -257,7 +280,7 @@ def _build(expr: S.SreExpr, variables) -> _Frag:
         eps = inner.eps + [(hub, q) for q in inner.initial] + [(f, hub) for f in inner.final]
         return _Frag(inner.n + 1, {hub}, {hub}, inner.transitions, eps)
     if isinstance(expr, S.SreDuration):
-        inner = eps_eliminate(_frag_automaton(_build(expr.arg, variables), variables))
+        inner = eps_eliminate(_build(expr.arg, variables), variables)
         w = expr.window
         cap = w.lo if w.hi is None else w.hi
         saturating = w.hi is None
@@ -294,6 +317,5 @@ def translate_sre(expr: S.SreExpr) -> SymbolicAutomaton:
     """Compile a signal regular expression to an epsilon-free automaton
     accepting exactly the traces the expression matches end to end."""
     variables = tuple(sorted(S.sre_variables(expr)))
-    frag = _build(expr, variables)
-    a = eps_eliminate(_frag_automaton(frag, variables))
+    a = eps_eliminate(_build(expr, variables), variables)
     return canonicalize(trim(a))

@@ -11,15 +11,14 @@ from itertools import product
 from arv import fixtures as FX
 from arv import predicate as P
 from arv.automaton import accepts, decorate
-from arv.cli import language_distance_cross_check, value_cross_check, vpd_cross_check
 from arv.distance import PointwiseDistance, default_distance, vpd
 from arv.generators import all_traces, random_sre, random_stl, random_trace
-from arv.monitor import (
-    ValueStream,
-    build_monitor_pair,
+from arv.monitor import ValueStream, build_monitor_pair, robustness, trace_value
+from arv.oracles import (
+    language_distance_cross_check,
     path_enumeration_value,
-    robustness,
-    trace_value,
+    value_cross_check,
+    vpd_cross_check,
 )
 from arv.semiring import BOOLEAN, MINMAX, TROPICAL
 from arv.speclang import Trace, eval_sre, eval_stl, parse_sre, parse_stl

@@ -9,23 +9,21 @@ from arv.automaton import (
     complement,
     decorate,
     determinize,
-    eps_eliminate,
     from_json,
-    is_deterministic_complete,
     make_automaton,
-    mintermize,
     product,
     to_dot,
     to_json,
     trim,
-    union,
 )
 from arv.distance import PointwiseDistance, default_distance
 from arv.errors import ParseError
 from arv.fixtures import example_automaton
 from arv.generators import all_traces, random_automaton
+from arv.oracles import is_deterministic_complete
 from arv.semiring import MINMAX, TROPICAL
 from arv.speclang import Trace
+from arv.translate import _Frag, eps_eliminate
 
 
 def g(text):
@@ -60,19 +58,9 @@ def test_make_automaton_prunes_unsat_and_duplicates():
 
 
 def test_eps_eliminate_preserves_concat_language():
-    left = single_word_acceptor([g("x <= 2")])
-    right = single_word_acceptor([g("x >= 5")])
     # concatenation gadget with an epsilon bridge
-    glued = make_automaton(
-        ("x",),
-        4,
-        {0},
-        {3},
-        [(0, g("x <= 2"), 1), (2, g("x >= 5"), 3)],
-        eps=[(1, 2)],
-    )
-    flat = eps_eliminate(glued)
-    assert flat.eps_free
+    glued = _Frag(4, {0}, {3}, [(0, g("x <= 2"), 1), (2, g("x >= 5"), 3)], [(1, 2)])
+    flat = eps_eliminate(glued, ("x",))
     for t in traces_upto(("x",), range(0, 7), 3):
         expected = len(t) == 2 and t.samples[0]["x"] <= 2 and t.samples[1]["x"] >= 5
         assert accepts(flat, t) == expected
@@ -84,41 +72,6 @@ def test_product_with_top_loop_is_identity():
     prod = product(top, a)
     for t in traces_upto(("x",), range(0, 6), 3):
         assert accepts(prod, t) == accepts(a, t)
-
-
-def test_union_of_single_word_acceptors():
-    a = single_word_acceptor([g("x <= 0")])
-    b = single_word_acceptor([g("x >= 9")])
-    u = union(a, b)
-    for t in traces_upto(("x",), range(0, 10), 2):
-        expected = len(t) == 1 and (t.samples[0]["x"] <= 0 or t.samples[0]["x"] >= 9)
-        assert accepts(u, t) == expected
-
-
-def test_mintermize_cells():
-    a = make_automaton(
-        ("x",), 2, {0}, {1}, [(0, g("x <= 3"), 1), (0, g("x <= 5"), 1)]
-    )
-    m = mintermize(a)
-    rendered = sorted(P.print_predicate(guard) for _, guard, _ in m.transitions)
-    assert rendered == ["x <= 3", "x <= 5 && !(x <= 3)"]
-
-
-def test_mintermize_guard_disjointness():
-    rng = random.Random(21)
-    for _ in range(25):
-        a = random_automaton(rng, ("x", "y"), max_locations=4, max_transitions=6)
-        m = mintermize(a)
-        by_src = {}
-        for src, guard, dst in m.transitions:
-            by_src.setdefault(src, set()).add(P.print_predicate(guard))
-        for t in all_traces(("x", "y"), range(0, 5), 1):
-            v = t.samples[0]
-            for src, guards in by_src.items():
-                sat = [gd for gd in guards if P.evaluate(v, P.parse_predicate(gd))]
-                assert len(sat) <= 1
-        for t in traces_upto(("x", "y"), range(0, 5), 2):
-            assert accepts(m, t) == accepts(a, t)
 
 
 def test_determinize_and_complement():

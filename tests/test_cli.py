@@ -205,3 +205,42 @@ def test_csv_roundtrip_value_identical(tmp_path):
     back = read_trace_csv(path)
     assert back.variables == trace.variables
     assert back.samples == trace.samples
+
+
+def test_monitor_spec_not_utf8_is_parse_error(trace_file, tmp_path, capsys):
+    spec = tmp_path / "bad.stl"
+    spec.write_bytes(b"G(x <= 10) \xff\n")
+    assert main(["monitor", "--spec", str(spec), "--trace", trace_file]) == 2
+    assert f"spec file {spec} is not UTF-8" in capsys.readouterr().err
+
+
+def test_translate_spec_not_utf8_is_parse_error(tmp_path, capsys):
+    spec = tmp_path / "bad.stl"
+    spec.write_bytes(b"\xffG(x <= 10)\n")
+    assert main(["translate", "--spec", str(spec)]) == 2
+    assert f"spec file {spec} is not UTF-8" in capsys.readouterr().err
+
+
+def test_monitor_trace_not_utf8_is_parse_error(spec_file, tmp_path, capsys):
+    trace = tmp_path / "bad.csv"
+    trace.write_bytes(b"x\n4\n\xff7\n")
+    assert main(["monitor", "--spec", spec_file, "--trace", str(trace)]) == 2
+    assert f"trace file {trace} is not UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "valuation, message",
+    [
+        ("x=abc", "non-numeric value 'abc'"),
+        ("x", "lacks '='"),
+        ("x=nan", "non-finite value 'nan'"),
+        ("x=-inf", "non-finite value '-inf'"),
+        ("x=1,x=2", "binds 'x' twice"),
+        ("1x=2", "bad variable name '1x'"),
+        ("=2", "bad variable name ''"),
+    ],
+)
+def test_vpd_bad_valuation_is_parse_error(valuation, message, capsys):
+    code = main(["vpd", "--valuation", valuation, "--pred", "x <= 3", "--semiring", "minmax"])
+    assert code == 2
+    assert message in capsys.readouterr().err

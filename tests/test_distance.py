@@ -4,16 +4,9 @@ import random
 import pytest
 
 from arv import predicate as P
-from arv.cli import vpd_cross_check
-from arv.distance import (
-    PointwiseDistance,
-    compile_weight,
-    default_distance,
-    point_dist,
-    vpd,
-    vpd_brute_force,
-)
+from arv.distance import PointwiseDistance, default_distance, point_dist, vpd
 from arv.generators import CLOSED_OPS, random_dnf, random_valuation
+from arv.oracles import vpd_brute_force, vpd_cross_check
 from arv.semiring import BOOLEAN, MINMAX, TROPICAL
 
 ABS = PointwiseDistance.ABS_DIFF
@@ -94,18 +87,6 @@ def test_vpd_zero_iff_satisfied_closed_literals():
             use = P.wedge_minimize(d) if semiring is TROPICAL else d
             value = vpd(v, use, semiring, kind)
             assert (value == semiring.e_times) == P.evaluate_dnf(v, d)
-
-
-def test_compiled_weight_matches_vpd():
-    rng = random.Random(99)
-    for _ in range(300):
-        variables = ["x", "y"]
-        d = random_dnf(rng, variables, ops=("<", "<=", ">", ">="))
-        v = random_valuation(rng, variables)
-        for semiring in (BOOLEAN, MINMAX, TROPICAL):
-            kind = default_distance(semiring)
-            use = P.wedge_minimize(d)
-            assert compile_weight(use, semiring, kind)(v) == vpd(v, use, semiring, kind)
 
 
 def test_engine_matches_grid_fold_sample():

@@ -8,14 +8,8 @@ from arv.automaton import decorate, make_automaton
 from arv.distance import PointwiseDistance, default_distance
 from arv.errors import UnboundVariableError, UnsupportedFragmentError
 from arv.generators import random_stl, random_trace
-from arv.monitor import (
-    ValueStream,
-    path_enumeration_value,
-    robustness,
-    robustness_prefix_series,
-    trace_distance_brute_force,
-    trace_value,
-)
+from arv.monitor import ValueStream, robustness, robustness_prefix_series, trace_value
+from arv.oracles import path_costs, path_enumeration_value, trace_distance_brute_force
 from arv import predicate as P
 from arv.semiring import BOOLEAN, MINMAX, TROPICAL
 from arv.speclang import StlFormula, Trace, eval_stl, parse_sre, parse_stl, sre_accepts
@@ -64,7 +58,7 @@ def test_fixture_tropical_matches_path_oracle():
     # per-state costs match explicit path enumeration at every step
     cols, _ = stream_columns(trace, w)
     for steps in range(5):
-        expected = FX.state_costs_by_paths(trace, w, steps)
+        expected = path_costs(trace, w, steps)
         assert cols[steps] == expected
 
 
@@ -283,7 +277,7 @@ def test_verdicts_never_consult_the_reference_evaluators(monkeypatch):
 def test_signed_degree_matches_enumerated_language_distance():
     """rho against explicit enumeration of the nearer language side,
     including the empty-language endpoints."""
-    from arv.cli import _guards_closed
+    from arv.oracles import guards_closed
     from arv.distance import point_dist
     from arv.generators import all_traces
     from arv.speclang import negate
@@ -311,7 +305,7 @@ def test_signed_degree_matches_enumerated_language_distance():
         t = random_trace(rng, ("x",), rng.randint(1, 3), 0, 4)
         sat = eval_stl(t, 0, f)
         side = negate(f) if sat else f
-        if not _guards_closed(translate_stl(side)):
+        if not guards_closed(translate_stl(side)):
             continue
         for sr in ALL:
             got = robustness(t, f, sr).rho
@@ -337,3 +331,22 @@ def test_value_identity_iff_accepted_for_closed_guards():
         for semiring in ALL:
             w = decorate(auto, semiring, default_distance(semiring))
             assert (trace_value(t, w) == semiring.e_times) == accepted
+
+
+def test_stream_compiles_each_distinct_guard_once(monkeypatch):
+    import arv.automaton
+
+    f = parse_stl("G (x <= 5 -> F[0,3] y >= 2)")
+    w = decorate(translate_stl(f), TROPICAL, PointwiseDistance.ABS_DIFF)
+    distinct = len(set(w.guards))
+    assert distinct < len(w.guards)
+    compiled = []
+    compile_weight = arv.automaton.compile_weight
+
+    def counting(*args):
+        compiled.append(args[0])
+        return compile_weight(*args)
+
+    monkeypatch.setattr(arv.automaton, "compile_weight", counting)
+    ValueStream(w)
+    assert len(compiled) == distinct

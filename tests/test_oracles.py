@@ -1,0 +1,148 @@
+"""The oracle module's boundary, and a fuzz of every text and byte input
+the command line and parsers accept."""
+
+import ast
+import contextlib
+import dataclasses
+import importlib
+import io
+import random
+from pathlib import Path
+
+import pytest
+
+import arv
+from arv import oracles
+from arv.automaton import SymbolicAutomaton
+from arv.cli import main
+from arv.errors import ArvError
+from arv.predicate import parse_predicate
+from arv.speclang import parse_spec_text
+
+SRC = Path(arv.__file__).parent
+
+MONITORING_PATH = ("monitor", "automaton", "translate", "distance", "predicate", "speclang")
+
+# names that moved to ``arv.oracles`` or were deleted, by their old module
+GONE = {
+    "cli": ("vpd_cross_check", "value_cross_check", "language_distance_cross_check", "_guards_closed"),
+    "monitor": ("path_enumeration_value", "trace_distance_brute_force", "_qualitative"),
+    "distance": ("vpd_brute_force", "_literal_weight"),
+    "fixtures": ("state_costs_by_paths",),
+    "automaton": ("is_deterministic_complete", "mintermize", "union", "eps_closure", "eps_eliminate"),
+    "semiring": ("nat_lt",),
+    "predicate": ("evaluate_clause",),
+}
+
+
+def _imported_modules(path: Path) -> set:
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = ("." * node.level) + (node.module or "")
+            names.add(base)
+            names.update(f"{base}.{alias.name}".replace("..", ".") for alias in node.names)
+    return names
+
+
+@pytest.mark.parametrize("module", MONITORING_PATH)
+def test_monitoring_path_never_imports_the_oracles(module):
+    imported = _imported_modules(SRC / f"{module}.py")
+    assert not {name for name in imported if name.split(".")[-1] == "oracles"}
+
+
+def test_moved_and_deleted_names_are_gone():
+    for module, names in GONE.items():
+        mod = importlib.import_module(f"arv.{module}")
+        assert [n for n in names if hasattr(mod, n)] == [], module
+    assert not {"eps_eliminate", "mintermize", "union"} & set(arv.__all__)
+    assert "eps" not in {f.name for f in dataclasses.fields(SymbolicAutomaton)}
+    for name in ("path_enumeration_value", "trace_distance_brute_force", "vpd_brute_force"):
+        assert getattr(arv, name) is getattr(oracles, name)
+
+
+# --- fuzz -------------------------------------------------------------------------
+
+SPEC_SEEDS = (
+    "G x <= 5",
+    "F[0,3] (x > 1 && y < 2)",
+    "G (x <= 5 -> F[0,2] y >= 2)",
+    "a U[1,2] !b",
+    "#lang sre\n<x <= 3>[1,2] ; (y > 1 | E)*",
+    "#lang sre\n(x <= 5 ; T) & <x <= 3 && y >= 6>[1,1]",
+)
+PRED_SEEDS = ("x <= 3 && x <= 5", "!(x < 1) || y >= -2.5", "true", "(a > 0 || b <= 1) && !c < 4")
+TEXT_TOKENS = (
+    "(", ")", "[", "]", ",", ";", "&", "|", "*", "!", "&&", "||", "->", "<", "<=", ">",
+    ">=", "=", "-", ".", "e", "inf", "nan", "1e999", "0", "9", "x", "y", " ", "\n",
+    "#lang sre\n", "#lang stl\n", "#lang", "F", "G", "U", "X", "E", "T", "\x00", "\ufeff", "é",
+)
+CSV_SEEDS = (b"x\n1\n2.5\n-3\n", b"x,y\n1,2\n\n3,4\n", b"y\n1\n", b"x\r\n6\r\n")
+CSV_TOKENS = (
+    b"\xff", b"\x00", b",", b"\n", b"\r", b'"', b"nan", b"inf", b"-inf", b"1e999", b"x",
+    b"y", b"\xc3\xa9", b"\xef\xbb\xbf", b" ", b"-", b".", b"5",
+)
+VALUATION_SEEDS = ("x=1,y=2", "x=6", "y = -1.5, x = 0")
+VALUATION_TOKENS = ("=", ",", " ", "x", "y", "1", "-", ".", "e5", "nan", "inf", "1e999", "_", "é", "abc")
+
+
+def _mutate(rng, seq, tokens, chars):
+    for _ in range(rng.randint(1, 4)):
+        i = rng.randint(0, len(seq))
+        op = rng.random()
+        if op < 0.45:
+            seq = seq[:i] + rng.choice(tokens) + seq[i:]
+        elif op < 0.75:
+            seq = seq[:i] + seq[i + rng.randint(1, 3):]
+        elif op < 0.85:
+            j = rng.randint(0, len(seq))
+            seq = seq[:i] + seq[min(i, j):max(i, j)] + seq[i:]
+        else:
+            seq = seq[:i] + chars(rng.randrange(256)) + seq[i + 1:]
+    return seq
+
+
+def _text(rng, seeds, tokens):
+    return _mutate(rng, rng.choice(seeds), tokens, chr)
+
+
+def _outcome(label, call, *args):
+    """The call's result, or None for an ``ArvError``; any other exception
+    fails the test naming the input."""
+    try:
+        return call(*args)
+    except ArvError:
+        return None
+    except Exception as exc:
+        raise AssertionError(f"{label} raised {exc!r}") from exc
+
+
+def _exit(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+def test_fuzz_inputs_end_in_an_exit_code_or_arv_error(tmp_path):
+    rng = random.Random(20240605)
+    # specs are only parsed: translation is exponential in window bounds
+    for _ in range(500):
+        text = _text(rng, SPEC_SEEDS, TEXT_TOKENS)
+        _outcome(f"parse_spec_text({text!r})", parse_spec_text, text)
+    for _ in range(400):
+        text = _text(rng, PRED_SEEDS, TEXT_TOKENS)
+        _outcome(f"parse_predicate({text!r})", parse_predicate, text)
+
+    spec = tmp_path / "spec.stl"
+    spec.write_text("G x <= 5\n", encoding="utf-8")
+    trace = tmp_path / "t.csv"
+    for _ in range(600):
+        data = _mutate(rng, rng.choice(CSV_SEEDS), CSV_TOKENS, lambda b: bytes([b]))
+        trace.write_bytes(data)
+        argv = ["monitor", "--spec", str(spec), "--trace", str(trace)]
+        assert _outcome(f"arv monitor on trace bytes {data!r}", _exit, argv) in (0, 2, 3, 4), data
+    for _ in range(400):
+        valuation = _text(rng, VALUATION_SEEDS, VALUATION_TOKENS)
+        argv = ["vpd", f"--valuation={valuation}", "--pred", "x <= 3 && y >= 1"]
+        assert _outcome(f"arv vpd --valuation {valuation!r}", _exit, argv) in (0, 2, 3, 4), valuation

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -369,3 +370,16 @@ def test_trace_csv_skips_blank_lines(tmp_path):
 def test_empty_trace_rejected():
     with pytest.raises(ValueError):
         Trace(("x",), [])
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_trace_rejects_non_finite_sample_naming_index_and_variable(bad):
+    with pytest.raises(ParseError, match=r"sample 1, variable 'y'"):
+        Trace(("x", "y"), [{"x": 1.0, "y": 2.0}, {"x": 1.0, "y": bad}])
+
+
+def test_trace_csv_rejects_malformed_csv(tmp_path):
+    p = tmp_path / "big.csv"
+    p.write_text("x\n" + "1" * 200_000 + "\n")
+    with pytest.raises(ParseError, match=r"not valid CSV: field larger than field limit"):
+        read_trace_csv(p)

@@ -3,9 +3,16 @@
 Transitions carry predicates instead of letters and every automaton is
 epsilon-free: epsilon moves exist only inside the SRE builder
 (``translate``), which eliminates them before an automaton is made.
-The algebra here (product, trimming, subset determinization over
-minterm cells, complementation) keeps the symbolic guards intact and
-relies on interval reasoning for satisfiability, so no solver is needed.
+The algebra here (product, trimming, determinization, complementation)
+keeps the symbolic guards intact and relies on interval reasoning for
+satisfiability, so no solver is needed.
+
+``determinize`` splits the valuation space once into the minterms of an
+automaton's distinct guards, runs the subset construction over minterm
+indices and minimizes the result by Moore partition refinement (after
+D'Antoni & Veanes, *Minimization of Symbolic Automata*, POPL 2014).  The
+result is complete, with one transition per location and minterm, so
+``flip`` (swapping its final set) complements it.
 """
 
 from __future__ import annotations
@@ -15,8 +22,8 @@ from dataclasses import dataclass, field, replace
 
 from . import predicate as P
 from .distance import PointwiseDistance, compile_weight
-from .errors import ParseError
-from .intervals import Box
+from .errors import ParseError, UnsupportedFragmentError
+from .intervals import Box, subtract_boxes
 from .predicate import Dnf
 from .semiring import Semiring
 
@@ -148,8 +155,6 @@ def _guard_boxes(guard: P.Pred, variables) -> list[Box]:
 def _refine(cells, region_boxes):
     """Split each (boxes, covers) cell into its parts inside and outside
     the region."""
-    from .intervals import subtract_boxes
-
     out = []
     for boxes, covers in cells:
         inside = []
@@ -168,65 +173,115 @@ def _refine(cells, region_boxes):
     return out
 
 
-def _location_cells(a: SymbolicAutomaton, out_transitions, variables):
-    """Partition the valuation space by the guards leaving one location.
+# Subsets the determinization may build before it gives up.
+MAX_SUBSETS = 1 << 16
 
-    Returns (cell predicate, [transition index]) pairs plus the leftover
-    cell covered by no guard (with an empty index list).
-    """
+
+def _minterms(guards, variables):
+    """The non-empty cells the guards cut the valuation space into: per
+    cell, its predicate and whether it lies inside each guard."""
     cells = [([Box.full(len(variables))], ())]
-    for t_idx, (_, guard, _) in out_transitions:
+    for guard in guards:
         cells = _refine(cells, _guard_boxes(guard, variables))
-    result = []
-    for boxes, flags in cells:
-        covered = [
-            out_transitions[i][0] for i, inside in enumerate(flags) if inside
+    return [(P.boxes_to_dnf(boxes, variables).to_pred(), covers) for boxes, covers in cells]
+
+
+def _subsets(a: SymbolicAutomaton, inside, n_minterms):
+    """Subset construction over minterm indices.
+
+    Subsets are bitmasks of ``a``'s locations; ``inside[guard]`` lists
+    the minterms lying inside that guard.  Returns the subsets in
+    discovery order (the initial one first) and, per subset, the index
+    of its successor on each minterm.
+    """
+    succ = [[0] * n_minterms for _ in range(a.n_locations)]
+    for src, guard, dst in a.transitions:
+        for j in inside[guard]:
+            succ[src][j] |= 1 << dst
+    start = sum(1 << q for q in a.initial)
+    index = {start: 0}
+    order = [start]
+    delta = []
+    for subset in order:
+        targets = [0] * n_minterms
+        bits = subset
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            targets = [t | s for t, s in zip(targets, succ[low.bit_length() - 1])]
+        row = []
+        for target in targets:
+            k = index.get(target)
+            if k is None:
+                if len(order) >= MAX_SUBSETS:
+                    raise UnsupportedFragmentError(
+                        f"determinizing a {a.n_locations}-location automaton with "
+                        f"{len(a.transitions)} transitions over {n_minterms} minterms "
+                        f"exceeds {MAX_SUBSETS} subsets"
+                    )
+                k = index[target] = len(order)
+                order.append(target)
+            row.append(k)
+        delta.append(row)
+    return order, delta
+
+
+def _moore(accepting, delta):
+    """Block of each DFA location in the coarsest partition that separates
+    accepting locations and is stable under every minterm."""
+    block = [int(f) for f in accepting]
+    n_blocks = len(set(block))
+    while True:
+        signatures: dict = {}
+        block = [
+            signatures.setdefault((block[s], tuple(block[t] for t in row)), len(signatures))
+            for s, row in enumerate(delta)
         ]
-        pred = P.boxes_to_dnf(boxes, variables).to_pred()
-        result.append((pred, covered))
-    return result
+        if len(signatures) == n_blocks:
+            return block
+        n_blocks = len(signatures)
 
 
 def determinize(a: SymbolicAutomaton) -> SymbolicAutomaton:
-    """Subset construction over minterm cells, completed with a sink."""
+    """The minimal complete deterministic automaton of ``a``.
+
+    The valuation space is split once into the minterms of ``a``'s
+    distinct guards, the subset construction runs over minterm indices,
+    and Moore refinement merges equivalent subsets.  Every location has
+    one transition per minterm, each guarded by exactly that minterm, and
+    the empty subset is a real sink location, so ``flip`` complements.
+    Past ``MAX_SUBSETS`` subsets it raises ``UnsupportedFragmentError``.
+    """
     variables = a.variables or ("_",)
-    by_src: dict = {}
-    for i, t in enumerate(a.transitions):
-        by_src.setdefault(t[0], []).append((i, t))
+    guards = list(dict.fromkeys(g for _, g, _ in a.transitions))
+    cells = _minterms(guards, variables)
+    inside = {
+        g: [j for j, (_, covers) in enumerate(cells) if covers[i]] for i, g in enumerate(guards)
+    }
+    subsets, delta = _subsets(a, inside, len(cells))
+    final_mask = sum(1 << q for q in a.final)
+    block = _moore([bool(s & final_mask) for s in subsets], delta)
+    # blocks are numbered by their first subset in discovery order, so the
+    # initial subset's block is 0
+    rep: dict = {}
+    for s, b in enumerate(block):
+        rep.setdefault(b, s)
+    transitions = tuple(
+        (b, cells[j][0], block[t]) for b, s in rep.items() for j, t in enumerate(delta[s])
+    )
+    final = frozenset(b for b, s in rep.items() if subsets[s] & final_mask)
+    return SymbolicAutomaton(a.variables, len(rep), frozenset({0}), final, transitions)
 
-    index: dict = {}
-    order: list = []
 
-    def state_id(subset):
-        if subset not in index:
-            index[subset] = len(order)
-            order.append(subset)
-        return index[subset]
-
-    start = frozenset(a.initial)
-    state_id(start)
-    transitions = []
-    k = 0
-    while k < len(order):
-        subset = order[k]
-        k += 1
-        outs = [it for q in sorted(subset) for it in by_src.get(q, [])]
-        if not outs:
-            transitions.append((index[subset], P.TOP, state_id(frozenset())))
-            continue
-        for pred, covered in _location_cells(a, outs, variables):
-            targets = frozenset(a.transitions[i][2] for i in covered)
-            transitions.append((index[subset], pred, state_id(targets)))
-    final = {index[s] for s in order if s & a.final}
-    return make_automaton(a.variables, len(order), {index[start]}, final, transitions)
+def flip(d: SymbolicAutomaton) -> SymbolicAutomaton:
+    """Swap accepting and rejecting locations: the complement of a
+    complete deterministic automaton."""
+    return replace(d, final=frozenset(range(d.n_locations)) - d.final)
 
 
 def complement(a: SymbolicAutomaton) -> SymbolicAutomaton:
-    """Complement by determinizing (complete, with sink) and flipping
-    the accepting set."""
-    det = determinize(a)
-    flipped = set(range(det.n_locations)) - set(det.final)
-    return replace(det, final=frozenset(flipped))
+    """Complement: the minimal complete DFA with its final set flipped."""
+    return flip(determinize(a))
 
 
 # --- normalization -----------------------------------------------------------
@@ -334,9 +389,13 @@ def decorate(a: SymbolicAutomaton, semiring: Semiring, dist: PointwiseDistance) 
     unsatisfiable transitions are pruned."""
     transitions = []
     guards = []
+    normal: dict = {}
     for src, guard, dst in a.transitions:
-        dnf = P.wedge_minimize(P.to_dnf(guard))
-        if not P.is_sat(dnf):
+        if guard not in normal:
+            dnf = P.wedge_minimize(P.to_dnf(guard))
+            normal[guard] = dnf if P.is_sat(dnf) else None
+        dnf = normal[guard]
+        if dnf is None:
             continue
         transitions.append((src, guard, dst))
         guards.append(dnf)
@@ -351,10 +410,12 @@ def decorate(a: SymbolicAutomaton, semiring: Semiring, dist: PointwiseDistance) 
 
 
 def compiled_weights(w: WeightedAutomaton):
-    """Per-transition ``valuation -> weight`` closures, compiled once per
-    distinct guard."""
-    compiled = {g: compile_weight(g, w.semiring, w.dist) for g in dict.fromkeys(w.guards)}
-    return [compiled[g] for g in w.guards]
+    """One ``valuation -> weight`` closure per distinct guard, and per
+    transition the index of its guard's closure."""
+    index: dict = {}
+    for g in w.guards:
+        index.setdefault(g, len(index))
+    return [compile_weight(g, w.semiring, w.dist) for g in index], [index[g] for g in w.guards]
 
 
 # --- serialization -----------------------------------------------------------

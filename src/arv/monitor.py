@@ -1,12 +1,15 @@
 """Trace measurement over weighted symbolic automata.
 
 One dynamic-programming pass keeps, per location, the best cost of
-reaching it with the consumed prefix; adding a sample costs one sweep
-over the transitions, independent of trace length.  The robustness
-verdict combines the distances to a specification and to its negation
-into a signed degree; the qualitative verdict, which resolves the sign
-when the degree is zero, comes from a set-wise run of the same
-specification automaton in the same pass.
+reaching it with the consumed prefix.  Adding a sample scores each
+distinct guard once and then sweeps the transitions, independent of
+trace length.  A specification compiles to one minimal complete DFA
+over the minterms of its automaton's guards; that DFA and its flipped
+copy are the monitor pair.  The robustness verdict combines the
+distances to the specification and to its negation into a signed
+degree; the qualitative verdict, which resolves the sign when the
+degree is zero, is the deterministic run of the specification side in
+the same pass.
 """
 
 from __future__ import annotations
@@ -37,16 +40,18 @@ class ValueStream:
     def __init__(self, w: A.WeightedAutomaton):
         self.w = w
         base = w.base
-        weights = A.compiled_weights(w)
-        self._edges = [
-            (src, dst, weights[i]) for i, (src, guard, dst) in enumerate(base.transitions)
-        ]
+        self._weights, index = A.compiled_weights(w)
+        # per source location, its (destination, guard index) edges
+        self._out = [[] for _ in range(base.n_locations)]
+        for (src, _, dst), j in zip(base.transitions, index):
+            self._out[src].append((dst, j))
         self._semiring = w.semiring
         self._costs = [
             w.semiring.e_times if q in base.initial else w.semiring.e_plus
             for q in range(base.n_locations)
         ]
         self._reach = [q in base.initial for q in range(base.n_locations)]
+        self._live = sorted(base.initial)
         self._finals = sorted(base.final)
         self._steps = 0
         self._closed = False
@@ -68,6 +73,8 @@ class ValueStream:
         return any(self._reach[q] for q in self._finals)
 
     def step(self, valuation: Valuation) -> SemiringValue:
+        """Score each distinct guard once, then sweep the edges of the
+        reachable locations only."""
         if self._closed:
             raise ValueError("stream is closed")
         sr = self._semiring
@@ -75,20 +82,25 @@ class ValueStream:
         oplus = sr.oplus
         otimes = sr.otimes
         costs = self._costs
-        reach = self._reach
+        out = self._out
         new_costs = [e_plus] * len(costs)
         new_reach = [False] * len(costs)
+        live = []
         try:
-            for src, dst, weight in self._edges:
-                c = costs[src]
-                if c != e_plus:
-                    new_costs[dst] = oplus(new_costs[dst], otimes(c, weight(valuation)))
-                if reach[src]:
-                    new_reach[dst] = True
+            scores = [weight(valuation) for weight in self._weights]
         except KeyError as exc:
             raise UnboundVariableError(f"unbound variable {exc.args[0]!r}") from None
+        for src in self._live:
+            c = costs[src]
+            for dst, j in out[src]:
+                if not new_reach[dst]:
+                    new_reach[dst] = True
+                    live.append(dst)
+                if c != e_plus:
+                    new_costs[dst] = oplus(new_costs[dst], otimes(c, scores[j]))
         self._costs = new_costs
         self._reach = new_reach
+        self._live = live
         self._steps += 1
         return self.value
 
@@ -139,15 +151,20 @@ def _rho(v1, exists1, v2, exists2, semiring: Semiring) -> float:
 
 
 def build_monitor_pair(spec, semiring: Semiring, dist: PointwiseDistance | None = None):
-    """The weighted automata for a specification and its negation."""
+    """The weighted automata for a specification and its negation.
+
+    One automaton is translated (the negation's tableau for STL, the
+    expression's for SRE) and determinized into its minimal complete
+    DFA; the other side is that DFA with its final set flipped.
+    """
     if dist is None:
         dist = default_distance(semiring)
     if isinstance(spec, StlFormula):
-        pos = translate_stl(spec)
-        neg = translate_stl(S.negate(spec))
+        neg = A.determinize(translate_stl(S.negate(spec)))
+        pos = A.flip(neg)
     elif isinstance(spec, SreExpr):
-        pos = translate_sre(spec)
-        neg = A.complement(pos)
+        pos = A.determinize(translate_sre(spec))
+        neg = A.flip(pos)
     else:
         raise TypeError(f"not a specification: {spec!r}")
     return A.decorate(pos, semiring, dist), A.decorate(neg, semiring, dist)
@@ -157,8 +174,9 @@ def verdicts(trace: Trace, w_pos: A.WeightedAutomaton, w_neg: A.WeightedAutomato
     """One ``RobustnessVerdict`` per prefix of the trace, in one pass.
 
     ``w_pos``/``w_neg`` are a pair from ``build_monitor_pair``.  Both
-    value streams and a set-wise run of the positive automaton advance
-    together; ``satisfied`` is whether that run reaches a final location.
+    value streams and a set-wise run of the positive automaton (a single
+    location for a compiled pair) advance together; ``satisfied`` is
+    whether that run reaches a final location.
     """
     _check_variables(w_pos, trace)
     _check_variables(w_neg, trace)

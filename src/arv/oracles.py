@@ -245,8 +245,13 @@ def value_cross_check(cases: int, seed: int) -> int:
 def language_distance_cross_check(cases: int, seed: int) -> int:
     """End-to-end pipeline vs the trace-to-language grid fold.
 
-    Formulas are resampled until the compiled guards contain only closed
-    comparisons, so the grid attains every infimum.
+    Checks the formula's own automaton through ``trace_value`` and the
+    compiled monitor pair through ``verdicts``: its ``d_phi`` against the
+    grid fold and its ``satisfied`` against ``eval_stl``.  ``d_not_phi``
+    is not compared, since the negation has open comparisons whose
+    infimum the grid never attains.  Formulas are resampled until the
+    formula's compiled guards contain only closed comparisons, so the
+    grid attains every infimum of ``d_phi``.
     """
     rng = random.Random(seed)
     grid = range(0, 5)
@@ -262,8 +267,10 @@ def language_distance_cross_check(cases: int, seed: int) -> int:
         for semiring in (BOOLEAN, MINMAX, TROPICAL):
             dist = default_distance(semiring)
             w = A.decorate(auto, semiring, dist)
-            got = M.trace_value(trace, w)
             expected = trace_distance_brute_force(trace, formula, semiring, dist, grid)
-            if got != expected:
+            if M.trace_value(trace, w) != expected:
+                mismatches += 1
+            *_, last = M.verdicts(trace, *M.build_monitor_pair(formula, semiring, dist))
+            if last.d_phi != expected or last.satisfied != S.eval_stl(trace, 0, formula):
                 mismatches += 1
     return mismatches

@@ -209,7 +209,13 @@ class Trace:
             for v in self.variables:
                 if v not in sample:
                     raise UnboundVariableError(f"sample missing variable {v!r}")
-                if not math.isfinite(sample[v]):
+                try:
+                    finite = math.isfinite(sample[v])
+                except TypeError:
+                    raise ParseError(
+                        f"non-numeric value {sample[v]!r} at sample {i}, variable {v!r}"
+                    ) from None
+                if not finite:
                     raise ParseError(f"non-finite value {sample[v]!r} at sample {i}, variable {v!r}")
 
     def __len__(self):

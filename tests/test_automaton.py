@@ -89,6 +89,49 @@ def test_determinize_and_complement():
             assert accepts(d2, t) == accepts(d, t)
 
 
+def test_determinize_is_minimal_with_one_minterm_per_edge():
+    from arv.speclang import negate, parse_sre, parse_stl
+    from arv.translate import translate_sre, translate_stl
+
+    rng = random.Random(35)
+    automata = [random_automaton(rng, ("x", "y"), max_locations=5, max_transitions=8) for _ in range(20)]
+    automata += [
+        translate_stl(parse_stl("G(x <= 5 -> F[0,4] y >= 2)")),
+        translate_stl(parse_stl("!(G[0,6] F[0,2] x >= 8)")),
+        translate_sre(parse_sre("(<x <= 7>[1,5] ; <y >= 2>[1,3])*")),
+        translate_sre(parse_sre("(T ; <x <= 2>[2,4] ; T) & (T ; <y >= 8>[1,3] ; T)")),
+    ]
+    for a in automata:
+        d = determinize(a)
+        assert determinize(d).n_locations == d.n_locations
+        minterms = {g for _, g, _ in d.transitions}
+        assert len(d.transitions) == d.n_locations * len(minterms)
+        assert is_deterministic_complete(d)
+    # known minimal sizes: the tableaux have 17 and 6 locations; the
+    # formula's DFA keeps one more, an initial location that rejects the
+    # empty trace but is otherwise equivalent to a later one
+    f = parse_stl("G(x <= 5 -> F[0,4] y >= 2)")
+    assert determinize(translate_stl(f)).n_locations == 7
+    assert determinize(translate_stl(negate(f))).n_locations == 6
+    assert automata[-1].n_locations == 31
+    assert determinize(automata[-1]).n_locations == 6
+
+
+def test_determinize_subset_budget(monkeypatch):
+    import arv.automaton
+    from arv.errors import UnsupportedFragmentError
+
+    # x <= 0 at some step among the last three: 2^3 subsets
+    a = make_automaton(
+        ("x",), 4, {0}, {3},
+        [(0, P.TOP, 0), (0, g("x <= 0"), 1), (1, P.TOP, 2), (2, P.TOP, 3)],
+    )
+    assert determinize(a).n_locations == 8
+    monkeypatch.setattr(arv.automaton, "MAX_SUBSETS", 7)
+    with pytest.raises(UnsupportedFragmentError, match="4-location automaton .* exceeds 7 subsets"):
+        determinize(a)
+
+
 def test_trim_keeps_language():
     a = make_automaton(
         ("x",),

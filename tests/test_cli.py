@@ -112,6 +112,19 @@ def test_monitor_wide_window_is_clean_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_monitor_subset_budget_is_clean_error(tmp_path, monkeypatch, capsys):
+    import arv.automaton
+
+    monkeypatch.setattr(arv.automaton, "MAX_SUBSETS", 16)
+    spec = write(tmp_path / "resp.stl", "G(x <= 5 -> F[0,8] y >= 2)\n")
+    trace = write(tmp_path / "t.csv", "x,y\n1,3\n")
+    assert main(["monitor", "--spec", spec, "--trace", trace]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: determinizing a 10-location automaton")
+    assert "exceeds 16 subsets" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("series", [False, True])
 def test_monitor_compiles_spec_once_for_many_traces(spec_file, tmp_path, monkeypatch, series):
     import arv.monitor

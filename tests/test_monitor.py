@@ -8,7 +8,13 @@ from arv.automaton import decorate, make_automaton
 from arv.distance import PointwiseDistance, default_distance
 from arv.errors import UnboundVariableError, UnsupportedFragmentError
 from arv.generators import random_stl, random_trace
-from arv.monitor import ValueStream, robustness, robustness_prefix_series, trace_value
+from arv.monitor import (
+    ValueStream,
+    build_monitor_pair,
+    robustness,
+    robustness_prefix_series,
+    trace_value,
+)
 from arv.oracles import path_costs, path_enumeration_value, trace_distance_brute_force
 from arv import predicate as P
 from arv.semiring import BOOLEAN, MINMAX, TROPICAL
@@ -350,3 +356,53 @@ def test_stream_compiles_each_distinct_guard_once(monkeypatch):
     monkeypatch.setattr(arv.automaton, "compile_weight", counting)
     ValueStream(w)
     assert len(compiled) == distinct
+
+
+RESPONSE_K8 = "G(x <= 5 -> F[0,8] y >= 2)"
+
+
+def test_monitor_pair_of_response_is_small():
+    w_pos, w_neg = build_monitor_pair(parse_stl(RESPONSE_K8), TROPICAL)
+    for w in (w_pos, w_neg):
+        assert w.base.n_locations <= 12
+        assert len(w.base.initial) == 1
+    assert w_pos.base.final == frozenset(range(w_neg.base.n_locations)) - w_neg.base.final
+
+
+def test_monitor_pair_subset_budget(monkeypatch):
+    import arv.automaton
+
+    monkeypatch.setattr(arv.automaton, "MAX_SUBSETS", 64)
+    with pytest.raises(UnsupportedFragmentError, match="exceeds 64 subsets"):
+        build_monitor_pair(parse_stl(RESPONSE_K8), TROPICAL)
+
+
+@pytest.mark.parametrize("compiled", [False, True])
+def test_step_scores_each_distinct_guard_once(monkeypatch, compiled):
+    import arv.automaton
+
+    f = parse_stl("G (x <= 5 -> F[0,3] y >= 2)")
+    if compiled:
+        w = build_monitor_pair(f, MINMAX)[1]
+    else:
+        w = decorate(translate_stl(f), MINMAX, PointwiseDistance.ABS_DIFF)
+    distinct = set(w.guards)
+    assert len(distinct) < len(w.guards)
+    calls = []
+    compile_weight = arv.automaton.compile_weight
+
+    def counting(dnf, *args):
+        weight = compile_weight(dnf, *args)
+
+        def counted(valuation):
+            calls.append(dnf)
+            return weight(valuation)
+
+        return counted
+
+    monkeypatch.setattr(arv.automaton, "compile_weight", counting)
+    stream = ValueStream(w)
+    for sample in ({"x": 1.0, "y": 0.0}, {"x": 7.0, "y": 3.0}):
+        calls.clear()
+        stream.step(sample)
+        assert sorted(map(repr, calls)) == sorted(map(repr, distinct))

@@ -13,11 +13,16 @@ import pytest
 
 import arv
 from arv import oracles
-from arv.automaton import SymbolicAutomaton
+from arv.automaton import SymbolicAutomaton, decorate
 from arv.cli import main
+from arv.distance import default_distance
 from arv.errors import ArvError
+from arv.generators import random_sre, random_stl, random_trace
+from arv.monitor import ValueStream, build_monitor_pair, verdicts
 from arv.predicate import parse_predicate
-from arv.speclang import parse_spec_text
+from arv.semiring import BOOLEAN, MINMAX, TROPICAL
+from arv.speclang import StlFormula, Trace, negate, parse_spec_text, sre_accepts
+from arv.translate import translate_sre, translate_stl
 
 SRC = Path(arv.__file__).parent
 
@@ -146,3 +151,45 @@ def test_fuzz_inputs_end_in_an_exit_code_or_arv_error(tmp_path):
         valuation = _text(rng, VALUATION_SEEDS, VALUATION_TOKENS)
         argv = ["vpd", f"--valuation={valuation}", "--pred", "x <= 3 && y >= 1"]
         assert _outcome(f"arv vpd --valuation {valuation!r}", _exit, argv) in (0, 2, 3, 4), valuation
+
+
+# --- the compiled DFA pair against two-NFA references -----------------------------
+
+
+def _dfa_pair_mismatches(spec, trace, semiring):
+    """Prefixes where the compiled pair's verdicts differ from a reference
+    built from the specification's own automata: for STL the formula's
+    and its negation's tableaux, for SRE the expression's automaton and
+    ``sre_accepts``.  An SRE's complement has open guards, so its
+    ``d_not_phi`` has no exact reference; only the sign of ``rho`` is
+    checked against ``satisfied``."""
+    dist = default_distance(semiring)
+    got = list(verdicts(trace, *build_monitor_pair(spec, semiring)))
+    bad = 0
+    if isinstance(spec, StlFormula):
+        ref_pos = decorate(translate_stl(spec), semiring, dist)
+        ref_neg = decorate(translate_stl(negate(spec)), semiring, dist)
+        expected = list(verdicts(trace, ref_pos, ref_neg))
+        return sum(g != e for g, e in zip(got, expected))
+    stream = ValueStream(decorate(translate_sre(spec), semiring, dist))
+    for t, (sample, v) in enumerate(zip(trace.samples, got), start=1):
+        d_phi = stream.step(sample)
+        accepted = sre_accepts(Trace(trace.variables, trace.samples[:t]), spec)
+        sign_ok = v.rho == 0 or (v.rho > 0) == v.satisfied
+        bad += v.d_phi != d_phi or v.satisfied != accepted or not sign_ok
+    return bad
+
+
+def test_dfa_pair_matches_two_nfa_reference():
+    rng = random.Random(20241018)
+    mismatches = checked = 0
+    for i in range(300):
+        variables = ["x", "y"] if i % 4 == 0 else ["x"]
+        maker = random_stl if i % 2 else random_sre
+        spec = maker(rng, variables, depth=3)
+        for semiring in (BOOLEAN, MINMAX, TROPICAL):
+            trace = random_trace(rng, tuple(variables), rng.randint(1, 7), 0, 4)
+            mismatches += _dfa_pair_mismatches(spec, trace, semiring)
+            checked += len(trace)
+    assert checked > 3000
+    assert mismatches == 0

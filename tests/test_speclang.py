@@ -378,6 +378,12 @@ def test_trace_rejects_non_finite_sample_naming_index_and_variable(bad):
         Trace(("x", "y"), [{"x": 1.0, "y": 2.0}, {"x": 1.0, "y": bad}])
 
 
+@pytest.mark.parametrize("bad", ["a", None, [1.0]])
+def test_trace_rejects_non_numeric_sample_naming_index_and_variable(bad):
+    with pytest.raises(ParseError, match=r"non-numeric value .* at sample 1, variable 'y'"):
+        Trace(("x", "y"), [{"x": 1.0, "y": 2.0}, {"x": 1.0, "y": bad}])
+
+
 def test_trace_csv_rejects_malformed_csv(tmp_path):
     p = tmp_path / "big.csv"
     p.write_text("x\n" + "1" * 200_000 + "\n")

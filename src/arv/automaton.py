@@ -79,32 +79,6 @@ def make_automaton(variables, n_locations, initial, final, transitions) -> Symbo
     )
 
 
-def reached_sets(a: SymbolicAutomaton, samples):
-    """Set-wise NFA run: yields the set of locations reached after each
-    sample."""
-    by_src: dict = {}
-    for src, guard, dst in a.transitions:
-        by_src.setdefault(src, []).append((guard, dst))
-    current = set(a.initial)
-    for sample in samples:
-        nxt = set()
-        for q in current:
-            for guard, dst in by_src.get(q, ()):
-                if dst not in nxt and P.evaluate(sample, guard):
-                    nxt.add(dst)
-        current = nxt
-        yield current
-
-
-def accepts(a: SymbolicAutomaton, trace) -> bool:
-    """NFA membership."""
-    current = set(a.initial)
-    for current in reached_sets(a, trace.samples):
-        if not current:
-            break
-    return bool(current & a.final)
-
-
 def product(a: SymbolicAutomaton, b: SymbolicAutomaton) -> SymbolicAutomaton:
     """Synchronous intersection; guards conjoin and unsatisfiable pairs drop."""
     variables = tuple(sorted(set(a.variables) | set(b.variables)))

@@ -2,23 +2,26 @@
 
 One dynamic-programming pass keeps, per location, the best cost of
 reaching it with the consumed prefix.  Adding a sample scores each
-distinct guard once and then sweeps the transitions, independent of
-trace length.  A specification compiles to one minimal complete DFA
-over the minterms of its automaton's guards; that DFA and its flipped
-copy are the monitor pair.  The robustness verdict combines the
-distances to the specification and to its negation into a signed
-degree; the qualitative verdict, which resolves the sign when the
-degree is zero, is the deterministic run of the specification side in
-the same pass.
+distinct guard once and then sweeps the edges of the reached
+locations, independent of trace length.  A specification compiles to
+one minimal complete DFA over the minterms of its automaton's guards;
+that DFA and its flipped copy are the monitor pair.  The two sides
+share every edge and weight, so one pass of the program gives both the
+distance to the specification (the costs inside its final set) and to
+its negation (the costs outside it).  The robustness verdict combines
+the two into a signed degree; the qualitative verdict, which resolves
+the sign when the degree is zero, is the DFA's own run in the same
+pass.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import automaton as A
+from . import predicate as P
 from . import speclang as S
 from .distance import PointwiseDistance, Valuation, default_distance
 from .errors import UnboundVariableError
@@ -34,7 +37,8 @@ class ValueStream:
     first ``k`` samples.  ``path_exists`` tells whether the automaton
     has any accepting transition sequence of the consumed length at all,
     which distinguishes "far from the language" from "the language has
-    no trace of this length".
+    no trace of this length".  Both read only the live (reached)
+    locations, since an unreached one costs the additive identity.
     """
 
     def __init__(self, w: A.WeightedAutomaton):
@@ -50,15 +54,7 @@ class ValueStream:
             w.semiring.e_times if q in base.initial else w.semiring.e_plus
             for q in range(base.n_locations)
         ]
-        self._reach = [q in base.initial for q in range(base.n_locations)]
         self._live = sorted(base.initial)
-        self._finals = sorted(base.final)
-        self._steps = 0
-        self._closed = False
-
-    @property
-    def steps(self) -> int:
-        return self._steps
 
     @property
     def costs(self) -> dict:
@@ -66,17 +62,21 @@ class ValueStream:
 
     @property
     def value(self) -> SemiringValue:
-        return self._semiring.sum(self._costs[q] for q in self._finals)
+        return self._over(self.w.base.final)[0]
 
     @property
     def path_exists(self) -> bool:
-        return any(self._reach[q] for q in self._finals)
+        return self._over(self.w.base.final)[1]
 
-    def step(self, valuation: Valuation) -> SemiringValue:
+    def _over(self, final) -> tuple[SemiringValue, bool]:
+        """The sum of the live costs in ``final``, and whether any live
+        location lies in it."""
+        live = [q for q in self._live if q in final]
+        return self._semiring.sum(self._costs[q] for q in live), bool(live)
+
+    def step(self, valuation: Valuation) -> None:
         """Score each distinct guard once, then sweep the edges of the
         reachable locations only."""
-        if self._closed:
-            raise ValueError("stream is closed")
         sr = self._semiring
         e_plus = sr.e_plus
         oplus = sr.oplus
@@ -84,7 +84,7 @@ class ValueStream:
         costs = self._costs
         out = self._out
         new_costs = [e_plus] * len(costs)
-        new_reach = [False] * len(costs)
+        reached = [False] * len(costs)
         live = []
         try:
             scores = [weight(valuation) for weight in self._weights]
@@ -93,19 +93,13 @@ class ValueStream:
         for src in self._live:
             c = costs[src]
             for dst, j in out[src]:
-                if not new_reach[dst]:
-                    new_reach[dst] = True
+                if not reached[dst]:
+                    reached[dst] = True
                     live.append(dst)
                 if c != e_plus:
                     new_costs[dst] = oplus(new_costs[dst], otimes(c, scores[j]))
         self._costs = new_costs
-        self._reach = new_reach
         self._live = live
-        self._steps += 1
-        return self.value
-
-    def close(self):
-        self._closed = True
 
 
 def _check_variables(w: A.WeightedAutomaton, trace: Trace):
@@ -118,10 +112,9 @@ def trace_value(trace: Trace, w: A.WeightedAutomaton) -> SemiringValue:
     """Best accepting cost of the whole trace (batch form)."""
     _check_variables(w, trace)
     stream = ValueStream(w)
-    out = w.semiring.e_plus
     for sample in trace.samples:
-        out = stream.step(sample)
-    return out
+        stream.step(sample)
+    return stream.value
 
 
 @dataclass(frozen=True)
@@ -155,41 +148,49 @@ def build_monitor_pair(spec, semiring: Semiring, dist: PointwiseDistance | None 
 
     One automaton is translated (the negation's tableau for STL, the
     expression's for SRE) and determinized into its minimal complete
-    DFA; the other side is that DFA with its final set flipped.
+    DFA, which is decorated once; the other side is that DFA with its
+    final set flipped, sharing its transitions and guards.
     """
     if dist is None:
         dist = default_distance(semiring)
     if isinstance(spec, StlFormula):
-        neg = A.determinize(translate_stl(S.negate(spec)))
-        pos = A.flip(neg)
+        dfa = A.flip(A.determinize(translate_stl(S.negate(spec))))
     elif isinstance(spec, SreExpr):
-        pos = A.determinize(translate_sre(spec))
-        neg = A.flip(pos)
+        dfa = A.determinize(translate_sre(spec))
     else:
         raise TypeError(f"not a specification: {spec!r}")
-    return A.decorate(pos, semiring, dist), A.decorate(neg, semiring, dist)
+    w = A.decorate(dfa, semiring, dist)
+    return w, replace(w, base=A.flip(w.base))
 
 
 def verdicts(trace: Trace, w_pos: A.WeightedAutomaton, w_neg: A.WeightedAutomaton):
     """One ``RobustnessVerdict`` per prefix of the trace, in one pass.
 
-    ``w_pos``/``w_neg`` are a pair from ``build_monitor_pair``.  Both
-    value streams and a set-wise run of the positive automaton (a single
-    location for a compiled pair) advance together; ``satisfied`` is
-    whether that run reaches a final location.
+    ``w_pos``/``w_neg`` are a pair from ``build_monitor_pair``: one DFA
+    and its flipped copy, so a single value stream serves both sides.
+    ``d_phi`` sums its live costs inside the positive final set and
+    ``d_not_phi`` those inside the negative one.  ``satisfied`` is
+    whether the DFA's own run, which takes the one edge whose minterm
+    holds, is in a positive final location.
     """
+    if w_neg.base.transitions is not w_pos.base.transitions or w_neg.guards is not w_pos.guards:
+        raise ValueError("verdicts needs the two sides of one build_monitor_pair")
     _check_variables(w_pos, trace)
-    _check_variables(w_neg, trace)
     semiring = w_pos.semiring
-    final = w_pos.base.final
-    pos, neg = ValueStream(w_pos), ValueStream(w_neg)
-    runs = A.reached_sets(w_pos.base, trace.samples)
-    for sample, reached in zip(trace.samples, runs):
-        d_phi = pos.step(sample)
-        d_not_phi = neg.step(sample)
+    pos_final, neg_final = w_pos.base.final, w_neg.base.final
+    run = [[] for _ in range(w_pos.base.n_locations)]
+    for src, guard, dst in w_pos.base.transitions:
+        run[src].append((guard, dst))
+    (q,) = w_pos.base.initial
+    stream = ValueStream(w_pos)
+    for sample in trace.samples:
+        stream.step(sample)
+        q = next(dst for guard, dst in run[q] if P.evaluate(sample, guard))
+        d_phi, phi_exists = stream._over(pos_final)
+        d_not_phi, not_phi_exists = stream._over(neg_final)
         yield RobustnessVerdict(
-            rho=_rho(d_phi, pos.path_exists, d_not_phi, neg.path_exists, semiring),
-            satisfied=not final.isdisjoint(reached),
+            rho=_rho(d_phi, phi_exists, d_not_phi, not_phi_exists, semiring),
+            satisfied=q in pos_final,
             d_phi=d_phi,
             d_not_phi=d_not_phi,
         )

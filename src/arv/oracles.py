@@ -157,6 +157,22 @@ def trace_distance_brute_force(
     return acc
 
 
+def accepts(a: A.SymbolicAutomaton, trace: Trace) -> bool:
+    """NFA membership, by a set-wise run over the trace."""
+    by_src: dict = {}
+    for src, guard, dst in a.transitions:
+        by_src.setdefault(src, []).append((guard, dst))
+    current = set(a.initial)
+    for sample in trace.samples:
+        current = {
+            dst
+            for q in current
+            for guard, dst in by_src.get(q, ())
+            if P.evaluate(sample, guard)
+        }
+    return not a.final.isdisjoint(current)
+
+
 # --- structural checks -----------------------------------------------------------
 
 

@@ -13,6 +13,8 @@ negated literals.
 
 from __future__ import annotations
 
+import math
+import re
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -376,6 +378,7 @@ def minimal_dnf(dnf: Dnf, variables=None) -> Dnf:
 # --- concrete syntax --------------------------------------------------------
 
 _CMP_OPS = ("<=", ">=", "<", ">")
+_EXPONENT = re.compile(r"[eE][+-]?[0-9]+")
 
 
 class _Tokens:
@@ -410,11 +413,16 @@ class _Tokens:
                 j = i + 1 if c == "-" else i
                 while j < n and (text[j].isdigit() or text[j] == "."):
                     j += 1
+                exp = _EXPONENT.match(text, j)
+                if exp:
+                    j = exp.end()
                 lit = text[i:j]
                 try:
                     value = float(lit)
                 except ValueError:
                     raise ParseError(f"bad number {lit!r}", i)
+                if not math.isfinite(value):
+                    raise ParseError(f"non-finite number {lit!r}", i)
                 self.toks.append(("num", value, i)); i = j
             elif c.isalpha() or c == "_":
                 j = i

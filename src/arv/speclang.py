@@ -554,14 +554,12 @@ def _unfold_strict(left, right, lo, hi):
     return _next(_unfold_nonstrict(left, right, lo - 1, nhi))
 
 
-def unfold_bounded(f: StlFormula, horizon: int | None = None) -> StlFormula:
+def unfold_bounded(f: StlFormula) -> StlFormula:
     """Expand bounded windows into nested next/or/and form.
 
     Also desugars first, so the result uses only atoms, Boolean
     connectives, strong next and the single residual until shape with
-    window [1, inf).  With ``horizon`` given, finite window ends are
-    clipped at horizon-1 and unbounded ends are made finite, which is
-    sound because window positions clip at the trace boundary anyway.
+    window [1, inf).
     """
     f = desugar(f)
 
@@ -580,15 +578,7 @@ def unfold_bounded(f: StlFormula, horizon: int | None = None) -> StlFormula:
         if isinstance(node, Or):
             return _or(walk(node.left), walk(node.right))
         if isinstance(node, Until):
-            left = walk(node.left)
-            right = walk(node.right)
-            lo, hi = node.window.lo, node.window.hi
-            if horizon is not None:
-                cap = max(horizon - 1, 0)
-                hi = cap if hi is None else min(hi, cap)
-                if lo > hi:
-                    return FALSE
-            return _unfold_strict(left, right, lo, hi)
+            return _unfold_strict(walk(node.left), walk(node.right), node.window.lo, node.window.hi)
         if isinstance(node, Since):
             return Since(walk(node.left), walk(node.right), node.window)
         raise TypeError(f"unexpected node after desugaring: {node!r}")

@@ -10,11 +10,12 @@ from itertools import product
 
 from arv import fixtures as FX
 from arv import predicate as P
-from arv.automaton import accepts, decorate
+from arv.automaton import decorate
 from arv.distance import PointwiseDistance, default_distance, vpd
 from arv.generators import all_traces, random_sre, random_stl, random_trace
 from arv.monitor import ValueStream, build_monitor_pair, robustness, trace_value
 from arv.oracles import (
+    accepts,
     language_distance_cross_check,
     path_enumeration_value,
     value_cross_check,

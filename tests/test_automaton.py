@@ -4,7 +4,6 @@ import pytest
 
 from arv import predicate as P
 from arv.automaton import (
-    accepts,
     canonicalize,
     complement,
     decorate,
@@ -20,7 +19,7 @@ from arv.distance import PointwiseDistance, default_distance
 from arv.errors import ParseError
 from arv.fixtures import example_automaton
 from arv.generators import all_traces, random_automaton
-from arv.oracles import is_deterministic_complete
+from arv.oracles import accepts, is_deterministic_complete
 from arv.semiring import MINMAX, TROPICAL
 from arv.speclang import Trace
 from arv.translate import _Frag, eps_eliminate

@@ -14,11 +14,12 @@ from arv.monitor import (
     robustness,
     robustness_prefix_series,
     trace_value,
+    verdicts,
 )
 from arv.oracles import path_costs, path_enumeration_value, trace_distance_brute_force
 from arv import predicate as P
 from arv.semiring import BOOLEAN, MINMAX, TROPICAL
-from arv.speclang import StlFormula, Trace, eval_stl, parse_sre, parse_stl, sre_accepts
+from arv.speclang import StlFormula, Trace, eval_stl, negate, parse_sre, parse_stl, sre_accepts
 from arv.translate import translate_stl
 
 INF = math.inf
@@ -104,17 +105,9 @@ def test_stream_matches_batch_per_prefix():
     )
     stream = ValueStream(w)
     for k, sample in enumerate(trace.samples, start=1):
-        got = stream.step(sample)
+        stream.step(sample)
         prefix = Trace(trace.variables, trace.samples[:k])
-        assert got == trace_value(prefix, w)
-
-
-def test_stream_close_stops_stepping():
-    stream = ValueStream(weighted_fixture(MINMAX))
-    stream.step({"x": 1.0, "y": 6.0})
-    stream.close()
-    with pytest.raises(ValueError):
-        stream.step({"x": 1.0, "y": 6.0})
+        assert stream.value == trace_value(prefix, w)
 
 
 def test_costs_stay_within_natural_order_bounds():
@@ -280,13 +273,69 @@ def test_verdicts_never_consult_the_reference_evaluators(monkeypatch):
         assert [robustness_prefix_series(t, spec, sr) for sr in ALL] == series
 
 
+MONITORED = ("G (x <= 5 -> F[0,3] x >= 2)", "(x <= 3)* ; x >= 6")
+
+
+def _spec(text):
+    return parse_stl(text) if text.startswith("G") else parse_sre(text)
+
+
+def test_verdicts_step_one_stream_per_trace(monkeypatch):
+    init = ValueStream.__init__
+    built = []
+
+    def counting(self, w):
+        built.append(w)
+        init(self, w)
+
+    monkeypatch.setattr(ValueStream, "__init__", counting)
+    traces = [tr(1, 7, 3), tr(6, 6), tr(0, 2, 9, 4)]
+    for text in MONITORED:
+        w_pos, w_neg = build_monitor_pair(_spec(text), TROPICAL)
+        built.clear()
+        for t in traces:
+            assert len(list(verdicts(t, w_pos, w_neg))) == len(t)
+        assert built == [w_pos] * len(traces)
+
+
+def test_monitor_pair_decorates_once_and_shares_edges(monkeypatch):
+    import arv.automaton
+
+    decorate_ = arv.automaton.decorate
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return decorate_(*args)
+
+    monkeypatch.setattr(arv.automaton, "decorate", counting)
+    for text in MONITORED:
+        calls.clear()
+        w_pos, w_neg = build_monitor_pair(_spec(text), MINMAX)
+        assert len(calls) == 1
+        assert w_pos.base.transitions is w_neg.base.transitions
+        assert w_pos.guards is w_neg.guards
+        assert w_pos.base.final == frozenset(range(w_pos.base.n_locations)) - w_neg.base.final
+
+
+def test_verdicts_reject_automata_of_different_pairs():
+    f = parse_stl(MONITORED[0])
+    unrelated = (
+        decorate(translate_stl(f), MINMAX, PointwiseDistance.ABS_DIFF),
+        decorate(translate_stl(negate(f)), MINMAX, PointwiseDistance.ABS_DIFF),
+    )
+    mixed = (build_monitor_pair(f, MINMAX)[0], build_monitor_pair(f, MINMAX)[1])
+    for w_pos, w_neg in (unrelated, mixed):
+        with pytest.raises(ValueError, match="build_monitor_pair"):
+            list(verdicts(tr(1, 2), w_pos, w_neg))
+
+
 def test_signed_degree_matches_enumerated_language_distance():
     """rho against explicit enumeration of the nearer language side,
     including the empty-language endpoints."""
     from arv.oracles import guards_closed
     from arv.distance import point_dist
     from arv.generators import all_traces
-    from arv.speclang import negate
 
     def language_stats(formula, trace, sr, dist):
         best = sr.e_plus
@@ -326,7 +375,7 @@ def test_signed_degree_matches_enumerated_language_distance():
 
 
 def test_value_identity_iff_accepted_for_closed_guards():
-    from arv.automaton import accepts
+    from arv.oracles import accepts
     from arv.generators import CLOSED_OPS, random_automaton
 
     rng = random.Random(67)

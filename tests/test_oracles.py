@@ -18,7 +18,7 @@ from arv.cli import main
 from arv.distance import default_distance
 from arv.errors import ArvError
 from arv.generators import random_sre, random_stl, random_trace
-from arv.monitor import ValueStream, build_monitor_pair, verdicts
+from arv.monitor import RobustnessVerdict, ValueStream, _rho, build_monitor_pair, verdicts
 from arv.predicate import parse_predicate
 from arv.semiring import BOOLEAN, MINMAX, TROPICAL
 from arv.speclang import StlFormula, Trace, negate, parse_spec_text, sre_accepts
@@ -34,7 +34,15 @@ GONE = {
     "monitor": ("path_enumeration_value", "trace_distance_brute_force", "_qualitative"),
     "distance": ("vpd_brute_force", "_literal_weight"),
     "fixtures": ("state_costs_by_paths",),
-    "automaton": ("is_deterministic_complete", "mintermize", "union", "eps_closure", "eps_eliminate"),
+    "automaton": (
+        "is_deterministic_complete",
+        "mintermize",
+        "union",
+        "eps_closure",
+        "eps_eliminate",
+        "reached_sets",
+        "accepts",
+    ),
     "semiring": ("nat_lt",),
     "predicate": ("evaluate_clause",),
 }
@@ -158,25 +166,36 @@ def test_fuzz_inputs_end_in_an_exit_code_or_arv_error(tmp_path):
 
 def _dfa_pair_mismatches(spec, trace, semiring):
     """Prefixes where the compiled pair's verdicts differ from a reference
-    built from the specification's own automata: for STL the formula's
-    and its negation's tableaux, for SRE the expression's automaton and
-    ``sre_accepts``.  An SRE's complement has open guards, so its
-    ``d_not_phi`` has no exact reference; only the sign of ``rho`` is
-    checked against ``satisfied``."""
+    built from the specification's own automata: for STL one value
+    stream on the formula's tableau and one on its negation's, with
+    ``satisfied`` from NFA membership in the formula's tableau; for SRE
+    the expression's automaton and ``sre_accepts``.  An SRE's complement
+    has open guards, so its ``d_not_phi`` has no exact reference; only
+    the sign of ``rho`` is checked against ``satisfied``."""
     dist = default_distance(semiring)
     got = list(verdicts(trace, *build_monitor_pair(spec, semiring)))
     bad = 0
     if isinstance(spec, StlFormula):
         ref_pos = decorate(translate_stl(spec), semiring, dist)
         ref_neg = decorate(translate_stl(negate(spec)), semiring, dist)
-        expected = list(verdicts(trace, ref_pos, ref_neg))
-        return sum(g != e for g, e in zip(got, expected))
+        pos, neg = ValueStream(ref_pos), ValueStream(ref_neg)
+        for t, (sample, v) in enumerate(zip(trace.samples, got), start=1):
+            pos.step(sample)
+            neg.step(sample)
+            expected = RobustnessVerdict(
+                rho=_rho(pos.value, pos.path_exists, neg.value, neg.path_exists, semiring),
+                satisfied=oracles.accepts(ref_pos.base, Trace(trace.variables, trace.samples[:t])),
+                d_phi=pos.value,
+                d_not_phi=neg.value,
+            )
+            bad += v != expected
+        return bad
     stream = ValueStream(decorate(translate_sre(spec), semiring, dist))
     for t, (sample, v) in enumerate(zip(trace.samples, got), start=1):
-        d_phi = stream.step(sample)
+        stream.step(sample)
         accepted = sre_accepts(Trace(trace.variables, trace.samples[:t]), spec)
         sign_ok = v.rho == 0 or (v.rho > 0) == v.satisfied
-        bad += v.d_phi != d_phi or v.satisfied != accepted or not sign_ok
+        bad += v.d_phi != stream.value or v.satisfied != accepted or not sign_ok
     return bad
 
 

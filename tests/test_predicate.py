@@ -280,6 +280,24 @@ def test_parse_errors_carry_position():
         P.parse_predicate("x <= 3 &&")
     with pytest.raises(ParseError):
         P.parse_predicate("x <= 3 y <= 2")
+    with pytest.raises(ParseError, match="non-finite"):
+        P.parse_predicate("x <= 1e999")
+
+
+@pytest.mark.parametrize("text", ["0.00001", "10000000000000000", "123456789012345678901"])
+def test_exponent_constants_round_trip(text):
+    """Constants that print as 1e-05, 1e+16 and 1.2345678901234568e+20
+    reparse through the predicate, STL and automaton JSON syntaxes."""
+    from arv.automaton import from_json, to_json
+    from arv.speclang import parse_stl, print_stl
+    from arv.translate import translate_stl
+
+    p = P.parse_predicate(f"x <= {text}")
+    assert P.parse_predicate(P.print_predicate(p)) == p
+    f = parse_stl(f"G x <= {text}")
+    assert parse_stl(print_stl(f)) == f
+    doc = to_json(translate_stl(f))
+    assert to_json(from_json(doc)) == doc
 
 
 def test_print_parse_roundtrip_random():

@@ -183,18 +183,6 @@ def _walk(f):
                 stack.append(child)
 
 
-def test_unfold_with_horizon_matches_on_short_traces():
-    rng = random.Random(29)
-    traces = []
-    for n in (1, 2, 3):
-        traces.extend(all_traces(("x",), range(3), n))
-    for _ in range(40):
-        f = random_stl(rng, ["x"], depth=2, const_lo=0, const_hi=2)
-        clipped = unfold_bounded(f, horizon=3)
-        for t in traces:
-            assert eval_stl(t, 0, clipped) == eval_stl(t, 0, f)
-
-
 # --- qualitative STL ------------------------------------------------------------
 
 

@@ -3,10 +3,10 @@ import random
 import pytest
 
 from arv import predicate as P
-from arv.automaton import accepts
 from arv.errors import UnsupportedFragmentError
 from arv.fixtures import PHI1_TEXT, PHI2_TEXT
 from arv.generators import all_traces, random_sre, random_stl
+from arv.oracles import accepts
 from arv.speclang import Trace, eval_sre, eval_stl, parse_sre, parse_stl
 from arv.translate import translate_sre, translate_stl
 

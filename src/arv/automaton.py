@@ -21,7 +21,7 @@ import json
 from dataclasses import dataclass, field, replace
 
 from . import predicate as P
-from .distance import PointwiseDistance, compile_weight
+from .distance import PointwiseDistance, Scorer
 from .errors import ParseError, UnsupportedFragmentError
 from .intervals import Box, subtract_boxes
 from .predicate import Dnf
@@ -384,12 +384,12 @@ def decorate(a: SymbolicAutomaton, semiring: Semiring, dist: PointwiseDistance) 
 
 
 def compiled_weights(w: WeightedAutomaton):
-    """One ``valuation -> weight`` closure per distinct guard, and per
-    transition the index of its guard's closure."""
+    """One ``Scorer`` over the distinct guards, and per transition the
+    index of its guard's weight."""
     index: dict = {}
     for g in w.guards:
         index.setdefault(g, len(index))
-    return [compile_weight(g, w.semiring, w.dist) for g in index], [index[g] for g in w.guards]
+    return Scorer(tuple(index), w.semiring, w.dist), [index[g] for g in w.guards]
 
 
 # --- serialization -----------------------------------------------------------

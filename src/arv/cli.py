@@ -298,6 +298,9 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return UnsupportedFragmentError.exit_code
+    except MemoryError:
+        print("error: out of memory (specification or trace too large)", file=sys.stderr)
+        return UnsupportedFragmentError.exit_code
 
 
 if __name__ == "__main__":

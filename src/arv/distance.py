@@ -6,6 +6,12 @@ identity, a violated literal the pointwise distance of the sample value
 to the threshold, disjunction maps to semiring addition and conjunction
 to semiring multiplication.  An unsatisfiable input scores the additive
 identity (the distance to an empty set).
+
+``Scorer`` does this for many guards at once: per sample it compares
+each distinct atom ``var op k`` once, keeping its truth and its
+pointwise distance in a table, and folds every guard's weight from that
+table.  The truths also name the minterm that holds, which the
+monitor's DFA moves on.
 """
 
 from __future__ import annotations
@@ -59,54 +65,79 @@ def vpd(
     ):
         raise ValueError(f"semiring {semiring.name!r} requires ∧-minimal DNF")
     try:
-        return compile_weight(dnf, semiring, dist)(valuation)
+        return Scorer((dnf,), semiring, dist).score(valuation)[1][0]
     except KeyError as exc:
         raise UnboundVariableError(f"unbound variable {exc.args[0]!r}") from None
 
 
-def compile_weight(dnf: Dnf, semiring: Semiring, dist: PointwiseDistance):
-    """Build a fast ``valuation -> weight`` closure for one guard.
+class Scorer:
+    """The weights of several guards under one valuation, from one table
+    of their atoms.
 
-    Unsatisfiable clauses are dropped up front; the per-step loop then
-    only touches live literals.  This is the only scoring loop: ``vpd``
-    compiles its guard and applies the closure once.
+    Each distinct atom ``var op k`` of the guards' satisfiable clauses is
+    compared once per valuation; its truth and its pointwise distance go
+    into the table.  A guard's weight is then folded from the table:
+    clause by clause (⊕), literal by literal (⊗), where a satisfied
+    literal or ``Top`` contributes the multiplicative identity and a
+    violated one its atom's distance.  Unsatisfiable clauses are dropped
+    up front, so a guard without clauses weighs the additive identity.
+    This is the only scoring loop: ``vpd`` scores one guard with it.
     """
-    idx = _index(dnf_variables(dnf) or ["_"])
-    clauses = []
-    for clause in dnf.clauses:
-        if not _clause_sat(clause, idx):
-            continue
-        lits = []
-        for lit in clause:
-            if isinstance(lit, Top):
-                continue
-            if isinstance(lit, Cmp):
-                lits.append((lit.var, lit.op, lit.k, False))
-            else:
-                c = lit.arg
-                lits.append((c.var, c.op, c.k, True))
-        clauses.append(tuple(lits))
 
+    def __init__(self, dnfs, semiring: Semiring, dist: PointwiseDistance):
+        atoms: dict = {}  # (var, strict, k) -> its index in the table
+        guards = []  # per guard, per clause, its (atom index, negated) literals
+        for dnf in dnfs:
+            idx = _index(dnf_variables(dnf) or ["_"])
+            clauses = []
+            for clause in dnf.clauses:
+                if not _clause_sat(clause, idx):
+                    continue
+                lits = []
+                for lit in clause:
+                    if isinstance(lit, Top):
+                        continue
+                    c, negated = (lit, False) if isinstance(lit, Cmp) else (lit.arg, True)
+                    lits.append((atoms.setdefault((c.var, c.op == "<", c.k), len(atoms)), negated))
+                clauses.append(tuple(lits))
+            guards.append(tuple(clauses))
+        self.guards = tuple(guards)
+        self.score = _compile(tuple(atoms), self.guards, semiring, dist)
+
+    def holding(self, truth) -> int:
+        """Index of the first guard that holds where the atoms have these
+        truths; distance 0 does not tell, since ``x < k`` fails at k."""
+        for j, clauses in enumerate(self.guards):
+            if any(all(truth[a] != negated for a, negated in lits) for lits in clauses):
+                return j
+        raise ValueError("no guard holds")
+
+
+def _compile(atoms, guards, semiring: Semiring, dist: PointwiseDistance):
+    """``valuation -> (atom truths, guard weights)``; relies on ⊕ = min."""
     e_plus = semiring.e_plus
     e_times = semiring.e_times
-    oplus = semiring.oplus
     otimes = semiring.otimes
     discrete = dist is PointwiseDistance.DISCRETE01
 
-    def weight(valuation):
-        best = e_plus
-        for lits in clauses:
-            acc = e_times
-            for var, op, k, negated in lits:
-                v = valuation[var]
-                sat = (v < k) if op == "<" else (v <= k)
-                if negated:
-                    sat = not sat
-                if sat:
-                    continue
-                d = (0.0 if v == k else 1.0) if discrete else abs(v - k)
-                acc = otimes(acc, d)
-            best = oplus(best, acc)
-        return best
+    def score(valuation):
+        truth = []
+        dists = []
+        for var, strict, k in atoms:
+            v = valuation[var]
+            truth.append(v < k if strict else v <= k)
+            dists.append((0.0 if v == k else 1.0) if discrete else abs(v - k))
+        weights = []
+        for clauses in guards:
+            best = e_plus
+            for lits in clauses:
+                acc = e_times
+                for a, negated in lits:
+                    if truth[a] == negated:
+                        acc = otimes(acc, dists[a])
+                if acc < best:
+                    best = acc
+            weights.append(best)
+        return tuple(truth), weights
 
-    return weight
+    return score

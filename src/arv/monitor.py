@@ -1,9 +1,12 @@
 """Trace measurement over weighted symbolic automata.
 
 One dynamic-programming pass keeps, per location, the best cost of
-reaching it with the consumed prefix.  Adding a sample scores each
-distinct guard once and then sweeps the edges of the reached
-locations, independent of trace length.  A specification compiles to
+reaching it with the consumed prefix.  Adding a sample fills one atom
+table (each distinct comparison of the guards evaluated once), folds
+every guard's weight from it, and relaxes the edges of the live
+locations; the live sets are memoized, since each depends only on the
+one before.  The work per sample is independent of trace length.  A
+specification compiles to
 one minimal complete DFA over the minterms of its automaton's guards;
 that DFA and its flipped copy are the monitor pair.  The two sides
 share every edge and weight, so one pass of the program gives both the
@@ -11,7 +14,8 @@ distance to the specification (the costs inside its final set) and to
 its negation (the costs outside it).  The robustness verdict combines
 the two into a signed degree; the qualitative verdict, which resolves
 the sign when the degree is zero, is the DFA's own run in the same
-pass.
+pass: the sample's minterm is looked up by the atom table's truths, and
+the move is one table lookup.
 """
 
 from __future__ import annotations
@@ -21,13 +25,26 @@ from collections import deque
 from dataclasses import dataclass, replace
 
 from . import automaton as A
-from . import predicate as P
 from . import speclang as S
 from .distance import PointwiseDistance, Valuation, default_distance
 from .errors import UnboundVariableError
 from .semiring import Semiring, SemiringValue, to_signed
 from .speclang import SreExpr, StlFormula, Trace
 from .translate import translate_sre, translate_stl
+
+
+class _LiveSet:
+    """One set of live locations: its members inside and outside the
+    final set, their outgoing ``(destination, guard index)`` edges, and
+    the live set after one more step (filled on first use)."""
+
+    __slots__ = ("final", "other", "edges", "next")
+
+    def __init__(self, members, final, out):
+        self.final = [q for q in members if q in final]
+        self.other = [q for q in members if q not in final]
+        self.edges = [(q, out[q]) for q in members if out[q]]
+        self.next = None
 
 
 class ValueStream:
@@ -39,12 +56,16 @@ class ValueStream:
     which distinguishes "far from the language" from "the language has
     no trace of this length".  Both read only the live (reached)
     locations, since an unreached one costs the additive identity.
+
+    Which locations are live after a step depends only on which were
+    live before it, never on the sample, so each live set is built once
+    and memoized by its members, together with its successor.
     """
 
     def __init__(self, w: A.WeightedAutomaton):
         self.w = w
         base = w.base
-        self._weights, index = A.compiled_weights(w)
+        self._scorer, index = A.compiled_weights(w)
         # per source location, its (destination, guard index) edges
         self._out = [[] for _ in range(base.n_locations)]
         for (src, _, dst), j in zip(base.transitions, index):
@@ -54,7 +75,16 @@ class ValueStream:
             w.semiring.e_times if q in base.initial else w.semiring.e_plus
             for q in range(base.n_locations)
         ]
-        self._live = sorted(base.initial)
+        self._live_sets: dict = {}
+        self._live = self._live_set(base.initial)
+        self._truth = ()  # the atom truths of the last sample
+
+    def _live_set(self, members) -> _LiveSet:
+        members = frozenset(members)
+        live = self._live_sets.get(members)
+        if live is None:
+            live = self._live_sets[members] = _LiveSet(sorted(members), self.w.base.final, self._out)
+        return live
 
     @property
     def costs(self) -> dict:
@@ -62,44 +92,50 @@ class ValueStream:
 
     @property
     def value(self) -> SemiringValue:
-        return self._over(self.w.base.final)[0]
+        return self._split()[0]
 
     @property
     def path_exists(self) -> bool:
-        return self._over(self.w.base.final)[1]
+        return self._split()[1]
 
-    def _over(self, final) -> tuple[SemiringValue, bool]:
-        """The sum of the live costs in ``final``, and whether any live
-        location lies in it."""
-        live = [q for q in self._live if q in final]
-        return self._semiring.sum(self._costs[q] for q in live), bool(live)
+    def _split(self) -> tuple[SemiringValue, bool, SemiringValue, bool]:
+        """The ⊕ (min) of the live costs inside the final set and whether
+        any live location lies there; then the same outside it."""
+        costs = self._costs
+        e_plus = self._semiring.e_plus
+        live = self._live
+        return (
+            min([costs[q] for q in live.final], default=e_plus),
+            bool(live.final),
+            min([costs[q] for q in live.other], default=e_plus),
+            bool(live.other),
+        )
 
     def step(self, valuation: Valuation) -> None:
-        """Score each distinct guard once, then sweep the edges of the
-        reachable locations only."""
-        sr = self._semiring
-        e_plus = sr.e_plus
-        oplus = sr.oplus
-        otimes = sr.otimes
-        costs = self._costs
-        out = self._out
-        new_costs = [e_plus] * len(costs)
-        reached = [False] * len(costs)
-        live = []
+        """Score every guard from one atom table, then relax the edges of
+        the live locations (⊕ is min, so relaxing is one comparison)."""
         try:
-            scores = [weight(valuation) for weight in self._weights]
+            self._truth, scores = self._scorer.score(valuation)
         except KeyError as exc:
             raise UnboundVariableError(f"unbound variable {exc.args[0]!r}") from None
-        for src in self._live:
+        live = self._live
+        if live.next is None:
+            live.next = self._live_set(dst for _, edges in live.edges for dst, _ in edges)
+        sr = self._semiring
+        e_plus = sr.e_plus
+        otimes = sr.otimes
+        costs = self._costs
+        new_costs = [e_plus] * len(costs)
+        for src, edges in live.edges:
             c = costs[src]
-            for dst, j in out[src]:
-                if not reached[dst]:
-                    reached[dst] = True
-                    live.append(dst)
-                if c != e_plus:
-                    new_costs[dst] = oplus(new_costs[dst], otimes(c, scores[j]))
+            if c == e_plus:
+                continue
+            for dst, j in edges:
+                v = otimes(c, scores[j])
+                if v < new_costs[dst]:
+                    new_costs[dst] = v
         self._costs = new_costs
-        self._live = live
+        self._live = live.next
 
 
 def _check_variables(w: A.WeightedAutomaton, trace: Trace):
@@ -168,32 +204,38 @@ def verdicts(trace: Trace, w_pos: A.WeightedAutomaton, w_neg: A.WeightedAutomato
 
     ``w_pos``/``w_neg`` are a pair from ``build_monitor_pair``: one DFA
     and its flipped copy, so a single value stream serves both sides.
-    ``d_phi`` sums its live costs inside the positive final set and
-    ``d_not_phi`` those inside the negative one.  ``satisfied`` is
-    whether the DFA's own run, which takes the one edge whose minterm
-    holds, is in a positive final location.
+    ``d_phi`` is the ⊕ of its live costs inside the positive final set
+    and ``d_not_phi`` of those outside it.  ``satisfied`` is whether the
+    DFA's own run, which takes the one edge whose minterm holds, is in a
+    positive final location.  ``ValueError`` if the two sides are not
+    one such pair.
     """
-    if w_neg.base.transitions is not w_pos.base.transitions or w_neg.guards is not w_pos.guards:
+    base = w_pos.base
+    if (
+        w_neg.base.transitions is not base.transitions
+        or w_neg.guards is not w_pos.guards
+        or w_neg.base.final != frozenset(range(base.n_locations)) - base.final
+    ):
         raise ValueError("verdicts needs the two sides of one build_monitor_pair")
     _check_variables(w_pos, trace)
     semiring = w_pos.semiring
-    pos_final, neg_final = w_pos.base.final, w_neg.base.final
-    run = [[] for _ in range(w_pos.base.n_locations)]
-    for src, guard, dst in w_pos.base.transitions:
-        run[src].append((guard, dst))
-    (q,) = w_pos.base.initial
     stream = ValueStream(w_pos)
+    holding = stream._scorer.holding
+    # per location, its destination on each minterm (a guard index)
+    move = [{j: dst for dst, j in edges} for edges in stream._out]
+    minterm: dict = {}  # atom truths -> the minterm that holds there
+    (q,) = base.initial
+    final = base.final
     for sample in trace.samples:
         stream.step(sample)
-        q = next(dst for guard, dst in run[q] if P.evaluate(sample, guard))
-        d_phi, phi_exists = stream._over(pos_final)
-        d_not_phi, not_phi_exists = stream._over(neg_final)
-        yield RobustnessVerdict(
-            rho=_rho(d_phi, phi_exists, d_not_phi, not_phi_exists, semiring),
-            satisfied=q in pos_final,
-            d_phi=d_phi,
-            d_not_phi=d_not_phi,
-        )
+        truth = stream._truth
+        m = minterm.get(truth)
+        if m is None:
+            m = minterm[truth] = holding(truth)
+        q = move[q][m]
+        d_phi, phi_exists, d_not_phi, not_phi_exists = stream._split()
+        rho = _rho(d_phi, phi_exists, d_not_phi, not_phi_exists, semiring)
+        yield RobustnessVerdict(rho, q in final, d_phi, d_not_phi)
 
 
 def robustness(

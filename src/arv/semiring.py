@@ -5,11 +5,18 @@ floats with ``math.inf`` as an exact sentinel.  The Boolean instance
 reuses the same representation restricted to {0.0, 1.0}; its addition is
 conjunction (min on {0,1}) and its multiplication disjunction (max), so
 one uniform value type serves all three instances.
+
+Invariant: in every shipped instance ⊕ is ``min``, so the natural order
+is the numeric one and a shortest-distance problem (Mohri, 2002) keeps
+the smaller value.  The monitor relies on it: it relaxes an edge with
+one ``<`` comparison and takes ``min`` over the live costs instead of
+calling ``oplus``.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -58,18 +65,10 @@ class Semiring:
         return f"Semiring({self.name})"
 
 
-def _bool_and(a: float, b: float) -> float:
-    return a if a <= b else b
-
-
-def _bool_or(a: float, b: float) -> float:
-    return a if a >= b else b
-
-
 BOOLEAN = Semiring(
     name="boolean",
-    oplus=_bool_and,
-    otimes=_bool_or,
+    oplus=min,
+    otimes=max,
     e_plus=1.0,
     e_times=0.0,
     additively_idempotent=True,
@@ -89,14 +88,10 @@ MINMAX = Semiring(
 )
 
 
-def _trop_add(a: float, b: float) -> float:
-    return a + b
-
-
 TROPICAL = Semiring(
     name="tropical",
     oplus=min,
-    otimes=_trop_add,
+    otimes=operator.add,
     e_plus=INF,
     e_times=0.0,
     additively_idempotent=True,

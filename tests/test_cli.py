@@ -125,6 +125,21 @@ def test_monitor_subset_budget_is_clean_error(tmp_path, monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+def test_monitor_out_of_memory_is_clean_error(spec_file, trace_file, monkeypatch, capsys):
+    import arv.monitor
+
+    def exhausted(*_args, **_kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(arv.monitor, "build_monitor_pair", exhausted)
+    assert main(["monitor", "--spec", spec_file, "--trace", trace_file]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: out of memory")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("series", [False, True])
 def test_monitor_compiles_spec_once_for_many_traces(spec_file, tmp_path, monkeypatch, series):
     import arv.monitor

@@ -325,7 +325,8 @@ def test_verdicts_reject_automata_of_different_pairs():
         decorate(translate_stl(negate(f)), MINMAX, PointwiseDistance.ABS_DIFF),
     )
     mixed = (build_monitor_pair(f, MINMAX)[0], build_monitor_pair(f, MINMAX)[1])
-    for w_pos, w_neg in (unrelated, mixed):
+    w = build_monitor_pair(f, MINMAX)[0]
+    for w_pos, w_neg in (unrelated, mixed, (w, w)):
         with pytest.raises(ValueError, match="build_monitor_pair"):
             list(verdicts(tr(1, 2), w_pos, w_neg))
 
@@ -388,25 +389,6 @@ def test_value_identity_iff_accepted_for_closed_guards():
             assert (trace_value(t, w) == semiring.e_times) == accepted
 
 
-def test_stream_compiles_each_distinct_guard_once(monkeypatch):
-    import arv.automaton
-
-    f = parse_stl("G (x <= 5 -> F[0,3] y >= 2)")
-    w = decorate(translate_stl(f), TROPICAL, PointwiseDistance.ABS_DIFF)
-    distinct = len(set(w.guards))
-    assert distinct < len(w.guards)
-    compiled = []
-    compile_weight = arv.automaton.compile_weight
-
-    def counting(*args):
-        compiled.append(args[0])
-        return compile_weight(*args)
-
-    monkeypatch.setattr(arv.automaton, "compile_weight", counting)
-    ValueStream(w)
-    assert len(compiled) == distinct
-
-
 RESPONSE_K8 = "G(x <= 5 -> F[0,8] y >= 2)"
 
 
@@ -426,32 +408,79 @@ def test_monitor_pair_subset_budget(monkeypatch):
         build_monitor_pair(parse_stl(RESPONSE_K8), TROPICAL)
 
 
-@pytest.mark.parametrize("compiled", [False, True])
-def test_step_scores_each_distinct_guard_once(monkeypatch, compiled):
-    import arv.automaton
-
+def _raw_or_compiled(compiled):
+    """An STL response automaton whose guards repeat and share atoms: the
+    raw tableau, or one side of the compiled DFA pair."""
     f = parse_stl("G (x <= 5 -> F[0,3] y >= 2)")
     if compiled:
-        w = build_monitor_pair(f, MINMAX)[1]
-    else:
-        w = decorate(translate_stl(f), MINMAX, PointwiseDistance.ABS_DIFF)
+        return build_monitor_pair(f, MINMAX)[1]
+    return decorate(translate_stl(f), MINMAX, PointwiseDistance.ABS_DIFF)
+
+
+@pytest.mark.parametrize("compiled", [False, True])
+def test_stream_compiles_one_scorer(monkeypatch, compiled):
+    import arv.automaton
+
+    w = _raw_or_compiled(compiled)
     distinct = set(w.guards)
     assert len(distinct) < len(w.guards)
-    calls = []
-    compile_weight = arv.automaton.compile_weight
+    built = []
 
-    def counting(dnf, *args):
-        weight = compile_weight(dnf, *args)
+    class Counting(arv.automaton.Scorer):
+        def __init__(self, dnfs, *args):
+            built.append(dnfs)
+            super().__init__(dnfs, *args)
 
-        def counted(valuation):
-            calls.append(dnf)
-            return weight(valuation)
+    monkeypatch.setattr(arv.automaton, "Scorer", Counting)
+    ValueStream(w)
+    assert len(built) == 1
+    assert sorted(map(repr, built[0])) == sorted(map(repr, distinct))
 
-        return counted
 
-    monkeypatch.setattr(arv.automaton, "compile_weight", counting)
+@pytest.mark.parametrize("compiled", [False, True])
+def test_step_reads_each_distinct_atom_once(compiled):
+    w = _raw_or_compiled(compiled)
+    atoms = set()
+    literals = 0
+    for dnf in w.guards:
+        for clause in dnf.clauses:
+            for lit in clause:
+                if isinstance(lit, P.Top):
+                    continue
+                c = lit if isinstance(lit, P.Cmp) else lit.arg
+                atoms.add((c.var, c.op, c.k))
+                literals += 1
+    assert len(atoms) < literals
+    reads = []
+
+    class CountingValuation(dict):
+        def __getitem__(self, var):
+            reads.append(var)
+            return super().__getitem__(var)
+
     stream = ValueStream(w)
-    for sample in ({"x": 1.0, "y": 0.0}, {"x": 7.0, "y": 3.0}):
-        calls.clear()
-        stream.step(sample)
-        assert sorted(map(repr, calls)) == sorted(map(repr, distinct))
+    for sample in ({"x": 1.0, "y": 0.0}, {"x": 7.0, "y": 3.0}, {"x": 5.0, "y": 2.0}):
+        reads.clear()
+        stream.step(CountingValuation(sample))
+        assert sorted(reads) == sorted(var for var, _, _ in atoms)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["G(x <= 5 -> F[0,6] y >= 2)", "G[0,20] F[0,5] x >= 8", "(<x <= 7>[1,5] ; <y >= 2>[1,3])*"],
+    ids=["response-k6", "bounded-recurrence", "star"],
+)
+def test_live_set_memo_does_not_grow_with_trace_length(text):
+    spec = parse_stl(text) if text.startswith("G") else parse_sre(text)
+    w_pos, _ = build_monitor_pair(spec, TROPICAL)
+    rng = random.Random(31)
+    samples = [{"x": rng.randint(0, 40) / 4, "y": rng.randint(0, 16) / 4} for _ in range(20_000)]
+    counts = []
+    for n in (1_000, 20_000):
+        stream = ValueStream(w_pos)
+        for sample in samples[:n]:
+            stream.step(sample)
+        counts.append(len(stream._live_sets))
+    assert counts[0] == counts[1]
+    # keyed by members, not by the order a step visits them in
+    assert counts[0] <= w_pos.base.n_locations + 1

@@ -19,9 +19,9 @@ from arv.distance import default_distance
 from arv.errors import ArvError
 from arv.generators import random_sre, random_stl, random_trace
 from arv.monitor import RobustnessVerdict, ValueStream, _rho, build_monitor_pair, verdicts
-from arv.predicate import parse_predicate
+from arv.predicate import Cmp, Not, parse_predicate
 from arv.semiring import BOOLEAN, MINMAX, TROPICAL
-from arv.speclang import StlFormula, Trace, negate, parse_spec_text, sre_accepts
+from arv.speclang import StlFormula, Trace, eval_stl, negate, parse_spec_text, sre_accepts
 from arv.translate import translate_sre, translate_stl
 
 SRC = Path(arv.__file__).parent
@@ -32,7 +32,7 @@ MONITORING_PATH = ("monitor", "automaton", "translate", "distance", "predicate",
 GONE = {
     "cli": ("vpd_cross_check", "value_cross_check", "language_distance_cross_check", "_guards_closed"),
     "monitor": ("path_enumeration_value", "trace_distance_brute_force", "_qualitative"),
-    "distance": ("vpd_brute_force", "_literal_weight"),
+    "distance": ("vpd_brute_force", "_literal_weight", "compile_weight"),
     "fixtures": ("state_costs_by_paths",),
     "automaton": (
         "is_deterministic_complete",
@@ -211,4 +211,68 @@ def test_dfa_pair_matches_two_nfa_reference():
             mismatches += _dfa_pair_mismatches(spec, trace, semiring)
             checked += len(trace)
     assert checked > 3000
+    assert mismatches == 0
+
+
+# --- samples on the thresholds ---------------------------------------------------
+
+BOUNDARY_SPECS = (
+    "G (x < 3 -> F[0,2] y >= 5)",
+    "F[0,2] (x > 3 && x <= 5)",
+    "(x < 3) U[1,2] (y <= 5 || x >= 5)",
+    "G[0,1] !(y < 5) || X x <= 3",
+    "#lang sre\n<x < 3>[1,2] ; <y >= 5>[1,2]",
+    "#lang sre\n(x <= 3)* ; x > 5",
+    "#lang sre\n(T ; <x > 3>[2,3] ; T) & (T ; y < 5 ; T)",
+)
+
+
+def _thresholds(w):
+    """Per variable, the constants its atoms compare it with."""
+    out: dict = {}
+    for dnf in w.guards:
+        for clause in dnf.clauses:
+            for lit in clause:
+                c = lit.arg if isinstance(lit, Not) else lit
+                if isinstance(c, Cmp):
+                    out.setdefault(c.var, set()).add(c.k)
+    return {var: sorted(ks) for var, ks in out.items()}
+
+
+def test_samples_on_thresholds_match_the_references():
+    """Every sample equals a constant of the specification, where a
+    violated strict or non-strict atom still has distance 0: the
+    qualitative verdict must come from the atoms' truth, not from the
+    distance."""
+    rng = random.Random(20241019)
+    specs = [parse_spec_text(text)[1] for text in BOUNDARY_SPECS]
+    for i in range(60):
+        maker = random_stl if i % 2 else random_sre
+        specs.append(maker(rng, ["x", "y"], depth=3))
+    zero_yet_violated = mismatches = checked = 0
+    for spec in specs:
+        for semiring in (BOOLEAN, MINMAX, TROPICAL):
+            w_pos, w_neg = build_monitor_pair(spec, semiring)
+            ks = _thresholds(w_pos)
+            if not ks:
+                continue
+            variables = w_pos.variables
+            for _ in range(4):
+                samples = [
+                    {v: rng.choice(ks.get(v, [0.0])) for v in variables}
+                    for _ in range(rng.randint(1, 6))
+                ]
+                trace = Trace(variables, samples)
+                mismatches += _dfa_pair_mismatches(spec, trace, semiring)
+                for t, v in enumerate(verdicts(trace, w_pos, w_neg), start=1):
+                    prefix = Trace(variables, samples[:t])
+                    if isinstance(spec, StlFormula):
+                        expected = eval_stl(prefix, 0, spec)
+                    else:
+                        expected = sre_accepts(prefix, spec)
+                    mismatches += v.satisfied != expected
+                    zero_yet_violated += v.d_phi == semiring.e_times and not v.satisfied
+                    checked += 1
+    assert checked > 2000
+    assert zero_yet_violated > 0
     assert mismatches == 0

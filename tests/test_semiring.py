@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from arv.semiring import BOOLEAN, MINMAX, TROPICAL, by_name, to_signed
+from arv.semiring import BOOLEAN, MINMAX, SEMIRINGS, TROPICAL, by_name, to_signed
 
 INF = math.inf
 ALL = (BOOLEAN, MINMAX, TROPICAL)
@@ -37,6 +37,16 @@ def test_instance_flags():
     assert MINMAX.additively_idempotent and MINMAX.multiplicatively_idempotent and MINMAX.bounded
     assert TROPICAL.additively_idempotent and not TROPICAL.multiplicatively_idempotent
     assert TROPICAL.bounded
+
+
+def test_every_oplus_is_min():
+    """The value stream relaxes edges with ``<`` and takes ``min`` over
+    live costs, which is exact only while every ⊕ is min."""
+    grid = (0.0, 0.25, 1.0, 2.5, INF)
+    for semiring in SEMIRINGS.values():
+        for a in grid:
+            for b in grid:
+                assert semiring.oplus(a, b) == min(a, b), (semiring.name, a, b)
 
 
 def test_by_name():

@@ -9,10 +9,10 @@ satisfiability, so no solver is needed.
 
 ``determinize`` splits the valuation space once into the minterms of an
 automaton's distinct guards, runs the subset construction over minterm
-indices and minimizes the result by Moore partition refinement (after
-D'Antoni & Veanes, *Minimization of Symbolic Automata*, POPL 2014).  The
-result is complete, with one transition per location and minterm, so
-``flip`` (swapping its final set) complements it.
+indices and minimizes the result by Hopcroft's partition refinement
+(after D'Antoni & Veanes, *Minimization of Symbolic Automata*, POPL
+2014).  The result is complete, with one transition per location and
+minterm, so ``flip`` (swapping its final set) complements it.
 """
 
 from __future__ import annotations
@@ -62,13 +62,14 @@ def make_automaton(variables, n_locations, initial, final, transitions) -> Symbo
     """Normalize and prune: unsatisfiable guards and duplicate edges go."""
     pruned = []
     seen = set()
+    printed: dict = {}  # guard -> its printed form, or None when unsatisfiable
     for src, guard, dst in transitions:
-        key = (src, P.print_predicate(guard), dst)
-        if key in seen:
+        if guard not in printed:
+            printed[guard] = P.print_predicate(guard) if P.is_sat(P.to_dnf(guard)) else None
+        text = printed[guard]
+        if text is None or (src, text, dst) in seen:
             continue
-        seen.add(key)
-        if not P.is_sat(P.to_dnf(guard)):
-            continue
+        seen.add((src, text, dst))
         pruned.append((src, guard, dst))
     return SymbolicAutomaton(
         variables=tuple(variables),
@@ -200,20 +201,51 @@ def _subsets(a: SymbolicAutomaton, inside, n_minterms):
     return order, delta
 
 
-def _moore(accepting, delta):
+def _hopcroft(accepting, delta, n_minterms):
     """Block of each DFA location in the coarsest partition that separates
-    accepting locations and is stable under every minterm."""
-    block = [int(f) for f in accepting]
-    n_blocks = len(set(block))
-    while True:
-        signatures: dict = {}
-        block = [
-            signatures.setdefault((block[s], tuple(block[t] for t in row)), len(signatures))
-            for s, row in enumerate(delta)
-        ]
-        if len(signatures) == n_blocks:
-            return block
-        n_blocks = len(signatures)
+    accepting locations and is stable under every minterm.
+
+    Hopcroft's partition refinement over inverse transitions, in
+    O(m·n·log n) for n locations and m minterms: a block is split by the
+    locations that move into a splitter block on one minterm, and of the
+    two halves of a block not waiting to be a splitter only the smaller
+    one is queued.  Blocks are numbered by their first location.
+    """
+    n = len(delta)
+    inverse = [[[] for _ in range(n)] for _ in range(n_minterms)]
+    for s, row in enumerate(delta):
+        for j, t in enumerate(row):
+            inverse[j][t].append(s)
+    final = {s for s in range(n) if accepting[s]}
+    members = [part for part in (final, set(range(n)) - final) if part]
+    block = [0] * n
+    for b, part in enumerate(members):
+        for s in part:
+            block[s] = b
+    # with {final, other} split, refining by the smaller part suffices
+    waiting = [] if len(members) < 2 else [0 if len(members[0]) <= len(members[1]) else 1]
+    queued = set(waiting)
+    while waiting:
+        splitter = list(members[waiting[-1]])
+        queued.discard(waiting.pop())
+        for into in inverse:
+            hits: dict = {}
+            for t in splitter:
+                for s in into[t]:
+                    hits.setdefault(block[s], []).append(s)
+            for b, hit in hits.items():
+                if len(hit) == len(members[b]):
+                    continue
+                new = len(members)
+                members.append(set(hit))
+                members[b] -= members[new]
+                for s in hit:
+                    block[s] = new
+                half = new if b in queued or len(hit) <= len(members[b]) else b
+                waiting.append(half)
+                queued.add(half)
+    number: dict = {}
+    return [number.setdefault(b, len(number)) for b in block]
 
 
 def determinize(a: SymbolicAutomaton) -> SymbolicAutomaton:
@@ -221,10 +253,13 @@ def determinize(a: SymbolicAutomaton) -> SymbolicAutomaton:
 
     The valuation space is split once into the minterms of ``a``'s
     distinct guards, the subset construction runs over minterm indices,
-    and Moore refinement merges equivalent subsets.  Every location has
-    one transition per minterm, each guarded by exactly that minterm, and
-    the empty subset is a real sink location, so ``flip`` complements.
-    Past ``MAX_SUBSETS`` subsets it raises ``UnsupportedFragmentError``.
+    and Hopcroft refinement merges equivalent subsets in O(m·n·log n)
+    for n subsets and m minterms.  Locations are numbered by their first
+    subset in discovery order, so the initial one is 0.  Every location
+    has one transition per minterm, each guarded by exactly that
+    minterm, and the empty subset is a real sink location, so ``flip``
+    complements.  Past ``MAX_SUBSETS`` subsets it raises
+    ``UnsupportedFragmentError``.
     """
     variables = a.variables or ("_",)
     guards = list(dict.fromkeys(g for _, g, _ in a.transitions))
@@ -234,7 +269,7 @@ def determinize(a: SymbolicAutomaton) -> SymbolicAutomaton:
     }
     subsets, delta = _subsets(a, inside, len(cells))
     final_mask = sum(1 << q for q in a.final)
-    block = _moore([bool(s & final_mask) for s in subsets], delta)
+    block = _hopcroft([bool(s & final_mask) for s in subsets], delta, len(cells))
     # blocks are numbered by their first subset in discovery order, so the
     # initial subset's block is 0
     rep: dict = {}
@@ -268,19 +303,13 @@ def canonicalize(a: SymbolicAutomaton) -> SymbolicAutomaton:
     for src, guard, dst in a.transitions:
         by_src.setdefault(src, []).append((P.print_predicate(guard), dst, guard))
 
-    order = []
-    seen = set()
-    queue = sorted(a.initial)
-    for q in queue:
-        seen.add(q)
-        order.append(q)
-    while queue:
-        q = queue.pop(0)
+    order = sorted(a.initial)
+    seen = set(order)
+    for q in order:  # breadth first: the list is its own queue
         for _, dst, _ in sorted(by_src.get(q, []), key=lambda x: (x[0], x[1])):
             if dst not in seen:
                 seen.add(dst)
                 order.append(dst)
-                queue.append(dst)
     for q in range(a.n_locations):
         if q not in seen:
             order.append(q)

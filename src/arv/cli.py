@@ -291,10 +291,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:
-        # wide windows and deep nesting still unfold recursively
+        # the parsers and the desugaring recurse once per nesting level
         print(
-            "error: specification too deeply nested or its windows too wide "
-            "(recursion limit reached)",
+            "error: specification too deeply nested (recursion limit reached)",
             file=sys.stderr,
         )
         return UnsupportedFragmentError.exit_code

@@ -11,9 +11,12 @@ matches the full segment from position 0 to the trace length.
 from __future__ import annotations
 
 import csv
+import inspect
 import io
 import math
-from dataclasses import dataclass
+import threading
+import weakref
+from dataclasses import MISSING, dataclass, fields
 
 from . import predicate as P
 from .errors import ParseError, UnboundVariableError
@@ -45,97 +48,155 @@ FULL_WINDOW = TimeWindow(0, None)
 NEXT_WINDOW = TimeWindow(1, 1)
 
 
+_NODES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_NODES_LOCK = threading.Lock()
+
+
 class StlFormula:
-    pass
+    """An STL node.  Nodes are hash-consed (Filliâtre & Conchon,
+    *Type-Safe Modular Hash-Consing*, 2006): building a node whose
+    structure already exists returns the existing object, so equality
+    is identity, and each node keeps a hash computed once from its
+    children's stored hashes.  Neither ``hash`` nor ``==`` recurses."""
+
+    _fields: tuple[str, ...] = ()
+    _hash: int
+
+    def __new__(cls, *args, **kwargs):
+        if kwargs or len(args) != len(cls._fields):
+            bound = cls.__signature__.bind(*args, **kwargs)
+            bound.apply_defaults()
+            args = tuple(bound.arguments.values())
+        return _intern(cls, args, (cls, *args))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
 
 
-@dataclass(frozen=True)
+def _intern(cls, values, key):
+    node = _NODES.get(key)
+    if node is None:
+        node = object.__new__(cls)
+        for name, value in zip(cls._fields, values):
+            object.__setattr__(node, name, value)
+        object.__setattr__(node, "_hash", hash(key))
+        with _NODES_LOCK:
+            node = _NODES.setdefault(key, node)
+    return node
+
+
+def _hashconsed(cls):
+    """Declare an STL node class: a frozen dataclass built by
+    ``StlFormula.__new__``, which binds its fields and interns it."""
+    cls = dataclass(frozen=True, eq=False, init=False)(cls)
+    params = [
+        inspect.Parameter(
+            f.name,
+            inspect.Parameter.POSITIONAL_OR_KEYWORD,
+            default=inspect.Parameter.empty if f.default is MISSING else f.default,
+        )
+        for f in fields(cls)
+    ]
+    cls._fields = tuple(p.name for p in params)
+    cls.__signature__ = inspect.Signature(params)
+    return cls
+
+
+@_hashconsed
 class Atom(StlFormula):
     var: str
     op: str
     value: float
 
+    def __new__(cls, var, op, value):
+        value = float(value)
+        # -0.0 == 0.0, but the two print and subtract differently
+        return _intern(cls, (var, op, value), (cls, var, op, value, math.copysign(1.0, value)))
+
     def to_literal(self) -> P.Pred:
         return P.comparison(self.var, self.op, self.value)
 
 
-@dataclass(frozen=True)
+@_hashconsed
 class TrueFormula(StlFormula):
     pass
 
 
-@dataclass(frozen=True)
+@_hashconsed
 class FalseFormula(StlFormula):
     pass
 
 
-@dataclass(frozen=True)
+@_hashconsed
 class Not(StlFormula):
     arg: StlFormula
 
 
-@dataclass(frozen=True)
+@_hashconsed
 class Or(StlFormula):
     left: StlFormula
     right: StlFormula
 
 
-@dataclass(frozen=True)
+@_hashconsed
 class And(StlFormula):
     left: StlFormula
     right: StlFormula
 
 
-@dataclass(frozen=True)
+@_hashconsed
 class Implies(StlFormula):
     left: StlFormula
     right: StlFormula
 
 
-@dataclass(frozen=True)
+@_hashconsed
 class Until(StlFormula):
     left: StlFormula
     right: StlFormula
     window: TimeWindow = FULL_WINDOW
 
 
-@dataclass(frozen=True)
+@_hashconsed
 class Since(StlFormula):
     left: StlFormula
     right: StlFormula
     window: TimeWindow = FULL_WINDOW
 
 
-@dataclass(frozen=True)
+@_hashconsed
 class Eventually(StlFormula):
     arg: StlFormula
     window: TimeWindow = FULL_WINDOW
 
 
-@dataclass(frozen=True)
+@_hashconsed
 class Always(StlFormula):
     arg: StlFormula
     window: TimeWindow = FULL_WINDOW
 
 
-@dataclass(frozen=True)
+@_hashconsed
 class Once(StlFormula):
     arg: StlFormula
     window: TimeWindow = FULL_WINDOW
 
 
-@dataclass(frozen=True)
+@_hashconsed
 class Historically(StlFormula):
     arg: StlFormula
     window: TimeWindow = FULL_WINDOW
 
 
-@dataclass(frozen=True)
+@_hashconsed
 class Next(StlFormula):
     arg: StlFormula
 
 
-@dataclass(frozen=True)
+@_hashconsed
 class Prev(StlFormula):
     arg: StlFormula
 
@@ -221,11 +282,6 @@ class Trace:
     def __len__(self):
         return len(self.samples)
 
-    @staticmethod
-    def from_rows(variables, rows) -> "Trace":
-        vs = tuple(variables)
-        return Trace(vs, [dict(zip(vs, (float(x) for x in row))) for row in rows])
-
 
 def _csv_rows(fh) -> list[tuple[int, list[str]]]:
     """Non-blank CSV rows, each with the line number it ends on."""
@@ -233,9 +289,24 @@ def _csv_rows(fh) -> list[tuple[int, list[str]]]:
     return [(reader.line_num, r) for r in reader if any(cell.strip() for cell in r)]
 
 
+def _bad_cell(header, row, lineno) -> ParseError:
+    """The error for the first cell of a row that is not a finite number."""
+    for name, cell in zip(header, row):
+        try:
+            value = float(cell)
+        except ValueError:
+            return ParseError(f"non-numeric cell in trace row {lineno}, column {name!r}")
+        if not math.isfinite(value):
+            return ParseError(
+                f"non-finite value {cell.strip()!r} in trace row {lineno}, column {name!r}"
+            )
+    raise AssertionError("row has no bad cell")
+
+
 def read_trace_csv(text_or_path, from_path: bool = True) -> Trace:
     """Header row of variable names, one numeric row per sample; blank
-    lines skipped.  Errors name the file line of the offending row."""
+    lines skipped.  Errors name the file line of the offending row.
+    Each cell is converted and checked once."""
     source = f"trace file {text_or_path}" if from_path else "trace text"
     try:
         if from_path:
@@ -249,31 +320,31 @@ def read_trace_csv(text_or_path, from_path: bool = True) -> Trace:
         raise ParseError(f"{source} is not valid CSV: {exc}") from None
     if not rows:
         raise ParseError("trace file has no header row")
-    header = [h.strip() for h in rows[0][1]]
+    header = tuple(h.strip() for h in rows[0][1])
     for col, name in enumerate(header, start=1):
         if not name:
             raise ParseError(f"trace header column {col} has no name")
         if name in header[: col - 1]:
             raise ParseError(f"trace header names column {name!r} twice")
-    data = []
+    isfinite = math.isfinite
+    samples = []
     for lineno, row in rows[1:]:
         if len(row) != len(header):
             raise ParseError(f"trace row {lineno} has {len(row)} cells, expected {len(header)}")
-        values = []
-        for name, cell in zip(header, row):
-            try:
-                value = float(cell)
-            except ValueError:
-                raise ParseError(f"non-numeric cell in trace row {lineno}, column {name!r}") from None
-            if not math.isfinite(value):
-                raise ParseError(
-                    f"non-finite value {cell.strip()!r} in trace row {lineno}, column {name!r}"
-                )
-            values.append(value)
-        data.append(values)
-    if not data:
+        try:
+            values = list(map(float, row))
+        except ValueError:
+            raise _bad_cell(header, row, lineno) from None
+        if not all(map(isfinite, values)):
+            raise _bad_cell(header, row, lineno)
+        samples.append(dict(zip(header, values)))
+    if not samples:
         raise ParseError("trace file has no samples")
-    return Trace.from_rows(header, data)
+    # every sample was checked above; skip ``Trace``'s own pass over them
+    trace = object.__new__(Trace)
+    trace.variables = header
+    trace.samples = samples
+    return trace
 
 
 def write_trace_csv(trace: Trace, path) -> None:
@@ -530,15 +601,17 @@ RESIDUAL_WINDOW = TimeWindow(1, None)
 
 
 def _unfold_nonstrict(left, right, lo, hi):
-    # until whose lower-bound side also constrains the current position
-    if lo == 0:
-        if hi == 0:
-            return right
-        if hi is None:
-            return _or(right, _and(left, Until(left, right, RESIDUAL_WINDOW)))
-        return _or(right, _and(left, _next(_unfold_nonstrict(left, right, 0, hi - 1))))
-    nhi = None if hi is None else hi - 1
-    return _and(left, _next(_unfold_nonstrict(left, right, lo - 1, nhi)))
+    # until whose lower-bound side also constrains the current position:
+    # built from the last window step outwards, one loop per window part
+    if hi is None:
+        node = _or(right, _and(left, Until(left, right, RESIDUAL_WINDOW)))
+    else:
+        node = right
+        for _ in range(hi - lo):
+            node = _or(right, _and(left, _next(node)))
+    for _ in range(lo):
+        node = _and(left, _next(node))
+    return node
 
 
 def _unfold_strict(left, right, lo, hi):

@@ -9,6 +9,14 @@ guard and defers the rest.  A location accepts when everything pending
 is negative, since negated next-obligations hold vacuously once the
 trace ends while positive ones still demand a successor.
 
+The cost is linear in the window bounds.  Formulas are hash-consed, so
+obligations hash and compare in constant time; a location's obligations
+are ordered by the rank in which this translation first met them, never
+by their text; the window chains are unfolded by loops; and each
+distinct obligation and each distinct set of now-literals is expanded
+or checked once.  Window steps and tableau locations are both capped at
+``automaton.MAX_SUBSETS``.
+
 Regular expressions compile compositionally into fragments with epsilon
 transitions; epsilon moves exist only here and are eliminated whenever a
 fragment becomes an automaton.
@@ -18,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import automaton as A
 from . import predicate as P
 from . import speclang as S
 from .automaton import SymbolicAutomaton, canonicalize, make_automaton, product, trim
@@ -43,66 +52,80 @@ def _combine(alternatives_a, alternatives_b):
 _EMPTY = frozenset()
 
 
-def _expand(node, positive, cache):
-    """Alternatives (now-literals, deferred obligations) for one node."""
-    key = (id(node), positive)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    if isinstance(node, S.TrueFormula):
-        alts = [(_EMPTY, _EMPTY)] if positive else []
-    elif isinstance(node, S.FalseFormula):
-        alts = [] if positive else [(_EMPTY, _EMPTY)]
-    elif isinstance(node, S.Atom):
-        alts = [(frozenset({_atom_literal(node, positive)}), _EMPTY)]
-    elif isinstance(node, S.Not):
-        alts = _expand(node.arg, not positive, cache)
-    elif isinstance(node, S.Or):
-        if positive:
-            alts = _expand(node.left, True, cache) + _expand(node.right, True, cache)
-        else:
-            alts = _combine(
-                _expand(node.left, False, cache), _expand(node.right, False, cache)
-            )
-    elif isinstance(node, S.And):
-        if positive:
-            alts = _combine(
-                _expand(node.left, True, cache), _expand(node.right, True, cache)
-            )
-        else:
-            alts = _expand(node.left, False, cache) + _expand(node.right, False, cache)
-    elif isinstance(node, S.Next):
-        alts = [(_EMPTY, frozenset({(node.arg, positive)}))]
-    elif isinstance(node, S.Until):
-        if node.window != S.RESIDUAL_WINDOW:
-            raise ValueError(f"untranslated until window {node.window}")
-        # one-step fixpoint: demand (right or (left and self)) at the successor
-        unrolled = S._or(node.right, S._and(node.left, node))
-        alts = [(_EMPTY, frozenset({(unrolled, positive)}))]
-    else:
-        raise TypeError(f"unexpected node in tableau: {node!r}")
-    cache[key] = alts
-    return alts
+class _Tableau:
+    """Expansion of obligations for one translation, memoized per node
+    and polarity.  ``rank`` numbers the obligations in the order the
+    tableau first meets them; sorting a state's obligations by it is
+    deterministic and never looks inside a formula."""
 
+    def __init__(self, start):
+        self.cache: dict = {}
+        self.rank = {start: 0}
+        self.guards: dict = {}  # now-literals -> their guard, None when unsatisfiable
 
-def _state_alternatives(state, cache):
-    alts = [(_EMPTY, _EMPTY)]
-    for obligation, positive in sorted(state, key=lambda e: (repr(e[0]), e[1])):
-        alts = _combine(alts, _expand(obligation, positive, cache))
-        if not alts:
-            break
-    pruned = []
-    seen = set()
-    for nows, nexts in alts:
-        clause = tuple(sorted(nows, key=_literal_key))
-        key = (clause, nexts)
-        if key in seen:
-            continue
-        seen.add(key)
-        if not P._clause_sat(clause or (P.TOP,), P._index(_clause_vars(clause) or ["_"])):
-            continue
-        pruned.append((clause, nexts))
-    return pruned
+    def _defer(self, obligation, positive):
+        self.rank.setdefault(obligation, len(self.rank))
+        return [(_EMPTY, frozenset({(obligation, positive)}))]
+
+    def expand(self, node, positive):
+        """Alternatives (now-literals, deferred obligations) for one node."""
+        key = (node, positive)
+        hit = self.cache.get(key)
+        if hit is not None:
+            return hit
+        expand = self.expand
+        if isinstance(node, S.TrueFormula):
+            alts = [(_EMPTY, _EMPTY)] if positive else []
+        elif isinstance(node, S.FalseFormula):
+            alts = [] if positive else [(_EMPTY, _EMPTY)]
+        elif isinstance(node, S.Atom):
+            alts = [(frozenset({_atom_literal(node, positive)}), _EMPTY)]
+        elif isinstance(node, S.Not):
+            alts = expand(node.arg, not positive)
+        elif isinstance(node, S.Or):
+            if positive:
+                alts = expand(node.left, True) + expand(node.right, True)
+            else:
+                alts = _combine(expand(node.left, False), expand(node.right, False))
+        elif isinstance(node, S.And):
+            if positive:
+                alts = _combine(expand(node.left, True), expand(node.right, True))
+            else:
+                alts = expand(node.left, False) + expand(node.right, False)
+        elif isinstance(node, S.Next):
+            alts = self._defer(node.arg, positive)
+        elif isinstance(node, S.Until):
+            if node.window != S.RESIDUAL_WINDOW:
+                raise ValueError(f"untranslated until window {node.window}")
+            # one-step fixpoint: demand (right or (left and self)) at the successor
+            alts = self._defer(S._or(node.right, S._and(node.left, node)), positive)
+        else:
+            raise TypeError(f"unexpected node in tableau: {node!r}")
+        self.cache[key] = alts
+        return alts
+
+    def alternatives(self, state):
+        """The (guard, deferred obligations) pairs of a state whose guard
+        is satisfiable."""
+        alts = [(_EMPTY, _EMPTY)]
+        rank = self.rank
+        for obligation, positive in sorted(state, key=lambda e: (rank[e[0]], e[1])):
+            alts = _combine(alts, self.expand(obligation, positive))
+            if not alts:
+                break
+        pruned = []
+        seen = set()
+        for alt in alts:
+            if alt in seen:
+                continue
+            seen.add(alt)
+            nows, nexts = alt
+            if nows not in self.guards:
+                self.guards[nows] = _guard_pred(tuple(sorted(nows, key=_literal_key)))
+            guard = self.guards[nows]
+            if guard is not None:
+                pruned.append((guard, nexts))
+        return pruned
 
 
 def _literal_key(lit: P.Pred):
@@ -120,7 +143,10 @@ def _clause_vars(clause):
     return seen
 
 
-def _guard_pred(clause) -> P.Pred:
+def _guard_pred(clause):
+    """The conjunction of a clause's literals, or None when unsatisfiable."""
+    if not P._clause_sat(clause or (P.TOP,), P._index(_clause_vars(clause) or ["_"])):
+        return None
     lits = P._minimize_clause(clause or (P.TOP,))
     node = lits[0]
     for lit in lits[1:]:
@@ -132,26 +158,30 @@ def translate_stl(formula: S.StlFormula) -> SymbolicAutomaton:
     """Tableau translation of a future STL formula.
 
     The automaton accepts exactly the traces satisfying the formula at
-    position 0.
+    position 0.  Both the window unfolding and the tableau stop at
+    ``automaton.MAX_SUBSETS`` steps and locations with an
+    ``UnsupportedFragmentError``.
     """
-    _check_future(formula)
+    steps = _check_translatable(formula)
     core = S.unfold_bounded(formula)
     variables = tuple(sorted(S.stl_variables(formula)))
 
-    cache: dict = {}
+    tableau = _Tableau(core)
     start = frozenset({(core, True)})
     index = {start: 0}
     order = [start]
     transitions = []
-    k = 0
-    while k < len(order):
-        state = order[k]
-        k += 1
-        for clause, nexts in _state_alternatives(state, cache):
+    for state in order:
+        for guard, nexts in tableau.alternatives(state):
             if nexts not in index:
+                if len(order) >= A.MAX_SUBSETS:
+                    raise UnsupportedFragmentError(
+                        f"the tableau of a formula with {steps} window steps exceeds "
+                        f"{A.MAX_SUBSETS} locations"
+                    )
                 index[nexts] = len(order)
                 order.append(nexts)
-            transitions.append((index[state], _guard_pred(clause), index[nexts]))
+            transitions.append((index[state], guard, index[nexts]))
     final = {
         index[s] for s in order if all(not positive for _, positive in s)
     }
@@ -159,19 +189,38 @@ def translate_stl(formula: S.StlFormula) -> SymbolicAutomaton:
     return canonicalize(trim(a))
 
 
-def _check_future(formula: S.StlFormula):
+def _check_translatable(formula: S.StlFormula) -> int:
+    """The number of steps unfolding the formula's windows takes.  Past
+    operators, and more than ``automaton.MAX_SUBSETS`` steps, raise
+    ``UnsupportedFragmentError``."""
+    steps = 0
+    seen = set()
     stack = [formula]
     while stack:
         node = stack.pop()
+        if node in seen:
+            continue
+        seen.add(node)
         if isinstance(node, S.PAST_OPERATORS):
             name = {S.Since: "S", S.Once: "P", S.Historically: "H", S.Prev: "Y"}[type(node)]
             raise UnsupportedFragmentError(
                 f"past operator {name!r} is not translatable to an automaton"
             )
+        if isinstance(node, S.Next):
+            steps += 1
+        elif isinstance(node, (S.Until, S.Eventually, S.Always)):
+            w = node.window
+            steps += w.lo if w.hi is None else w.hi
         for attr in ("arg", "left", "right"):
             child = getattr(node, attr, None)
             if child is not None:
                 stack.append(child)
+    if steps > A.MAX_SUBSETS:
+        raise UnsupportedFragmentError(
+            f"unfolding the formula's windows takes {steps} steps, "
+            f"more than the budget of {A.MAX_SUBSETS}"
+        )
+    return steps
 
 
 # --- regular expressions -------------------------------------------------------

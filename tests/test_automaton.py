@@ -214,3 +214,51 @@ def test_monitors_share_one_automaton():
         s2.step(b)
     assert s1.value == trace_value(t1, w)
     assert s2.value == trace_value(t2, w)
+
+
+def _equivalent_pairs(d):
+    """Pairs of distinct locations of a complete DFA that accept the same
+    language: those from which the product of ``d`` with itself reaches
+    no pair that disagrees on acceptance."""
+    succ = [dict() for _ in range(d.n_locations)]
+    for src, guard, dst in d.transitions:
+        succ[src][P.print_predicate(guard)] = dst
+    minterms = set(succ[0])
+    assert all(set(row) == minterms for row in succ)
+    pairs = [(p, q) for p in range(d.n_locations) for q in range(p + 1, d.n_locations)]
+    equivalent = []
+    for pair in pairs:
+        seen = {pair}
+        stack = [pair]
+        while stack:
+            p, q = stack.pop()
+            if (p in d.final) != (q in d.final):
+                break
+            for m in minterms:
+                nxt = (succ[p][m], succ[q][m])
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        else:
+            equivalent.append(pair)
+    return equivalent
+
+
+def test_determinize_merges_every_equivalent_location():
+    from arv.generators import random_sre, random_stl
+    from arv.speclang import negate
+    from arv.translate import translate_sre, translate_stl
+
+    rng = random.Random(41)
+    automata = [
+        random_automaton(rng, ("x", "y"), max_locations=6, max_transitions=10) for _ in range(120)
+    ]
+    automata += [
+        translate_stl(negate(random_stl(rng, ["x", "y"], depth=3, max_bound=3))) for _ in range(40)
+    ]
+    automata += [translate_sre(random_sre(rng, ["x", "y"], depth=3)) for _ in range(40)]
+    for a in automata:
+        d = determinize(a)
+        assert d.initial == {0}
+        assert _equivalent_pairs(d) == []
+        assert determinize(d).n_locations == d.n_locations

@@ -103,12 +103,58 @@ def test_monitor_non_finite_sample_is_parse_error(spec_file, tmp_path, capsys):
     assert "row 3, column 'x'" in capsys.readouterr().err
 
 
-def test_monitor_wide_window_is_clean_error(tmp_path, capsys):
-    spec = write(tmp_path / "wide.stl", "F[0,200] x >= 1\n")
+def test_monitor_deep_nesting_is_clean_error(tmp_path, capsys):
+    # the parser still recurses once per nesting level
+    spec = write(tmp_path / "deep.stl", "!" * 3000 + "x >= 1\n")
     trace = write(tmp_path / "t.csv", "x\n0\n1\n")
     assert main(["monitor", "--spec", spec, "--trace", trace]) == 4
     err = capsys.readouterr().err
     assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", ["F[0,1000] x >= 1", "G[100,3000] x <= 5"])
+def test_monitor_wide_windows(tmp_path, capsys, text):
+    from arv.speclang import eval_stl, parse_stl
+
+    spec = write(tmp_path / "wide.stl", text + "\n")
+    traces = {
+        "zeros": [0.0] * 5,
+        "late": [0.0, 0.0, 0.0, 2.0],
+        "first": [1.0],
+        "high": [7.0, 7.0, 7.0],
+        # reach into G's window [100, 3000]
+        "early-high": [7.0] * 100 + [0.0, 0.0],
+        "late-high": [0.0] * 101 + [7.0],
+    }
+    argv = ["monitor", "--spec", spec, "--out", str(tmp_path / "verdict.json")]
+    for name, values in traces.items():
+        rows = "".join(f"{v}\n" for v in values)
+        argv += ["--trace", write(tmp_path / f"{name}.csv", "x\n" + rows)]
+    assert main(argv) == 0
+    formula = parse_stl(text)
+    for name, values in traces.items():
+        doc = json.loads((tmp_path / f"verdict.{name}.json").read_text())
+        trace = Trace(("x",), [{"x": v} for v in values])
+        assert doc["satisfied"] is eval_stl(trace, 0, formula), name
+
+
+def test_monitor_translation_budget_is_clean_error(tmp_path, monkeypatch, capsys):
+    import arv.automaton
+
+    monkeypatch.setattr(arv.automaton, "MAX_SUBSETS", 16)
+    trace = write(tmp_path / "t.csv", "x,y\n1,3\n")
+    wide = write(tmp_path / "wide.stl", "F[0,20] x >= 1\n")
+    assert main(["monitor", "--spec", wide, "--trace", trace]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: unfolding the formula's windows takes 20 steps")
+    assert "more than the budget of 16" in err
+    assert "Traceback" not in err
+    # 8 window steps, but more than 16 tableau locations
+    deep = write(tmp_path / "deep.stl", "F[0,2] G[0,2] x >= 1 && F[0,2] G[0,2] y >= 1\n")
+    assert main(["monitor", "--spec", deep, "--trace", trace]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: the tableau of a formula with 8 window steps exceeds 16 locations")
     assert "Traceback" not in err
 
 

@@ -134,6 +134,34 @@ def test_unfold_examples():
         assert eval_stl(t, 0, g) == eval_stl(t, 0, parse_stl("G[0,1] x <= 1"))
 
 
+def test_stl_nodes_are_hash_consed():
+    import copy
+    import pickle
+    import sys
+
+    text = "G[0,5] (x <= 5 -> F[0,3] y >= 2)"
+    f = parse_stl(text)
+    assert f is parse_stl(text)
+    assert copy.deepcopy(f) is f
+    assert pickle.loads(pickle.dumps(f)) is f
+    assert Atom("x", "<=", 5) is Atom("x", "<=", 5.0)
+    assert Atom("x", "<", -0.0) is not Atom("x", "<", 0.0)
+    assert Eventually(Atom("x", "<", 1.0)) is Eventually(Atom("x", "<", 1.0), S.FULL_WINDOW)
+    # chains far deeper than the recursion limit hash and compare in O(1)
+    depth = 3 * sys.getrecursionlimit()
+    chains = []
+    for _ in range(2):
+        node = Atom("x", ">=", 1.0)
+        for _ in range(depth):
+            node = Next(node)
+        chains.append(node)
+    assert chains[0] is chains[1]
+    assert {chains[0]: 1}[chains[1]] == 1
+    wide = unfold_bounded(parse_stl(f"F[0,{depth}] x >= 1"))
+    assert wide is unfold_bounded(parse_stl(f"F[0,{depth}] x >= 1"))
+    assert hash(wide) == hash(unfold_bounded(parse_stl(f"F[0,{depth}] x >= 1")))
+
+
 def test_unfold_core_shape():
     rng = random.Random(17)
     allowed = (S.Atom, S.TrueFormula, S.FalseFormula, S.Not, S.Or, S.And, S.Next, S.Until)

@@ -128,3 +128,73 @@ def test_worked_example_pair_languages():
         t, r1, r2 = witnesses[0]
         rows = [(s["x"], s["y"]) for s in t.samples]
         print(f"language mismatch on {len(witnesses)} traces, e.g. {rows}: stl={r1} sre={r2}")
+
+
+# Prints `arv translate --json` and the raw monitor pair of each spec
+# named on the command line, then compiles unrelated specs, then prints
+# the first ones again.
+_DETERMINISM_SCRIPT = """
+import random, sys
+from pathlib import Path
+from arv import predicate as P
+from arv.cli import main
+from arv.generators import random_stl
+from arv.monitor import build_monitor_pair
+from arv.semiring import TROPICAL
+from arv.speclang import parse_stl
+
+def show(path):
+    out = Path(path).with_suffix(".json")
+    assert main(["translate", "--spec", path, "--json", str(out)]) == 0
+    print(out.read_text())
+    w, _ = build_monitor_pair(parse_stl(Path(path).read_text()), TROPICAL)
+    a = w.base
+    print(a.n_locations, sorted(a.initial), sorted(a.final))
+    print([(s, P.print_predicate(g), d) for s, g, d in a.transitions])
+
+for path in sys.argv[1:]:
+    show(path)
+rng = random.Random(5)
+for _ in range(30):
+    build_monitor_pair(random_stl(rng, ["x", "y"], depth=3, max_bound=3), TROPICAL)
+print("--- again")
+for path in sys.argv[1:]:
+    show(path)
+"""
+
+
+def test_translation_independent_of_hash_seed_and_history(tmp_path):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import arv
+
+    specs = [
+        "G(x <= 5 -> F[0,4] y >= 2)",
+        "G[0,6] F[0,2] x >= 8",
+        "(x >= 1 U[1,4] y <= 2) || G[2,5] (x <= 0 || X y >= 3)",
+        "F[0,40] (x >= 1 && X y <= 0)",
+        # nondeterministic tableaux: locations with several equal guards
+        "X (F[0,3] x <= 1 || (y > 2 U[1,3] true)) U[1,3] (G[2,3] x > 0 U[0,2] F[0,2] !y >= 3)",
+        "X ((F[1,inf] x <= 2 U[0,3] !y > 2) U[3,3] (F[0,0] y >= 2 -> y > 0 || x > 0))",
+    ]
+    paths = []
+    for i, text in enumerate(specs):
+        path = tmp_path / f"s{i}.stl"
+        path.write_text(text + "\n", encoding="utf-8")
+        paths.append(str(path))
+    src = str(Path(arv.__file__).resolve().parents[1])
+    outputs = []
+    for seed in ("0", "4242"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", _DETERMINISM_SCRIPT, *paths],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        first, again = done.stdout.split("--- again\n")
+        assert first == again
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]

@@ -1,11 +1,14 @@
 """Symbolic automata over real-valued valuations and their weighted form.
 
-Transitions carry predicates instead of letters and every automaton is
-epsilon-free: epsilon moves exist only inside the SRE builder
-(``translate``), which eliminates them before an automaton is made.
-The algebra here (product, trimming, determinization, complementation)
-keeps the symbolic guards intact and relies on interval reasoning for
-satisfiability, so no solver is needed.
+Transitions carry guards instead of letters, each a flat ``Dnf``, and
+every automaton is epsilon-free: epsilon moves exist only inside the SRE
+builder (``translate``), which eliminates them before an automaton is
+made.  ``make_automaton`` is the one place a ``Pred`` guard (from a
+parser, a fixture or ``from_json``) becomes its DNF; ``product``
+conjoins guards clause by clause, ``determinize`` builds its minterms as
+DNFs of disjoint boxes, ``decorate`` minimizes the guards themselves,
+and the printers write a guard's clauses flat.  The algebra relies on
+interval reasoning for satisfiability, so no solver is needed.
 
 ``determinize`` splits the valuation space once into the minterms of an
 automaton's distinct guards, runs the subset construction over minterm
@@ -18,6 +21,7 @@ minterm, so ``flip`` (swapping its final set) complements it.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 from . import predicate as P
@@ -30,13 +34,13 @@ from .semiring import Semiring
 
 @dataclass(frozen=True)
 class SymbolicAutomaton:
-    """Locations with predicate-guarded transitions."""
+    """Locations with DNF-guarded transitions."""
 
     variables: tuple[str, ...]
     n_locations: int
     initial: frozenset[int]
     final: frozenset[int]
-    transitions: tuple[tuple[int, P.Pred, int], ...]
+    transitions: tuple[tuple[int, Dnf, int], ...]
 
     def __eq__(self, other):
         if not isinstance(other, SymbolicAutomaton):
@@ -46,31 +50,28 @@ class SymbolicAutomaton:
             and self.n_locations == other.n_locations
             and self.initial == other.initial
             and self.final == other.final
-            and sorted(self.transitions, key=_trans_key) == sorted(other.transitions, key=_trans_key)
+            and Counter(self.transitions) == Counter(other.transitions)
         )
 
     def __hash__(self):
         return hash((self.variables, self.n_locations, self.initial, self.final))
 
 
-def _trans_key(t):
-    src, guard, dst = t
-    return (src, dst, P.print_predicate(guard))
-
-
 def make_automaton(variables, n_locations, initial, final, transitions) -> SymbolicAutomaton:
-    """Normalize and prune: unsatisfiable guards and duplicate edges go."""
+    """Normalize and prune: a ``Pred`` guard becomes its ``Dnf``, and
+    unsatisfiable guards and duplicate edges (equal DNFs) go."""
     pruned = []
     seen = set()
-    printed: dict = {}  # guard -> its printed form, or None when unsatisfiable
+    normal: dict = {}  # guard -> its DNF, or None when unsatisfiable
     for src, guard, dst in transitions:
-        if guard not in printed:
-            printed[guard] = P.print_predicate(guard) if P.is_sat(P.to_dnf(guard)) else None
-        text = printed[guard]
-        if text is None or (src, text, dst) in seen:
+        if guard not in normal:
+            dnf = guard if isinstance(guard, Dnf) else P.to_dnf(guard)
+            normal[guard] = dnf if P.is_sat(dnf) else None
+        edge = (src, normal[guard], dst)
+        if edge[1] is None or edge in seen:
             continue
-        seen.add((src, text, dst))
-        pruned.append((src, guard, dst))
+        seen.add(edge)
+        pruned.append(edge)
     return SymbolicAutomaton(
         variables=tuple(variables),
         n_locations=n_locations,
@@ -81,7 +82,8 @@ def make_automaton(variables, n_locations, initial, final, transitions) -> Symbo
 
 
 def product(a: SymbolicAutomaton, b: SymbolicAutomaton) -> SymbolicAutomaton:
-    """Synchronous intersection; guards conjoin and unsatisfiable pairs drop."""
+    """Synchronous intersection; guards conjoin clause by clause and
+    unsatisfiable pairs drop."""
     variables = tuple(sorted(set(a.variables) | set(b.variables)))
     a_out: dict = {}
     for src, g, dst in a.transitions:
@@ -109,8 +111,8 @@ def product(a: SymbolicAutomaton, b: SymbolicAutomaton) -> SymbolicAutomaton:
         k += 1
         for g1, d1 in a_out.get(qa, ()):
             for g2, d2 in b_out.get(qb, ()):
-                guard = P.And(g1, g2)
-                if not P.is_sat(P.to_dnf(guard)):
+                guard = Dnf(tuple(c1 + c2 for c1 in g1.clauses for c2 in g2.clauses))
+                if not P.is_sat(guard):
                     continue
                 transitions.append((index[(qa, qb)], guard, state_id((d1, d2))))
     initial = {index[(qa, qb)] for qa in a.initial for qb in b.initial}
@@ -121,10 +123,6 @@ def product(a: SymbolicAutomaton, b: SymbolicAutomaton) -> SymbolicAutomaton:
 
 
 # --- minterms ----------------------------------------------------------------
-
-
-def _guard_boxes(guard: P.Pred, variables) -> list[Box]:
-    return P.dnf_boxes(P.to_dnf(guard), variables)
 
 
 def _refine(cells, region_boxes):
@@ -154,11 +152,12 @@ MAX_SUBSETS = 1 << 16
 
 def _minterms(guards, variables):
     """The non-empty cells the guards cut the valuation space into: per
-    cell, its predicate and whether it lies inside each guard."""
+    cell, its DNF (one clause per disjoint box) and whether it lies
+    inside each guard."""
     cells = [([Box.full(len(variables))], ())]
     for guard in guards:
-        cells = _refine(cells, _guard_boxes(guard, variables))
-    return [(P.boxes_to_dnf(boxes, variables).to_pred(), covers) for boxes, covers in cells]
+        cells = _refine(cells, P.dnf_boxes(guard, variables))
+    return [(P.boxes_to_dnf(boxes, variables), covers) for boxes, covers in cells]
 
 
 def _subsets(a: SymbolicAutomaton, inside, n_minterms):
@@ -299,14 +298,17 @@ def complement(a: SymbolicAutomaton) -> SymbolicAutomaton:
 def canonicalize(a: SymbolicAutomaton) -> SymbolicAutomaton:
     """Renumber locations in BFS order from the initial set; unreachable
     locations keep their relative order at the end."""
+    text: dict = {}  # each distinct guard's printed form, printed once
     by_src: dict = {}
     for src, guard, dst in a.transitions:
-        by_src.setdefault(src, []).append((P.print_predicate(guard), dst, guard))
+        if guard not in text:
+            text[guard] = P.print_predicate(guard)
+        by_src.setdefault(src, []).append((text[guard], dst))
 
     order = sorted(a.initial)
     seen = set(order)
     for q in order:  # breadth first: the list is its own queue
-        for _, dst, _ in sorted(by_src.get(q, []), key=lambda x: (x[0], x[1])):
+        for _, dst in sorted(by_src.get(q, [])):
             if dst not in seen:
                 seen.add(dst)
                 order.append(dst)
@@ -317,12 +319,11 @@ def canonicalize(a: SymbolicAutomaton) -> SymbolicAutomaton:
     transitions = tuple(
         sorted(
             ((renum[s], g, renum[d]) for s, g, d in a.transitions),
-            key=_trans_key,
+            key=lambda t: (t[0], t[2], text[t[1]]),
         )
     )
-    return SymbolicAutomaton(
-        variables=a.variables,
-        n_locations=a.n_locations,
+    return replace(
+        a,
         initial=frozenset(renum[q] for q in a.initial),
         final=frozenset(renum[q] for q in a.final),
         transitions=transitions,
@@ -387,28 +388,22 @@ class WeightedAutomaton:
 
 
 def decorate(a: SymbolicAutomaton, semiring: Semiring, dist: PointwiseDistance) -> WeightedAutomaton:
-    """Attach the weight rule: guards normalize to conjunction-minimal
-    DNF (required whenever multiplication is not idempotent) and
+    """Attach the weight rule: guards are made conjunction-minimal
+    (required whenever multiplication is not idempotent) and
     unsatisfiable transitions are pruned."""
     transitions = []
     guards = []
     normal: dict = {}
     for src, guard, dst in a.transitions:
         if guard not in normal:
-            dnf = P.wedge_minimize(P.to_dnf(guard))
+            dnf = P.wedge_minimize(guard)
             normal[guard] = dnf if P.is_sat(dnf) else None
         dnf = normal[guard]
         if dnf is None:
             continue
         transitions.append((src, guard, dst))
         guards.append(dnf)
-    base = SymbolicAutomaton(
-        variables=a.variables,
-        n_locations=a.n_locations,
-        initial=a.initial,
-        final=a.final,
-        transitions=tuple(transitions),
-    )
+    base = replace(a, transitions=tuple(transitions))
     return WeightedAutomaton(base=base, semiring=semiring, dist=dist, guards=tuple(guards))
 
 

@@ -26,7 +26,7 @@ from .distance import PointwiseDistance, default_distance, vpd
 from .errors import ArvError, ParseError, UnsupportedFragmentError
 from .semiring import SEMIRINGS, TROPICAL, by_name
 from .speclang import parse_spec_text, read_trace_csv
-from .translate import translate_stl
+from .translate import translate_sre, translate_stl
 
 
 def _json_value(x: float):
@@ -108,12 +108,7 @@ def _fmt_num(x: float) -> str:
 
 def cmd_translate(args) -> int:
     kind, spec = _load_spec(args.spec)
-    if kind == "stl":
-        auto = translate_stl(spec)
-    else:
-        from .translate import translate_sre
-
-        auto = translate_sre(spec)
+    auto = translate_stl(spec) if kind == "stl" else translate_sre(spec)
     print(
         f"{args.spec}: {auto.n_locations} locations, {len(auto.transitions)} transitions, "
         f"{len(auto.final)} accepting"

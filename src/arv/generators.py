@@ -167,14 +167,11 @@ def random_automaton(
     for _ in range(rng.randint(1, max_transitions)):
         src = rng.randrange(n)
         dst = rng.randrange(n)
-        lits = [
+        lits = tuple(
             random_literal(rng, variables, const_lo, const_hi, ops)
             for _ in range(rng.randint(1, 2))
-        ]
-        guard = lits[0]
-        for lit in lits[1:]:
-            guard = P.And(guard, lit)
-        transitions.append((src, guard, dst))
+        )
+        transitions.append((src, P.Dnf((lits,)), dst))
     initial = {rng.randrange(n)}
     n_final = rng.randint(1, n)
     final = set(rng.sample(range(n), n_final))

@@ -2,14 +2,15 @@
 
 These carry the satisfiability and region computations for predicates:
 every single-variable comparison denotes a half-line, a conjunction a
-box, and a DNF a finite union of boxes.
+box, and a DNF a finite union of boxes.  The outside of an n-variable
+box is cut into at most 2n disjoint slabs, so carving one box out of
+another, and every minterm built that way, stays linear in n.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 
 INF = math.inf
 
@@ -139,21 +140,20 @@ class Box:
 
 
 def complement_boxes(box: Box) -> list[Box]:
-    """Pairwise-disjoint boxes covering everything outside ``box``.
+    """At most 2n pairwise-disjoint slabs covering everything outside an
+    n-variable ``box``.
 
-    Each axis is cut into the box's own projection plus its complement
-    pieces; every combination except the box itself lands in the result.
+    Slab i lies outside the box on axis i (on one side of it) and inside
+    it on every axis before i; the axes after i are unconstrained.
     """
+    n = len(box.components)
     if box.is_empty:
-        return [Box.full(len(box.components))]
-    axis_parts = []
-    for comp in box.components:
-        axis_parts.append([(comp, True)] + [(p, False) for p in comp.complement_parts()])
+        return [Box.full(n)]
     out = []
-    for combo in product(*axis_parts):
-        if all(original for _, original in combo):
-            continue
-        out.append(Box(tuple(part for part, _ in combo)))
+    for i, comp in enumerate(box.components):
+        rest = (Interval.full(),) * (n - i - 1)
+        for part in comp.complement_parts():
+            out.append(Box(box.components[:i] + (part,) + rest))
     return out
 
 

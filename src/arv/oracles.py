@@ -168,7 +168,7 @@ def accepts(a: A.SymbolicAutomaton, trace: Trace) -> bool:
             dst
             for q in current
             for guard, dst in by_src.get(q, ())
-            if P.evaluate(sample, guard)
+            if P.evaluate_dnf(sample, guard)
         }
     return not a.final.isdisjoint(current)
 
@@ -184,7 +184,7 @@ def is_deterministic_complete(a: A.SymbolicAutomaton, probe_values=None) -> bool
         return False
     thresholds = set()
     for _, guard, _ in a.transitions:
-        for clause in P.to_dnf(guard).clauses:
+        for clause in guard.clauses:
             for lit in clause:
                 if isinstance(lit, P.Cmp):
                     thresholds.add(lit.k)
@@ -202,7 +202,7 @@ def is_deterministic_complete(a: A.SymbolicAutomaton, probe_values=None) -> bool
         guards = by_src.get(q, [])
         for point in product(probe_values, repeat=len(variables)):
             v = dict(zip(variables, point))
-            if sum(1 for g in guards if P.evaluate(v, g)) != 1:
+            if sum(1 for g in guards if P.evaluate_dnf(v, g)) != 1:
                 return False
     return True
 
@@ -211,7 +211,7 @@ def guards_closed(auto: A.SymbolicAutomaton) -> bool:
     """True when every guard literal is a closed comparison, so a grid
     holding the thresholds attains every distance infimum."""
     for _, guard, _ in auto.transitions:
-        for clause in P.to_dnf(guard).clauses:
+        for clause in guard.clauses:
             for lit in clause:
                 if isinstance(lit, P.Cmp) and lit.op == "<":
                     return False

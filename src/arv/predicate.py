@@ -1,9 +1,13 @@
 """Predicates over real-valued variables.
 
 A predicate is a Boolean combination of single-variable comparisons
-``x < k`` / ``x <= k``.  The guard pipeline normalizes predicates to DNF
-and strips redundant conjuncts so that distance computation stays exact
-for semirings whose multiplication is not idempotent.
+``x < k`` / ``x <= k``.  ``Pred`` trees live at the edges only: the
+parsers build them and ``print_predicate`` prints them.  Inside the
+automaton layer every guard is a flat ``Dnf``, converted once by
+``to_dnf`` where an automaton is made; ``wedge_minimize`` strips
+redundant conjuncts so that distance computation stays exact for
+semirings whose multiplication is not idempotent, and ``dnf_boxes`` /
+``boxes_to_dnf`` move between a DNF and its region as disjoint boxes.
 
 Concrete syntax (shared with the specification parsers):
 ``x <= 3 && !(y < 2) || z < 0`` with operators ``&&``, ``||``, ``!`` and
@@ -84,27 +88,27 @@ BOTTOM = Bottom()
 
 # A DNF literal is Top, Bottom, Cmp, or Not(Cmp).
 Literal = Pred
-Conjunct = tuple
 
 
 @dataclass(frozen=True)
 class Dnf:
-    """Predicate in disjunctive normal form: a union of literal conjunctions."""
+    """Predicate in disjunctive normal form: a union of literal
+    conjunctions.  Guards key dictionaries all through the automaton
+    layer, so the hash is computed once (and again when unpickled, as
+    string hashes differ between processes)."""
 
     clauses: tuple[tuple[Literal, ...], ...]
     wedge_minimal: bool = field(default=False, compare=False)
+    _hash: int = field(default=0, init=False, repr=False, compare=False)
 
-    def to_pred(self) -> Pred:
-        def conj(lits):
-            node = lits[0]
-            for l in lits[1:]:
-                node = And(node, l)
-            return node
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash(self.clauses))
 
-        node = conj(self.clauses[0])
-        for clause in self.clauses[1:]:
-            node = Or(node, conj(clause))
-        return node
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return Dnf, (self.clauses, self.wedge_minimal)
 
 
 def fmt_const(k: float) -> str:
@@ -366,15 +370,6 @@ def boxes_to_dnf(boxes, variables) -> Dnf:
     return Dnf(tuple(clauses), wedge_minimal=True)
 
 
-def minimal_dnf(dnf: Dnf, variables=None) -> Dnf:
-    """Equivalent DNF whose clauses are conjunction-minimal and denote
-    pairwise-disjoint boxes."""
-    if variables is None:
-        variables = dnf_variables(dnf)
-    variables = list(variables) or ["_"]
-    return boxes_to_dnf(dnf_boxes(dnf, variables), variables)
-
-
 # --- concrete syntax --------------------------------------------------------
 
 _CMP_OPS = ("<=", ">=", "<", ">")
@@ -511,12 +506,16 @@ def parse_predicate(text: str) -> Pred:
     return node
 
 
-def print_predicate(p: Pred) -> str:
+def print_predicate(p: Pred | Dnf) -> str:
     """Concrete syntax; negated comparisons render as ``!(x < k)``.
 
-    Parenthesization is chosen so that reparsing the output rebuilds the
-    same tree (the binary operators parse left-associative).
+    A ``Dnf`` prints flat, `` || `` between clauses and `` && `` between
+    literals, and ``to_dnf`` of the reparsed text gives back its clauses.
+    A ``Pred`` is parenthesized so that reparsing the output rebuilds
+    the same tree (the binary operators parse left-associative).
     """
+    if isinstance(p, Dnf):
+        return " || ".join(" && ".join(map(print_predicate, c)) for c in p.clauses)
     if isinstance(p, Top):
         return "true"
     if isinstance(p, Bottom):

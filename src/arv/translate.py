@@ -5,9 +5,10 @@ unfolding, every formula is a Boolean combination of comparison atoms,
 strong next, and one residual until shape.  An automaton location is a
 set of pending obligations, each tagged with the polarity under which it
 must hold; consuming a sample discharges the atomic part as a transition
-guard and defers the rest.  A location accepts when everything pending
-is negative, since negated next-obligations hold vacuously once the
-trace ends while positive ones still demand a successor.
+guard (a one-clause DNF) and defers the rest.  A location accepts when
+everything pending is negative, since negated next-obligations hold
+vacuously once the trace ends while positive ones still demand a
+successor.
 
 The cost is linear in the window bounds.  Formulas are hash-consed, so
 obligations hash and compare in constant time; a location's obligations
@@ -18,8 +19,10 @@ or checked once.  Window steps and tableau locations are both capped at
 ``automaton.MAX_SUBSETS``.
 
 Regular expressions compile compositionally into fragments with epsilon
-transitions; epsilon moves exist only here and are eliminated whenever a
-fragment becomes an automaton.
+transitions, each proposition converted to DNF once; epsilon moves exist
+only here and are eliminated whenever a fragment becomes an automaton.
+Duration windows are budgeted like STL windows, before any fragment is
+built.
 """
 
 from __future__ import annotations
@@ -121,7 +124,7 @@ class _Tableau:
             seen.add(alt)
             nows, nexts = alt
             if nows not in self.guards:
-                self.guards[nows] = _guard_pred(tuple(sorted(nows, key=_literal_key)))
+                self.guards[nows] = _guard(tuple(sorted(nows, key=_literal_key)))
             guard = self.guards[nows]
             if guard is not None:
                 pruned.append((guard, nexts))
@@ -134,24 +137,11 @@ def _literal_key(lit: P.Pred):
     return (lit.arg.var, 1, lit.arg.op, lit.arg.k)
 
 
-def _clause_vars(clause):
-    seen = []
-    for lit in clause:
-        v = lit.var if isinstance(lit, P.Cmp) else lit.arg.var
-        if v not in seen:
-            seen.append(v)
-    return seen
-
-
-def _guard_pred(clause):
-    """The conjunction of a clause's literals, or None when unsatisfiable."""
-    if not P._clause_sat(clause or (P.TOP,), P._index(_clause_vars(clause) or ["_"])):
-        return None
-    lits = P._minimize_clause(clause or (P.TOP,))
-    node = lits[0]
-    for lit in lits[1:]:
-        node = P.And(node, lit)
-    return node
+def _guard(clause):
+    """The one-clause DNF of a conjunction of literals, or None when
+    unsatisfiable."""
+    clause = clause or (P.TOP,)
+    return P.Dnf((P._minimize_clause(clause),)) if P.is_sat(P.Dnf((clause,))) else None
 
 
 def translate_stl(formula: S.StlFormula) -> SymbolicAutomaton:
@@ -294,10 +284,11 @@ def _build(expr: S.SreExpr, variables) -> _Frag:
     if isinstance(expr, S.Epsilon):
         return _Frag(1, {0}, {0}, [], [])
     if isinstance(expr, S.SreBasic):
-        if not P.is_sat(P.to_dnf(expr.pred)):
+        guard = P.to_dnf(expr.pred)
+        if not P.is_sat(guard):
             # an unsatisfiable proposition still matches the empty segment
             return _Frag(1, {0}, {0}, [], [])
-        return _Frag(2, {0}, {0, 1}, [(0, expr.pred, 1), (1, expr.pred, 1)], [])
+        return _Frag(2, {0}, {0, 1}, [(0, guard, 1), (1, guard, 1)], [])
     if isinstance(expr, S.SreConcat):
         left = _build(expr.left, variables)
         right = _shift(_build(expr.right, variables), left.n)
@@ -362,9 +353,26 @@ def _build(expr: S.SreExpr, variables) -> _Frag:
     raise TypeError(f"not an SRE node: {expr!r}")
 
 
+def _duration_steps(expr: S.SreExpr) -> int:
+    """The steps of the expression's duration windows, every occurrence
+    counted: a window's ``hi``, or its ``lo`` when unbounded."""
+    w = getattr(expr, "window", None)
+    own = 0 if w is None else (w.lo if w.hi is None else w.hi)
+    children = (getattr(expr, attr) for attr in ("arg", "left", "right") if hasattr(expr, attr))
+    return own + sum(map(_duration_steps, children))
+
+
 def translate_sre(expr: S.SreExpr) -> SymbolicAutomaton:
     """Compile a signal regular expression to an epsilon-free automaton
-    accepting exactly the traces the expression matches end to end."""
+    accepting exactly the traces the expression matches end to end.
+    Durations of more than ``automaton.MAX_SUBSETS`` steps in all raise
+    ``UnsupportedFragmentError`` before anything is built."""
+    steps = _duration_steps(expr)
+    if steps > A.MAX_SUBSETS:
+        raise UnsupportedFragmentError(
+            f"the expression's durations take {steps} steps, "
+            f"more than the budget of {A.MAX_SUBSETS}"
+        )
     variables = tuple(sorted(S.sre_variables(expr)))
     a = eps_eliminate(_build(expr, variables), variables)
     return canonicalize(trim(a))

@@ -262,3 +262,21 @@ def test_determinize_merges_every_equivalent_location():
         assert d.initial == {0}
         assert _equivalent_pairs(d) == []
         assert determinize(d).n_locations == d.n_locations
+
+
+def test_every_guard_in_the_automaton_layer_is_a_dnf():
+    from arv.generators import random_sre, random_stl
+    from arv.speclang import negate
+    from arv.translate import translate_sre, translate_stl
+
+    rng = random.Random(47)
+    stl = [translate_stl(negate(random_stl(rng, ["x", "y"], depth=3))) for _ in range(15)]
+    sre = [translate_sre(random_sre(rng, ["x", "y"], depth=3)) for _ in range(15)]
+    made = [example_automaton(), from_json(to_json(example_automaton()))]
+    products = [product(a, b) for a, b in zip(stl, sre)]
+    dfas = [determinize(a) for a in stl + sre + made]
+    weighted = [decorate(a, TROPICAL, PointwiseDistance.ABS_DIFF) for a in dfas + made]
+    for a in stl + sre + made + products + dfas + [w.base for w in weighted]:
+        assert all(type(g) is P.Dnf for _, g, _ in a.transitions)
+    for w in weighted:
+        assert all(type(g) is P.Dnf for g in w.guards)

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -156,6 +157,46 @@ def test_monitor_translation_budget_is_clean_error(tmp_path, monkeypatch, capsys
     err = capsys.readouterr().err
     assert err.startswith("error: the tableau of a formula with 8 window steps exceeds 16 locations")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("hi", [100_000, 1_000_000])
+def test_monitor_sre_duration_budget_is_clean_error(tmp_path, capsys, hi):
+    from arv.automaton import MAX_SUBSETS
+
+    spec = write(tmp_path / "long.sre", f"#lang sre\n<(x <= 1)>[0,{hi}]\n")
+    trace = write(tmp_path / "t.csv", "x\n1\n")
+    start = time.perf_counter()
+    assert main(["monitor", "--spec", spec, "--trace", trace]) == 4
+    assert time.perf_counter() - start < 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: the expression's durations take {hi} steps")
+    assert f"more than the budget of {MAX_SUBSETS}" in err
+    assert "Traceback" not in err
+
+
+def test_monitor_flat_disjunction_over_ten_variables(tmp_path):
+    from arv.speclang import eval_stl, parse_stl
+
+    names = [f"x{i}" for i in range(10)]
+    text = "G(" + " || ".join(f"{v} >= {i}" for i, v in enumerate(names)) + ")"
+    spec = write(tmp_path / "flat.stl", text + "\n")
+    below = [i - 1 for i in range(10)]
+    traces = {
+        "below": [below] * 3,
+        "one-above": [below[:4] + [4] + below[5:], below[:9] + [9.5]],
+        "late-below": [list(range(10)), list(range(10)), below],
+        "edges": [[i - 0.5 for i in range(9)] + [9]],
+    }
+    argv = ["monitor", "--spec", spec, "--out", str(tmp_path / "verdict.json")]
+    for name, rows in traces.items():
+        body = "".join(",".join(map(str, row)) + "\n" for row in rows)
+        argv += ["--trace", write(tmp_path / f"{name}.csv", ",".join(names) + "\n" + body)]
+    assert main(argv) == 0
+    formula = parse_stl(text)
+    for name, rows in traces.items():
+        doc = json.loads((tmp_path / f"verdict.{name}.json").read_text())
+        trace = Trace(tuple(names), [dict(zip(names, map(float, row))) for row in rows])
+        assert doc["satisfied"] is eval_stl(trace, 0, formula), name
 
 
 def test_monitor_subset_budget_is_clean_error(tmp_path, monkeypatch, capsys):

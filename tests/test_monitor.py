@@ -400,6 +400,16 @@ def test_monitor_pair_of_response_is_small():
     assert w_pos.base.final == frozenset(range(w_neg.base.n_locations)) - w_neg.base.final
 
 
+@pytest.mark.parametrize("n", [10, 16])
+def test_flat_disjunction_guards_are_linear_in_variables(n):
+    """The minterms of a disjunction over n variables are at most 2n
+    slab-split boxes each, not 3^n - 1 grid cells."""
+    text = "G(" + " || ".join(f"x{i} >= {i}" for i in range(n)) + ")"
+    w_pos, _ = build_monitor_pair(parse_stl(text), TROPICAL)
+    assert w_pos.base.n_locations == 2
+    assert max(len(g.clauses) for g in w_pos.guards) <= 2 * n
+
+
 def test_monitor_pair_subset_budget(monkeypatch):
     import arv.automaton
 

@@ -19,9 +19,18 @@ from arv.distance import default_distance
 from arv.errors import ArvError
 from arv.generators import random_sre, random_stl, random_trace
 from arv.monitor import RobustnessVerdict, ValueStream, _rho, build_monitor_pair, verdicts
-from arv.predicate import Cmp, Not, parse_predicate
+from arv.predicate import Cmp, Dnf, Not, parse_predicate
 from arv.semiring import BOOLEAN, MINMAX, TROPICAL
-from arv.speclang import StlFormula, Trace, eval_stl, negate, parse_spec_text, sre_accepts
+from arv.speclang import (
+    StlFormula,
+    Trace,
+    eval_stl,
+    negate,
+    parse_spec_text,
+    sre_accepts,
+    sre_variables,
+    stl_variables,
+)
 from arv.translate import translate_sre, translate_stl
 
 SRC = Path(arv.__file__).parent
@@ -42,9 +51,10 @@ GONE = {
         "eps_eliminate",
         "reached_sets",
         "accepts",
+        "_guard_boxes",
     ),
     "semiring": ("nat_lt",),
-    "predicate": ("evaluate_clause",),
+    "predicate": ("evaluate_clause", "minimal_dnf"),
 }
 
 
@@ -72,6 +82,7 @@ def test_moved_and_deleted_names_are_gone():
         assert [n for n in names if hasattr(mod, n)] == [], module
     assert not {"eps_eliminate", "mintermize", "union"} & set(arv.__all__)
     assert "eps" not in {f.name for f in dataclasses.fields(SymbolicAutomaton)}
+    assert not hasattr(Dnf, "to_pred")
     for name in ("path_enumeration_value", "trace_distance_brute_force", "vpd_brute_force"):
         assert getattr(arv, name) is getattr(oracles, name)
 
@@ -211,6 +222,17 @@ def test_dfa_pair_matches_two_nfa_reference():
             mismatches += _dfa_pair_mismatches(spec, trace, semiring)
             checked += len(trace)
     assert checked > 3000
+    # specs over four to eight variables, whose minterms are slab-split boxes
+    rng = random.Random(20261019)
+    for i in range(60):
+        variables = [f"x{j}" for j in range(rng.randint(4, 8))]
+        maker, used = (random_stl, stl_variables) if i % 2 else (random_sre, sre_variables)
+        spec = maker(rng, variables, depth=3)
+        while len(used(spec)) < 4:
+            spec = maker(rng, variables, depth=3)
+        for semiring in (BOOLEAN, MINMAX, TROPICAL):
+            trace = random_trace(rng, tuple(variables), rng.randint(1, 7), 0, 4)
+            mismatches += _dfa_pair_mismatches(spec, trace, semiring)
     assert mismatches == 0
 
 

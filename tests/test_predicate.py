@@ -96,6 +96,29 @@ def test_wedge_minimize_top_literals():
     assert clause_set(P.wedge_minimize(P.Dnf(((P.TOP,),)))) == [{P.TOP}]
 
 
+def test_dnf_unpickled_under_another_hash_seed_finds_its_equal():
+    """A DNF's hash is computed once; unpickling computes it again, so a
+    guard pickled by another process still keys the same dictionary slot."""
+    import os
+    import pickle
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(P.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONHASHSEED="4242")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = (
+        "import pickle, sys; from arv import predicate as P; sys.stdout.buffer.write("
+        "pickle.dumps(P.to_dnf(P.parse_predicate('x <= 1 && y > 2 || z < 0'))))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, timeout=60, check=True
+    )
+    dnf = P.to_dnf(P.parse_predicate("x <= 1 && y > 2 || z < 0"))
+    assert {dnf: "guard"}.get(pickle.loads(done.stdout)) == "guard"
+
+
 # --- satisfiability -----------------------------------------------------------
 
 
@@ -124,18 +147,20 @@ def test_conjunct_box():
 
 
 def test_complement_boxes_square():
+    """Two slabs outside the box on x, then two inside it on x and
+    outside on y."""
     box = Box.make([Interval.make(2, 4, True, True), Interval.make(2, 4, True, True)])
     cells = complement_boxes(box)
-    expected = set()
     left = Interval.make(-INF, 2, False, False)
     mid = Interval.make(2, 4, True, True)
     right = Interval.make(4, INF, False, False)
-    for cx in (left, mid, right):
-        for cy in (left, mid, right):
-            if (cx, cy) != (mid, mid):
-                expected.add((cx, cy))
-    assert {tuple(c.components) for c in cells} == expected
-    assert len(cells) == 8
+    full = Interval.full()
+    assert [tuple(c.components) for c in cells] == [
+        (left, full),
+        (right, full),
+        (mid, left),
+        (mid, right),
+    ]
 
 
 def test_complement_boxes_edge_cases():
@@ -212,7 +237,7 @@ def test_minimal_dnf_region_equivalent():
         " || (!(x < 1) && !(x < 1.5) && x <= 4 && !(y < 0.5) && y <= 2)"
     )
     dnf = P.to_dnf(P.parse_predicate(text))
-    minimal = P.minimal_dnf(dnf, ["x", "y"])
+    minimal = P.boxes_to_dnf(P.dnf_boxes(dnf, ["x", "y"]), ["x", "y"])
     assert minimal.wedge_minimal
     for pt in grid_points(["x", "y"], -1, 6):
         assert P.evaluate_dnf(pt, minimal) == P.evaluate_dnf(pt, dnf)
@@ -223,9 +248,10 @@ def test_minimal_dnf_region_equivalent():
 
 
 def test_minimal_dnf_simple_cases():
-    out = P.minimal_dnf(P.to_dnf(lit("x <= 3")), ["x"])
+    out = P.boxes_to_dnf(P.dnf_boxes(P.to_dnf(lit("x <= 3")), ["x"]), ["x"])
     assert clause_set(out) == [{lit("x <= 3")}]
-    out = P.minimal_dnf(P.to_dnf(P.parse_predicate("x <= 3 || x <= 5")), ["x"])
+    dnf = P.to_dnf(P.parse_predicate("x <= 3 || x <= 5"))
+    out = P.boxes_to_dnf(P.dnf_boxes(dnf, ["x"]), ["x"])
     for pt in grid_points(["x"], -10, 10):
         assert P.evaluate_dnf(pt, out) == (pt["x"] <= 5)
 
@@ -252,7 +278,7 @@ def test_representations_agree_on_grid():
         p = random_predicate(rng, variables, depth=3)
         dnf = P.to_dnf(p)
         minimized = P.wedge_minimize(dnf)
-        minimal = P.minimal_dnf(dnf, variables)
+        minimal = P.boxes_to_dnf(P.dnf_boxes(dnf, variables), variables)
         boxes = P.dnf_boxes(dnf, variables)
         for i, a in enumerate(boxes):
             for b in boxes[i + 1 :]:

@@ -3,12 +3,14 @@
 Transitions carry guards instead of letters, each a flat ``Dnf``, and
 every automaton is epsilon-free: epsilon moves exist only inside the SRE
 builder (``translate``), which eliminates them before an automaton is
-made.  ``make_automaton`` is the one place a ``Pred`` guard (from a
-parser, a fixture or ``from_json``) becomes its DNF; ``product``
-conjoins guards clause by clause, ``determinize`` builds its minterms as
-DNFs of disjoint boxes, ``decorate`` minimizes the guards themselves,
-and the printers write a guard's clauses flat.  The algebra relies on
-interval reasoning for satisfiability, so no solver is needed.
+made.  ``make_automaton`` is the one place a guard is normalized: a
+``Pred`` (from a parser, a fixture or ``from_json``) becomes its DNF,
+every DNF is made conjunction-minimal, and unsatisfiable guards drop.
+``product`` conjoins guards clause by clause and stops at
+``MAX_SUBSETS`` locations, ``determinize`` builds its minterms as DNFs
+of disjoint boxes, ``decorate`` only attaches the weight rule, and the
+printers write a guard's clauses flat.  The algebra relies on interval
+reasoning for satisfiability, so no solver is needed.
 
 ``determinize`` splits the valuation space once into the minterms of an
 automaton's distinct guards, runs the subset construction over minterm
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from . import predicate as P
 from .distance import PointwiseDistance, Scorer
@@ -30,6 +32,10 @@ from .errors import ParseError, UnsupportedFragmentError
 from .intervals import Box, subtract_boxes
 from .predicate import Dnf
 from .semiring import Semiring
+
+# Locations a product, and subsets a determinization, may build before
+# they give up.
+MAX_SUBSETS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -58,14 +64,18 @@ class SymbolicAutomaton:
 
 
 def make_automaton(variables, n_locations, initial, final, transitions) -> SymbolicAutomaton:
-    """Normalize and prune: a ``Pred`` guard becomes its ``Dnf``, and
-    unsatisfiable guards and duplicate edges (equal DNFs) go."""
+    """Normalize and prune: each guard becomes its conjunction-minimal
+    ``Dnf`` (a ``Pred`` is converted first, a DNF already flagged
+    ``wedge_minimal`` is kept), and unsatisfiable guards and duplicate
+    edges (equal DNFs) go."""
     pruned = []
     seen = set()
-    normal: dict = {}  # guard -> its DNF, or None when unsatisfiable
+    normal: dict = {}  # guard -> its minimal DNF, or None when unsatisfiable
     for src, guard, dst in transitions:
         if guard not in normal:
             dnf = guard if isinstance(guard, Dnf) else P.to_dnf(guard)
+            if not dnf.wedge_minimal:
+                dnf = P.wedge_minimize(dnf)
             normal[guard] = dnf if P.is_sat(dnf) else None
         edge = (src, normal[guard], dst)
         if edge[1] is None or edge in seen:
@@ -82,8 +92,9 @@ def make_automaton(variables, n_locations, initial, final, transitions) -> Symbo
 
 
 def product(a: SymbolicAutomaton, b: SymbolicAutomaton) -> SymbolicAutomaton:
-    """Synchronous intersection; guards conjoin clause by clause and
-    unsatisfiable pairs drop."""
+    """Synchronous intersection over the reachable location pairs; guards
+    conjoin clause by clause and unsatisfiable pairs drop.  Past
+    ``MAX_SUBSETS`` locations it raises ``UnsupportedFragmentError``."""
     variables = tuple(sorted(set(a.variables) | set(b.variables)))
     a_out: dict = {}
     for src, g, dst in a.transitions:
@@ -97,11 +108,17 @@ def product(a: SymbolicAutomaton, b: SymbolicAutomaton) -> SymbolicAutomaton:
 
     def state_id(pair):
         if pair not in index:
+            if len(order) >= MAX_SUBSETS:
+                raise UnsupportedFragmentError(
+                    f"the product of a {a.n_locations}-location and a {b.n_locations}-location "
+                    f"automaton exceeds {MAX_SUBSETS} locations"
+                )
             index[pair] = len(order)
             order.append(pair)
         return index[pair]
 
     transitions = []
+    conjoined: dict = {}  # (guard of a, guard of b) -> their conjunction, None when unsatisfiable
     frontier = [(qa, qb) for qa in sorted(a.initial) for qb in sorted(b.initial)]
     for pair in frontier:
         state_id(pair)
@@ -111,8 +128,11 @@ def product(a: SymbolicAutomaton, b: SymbolicAutomaton) -> SymbolicAutomaton:
         k += 1
         for g1, d1 in a_out.get(qa, ()):
             for g2, d2 in b_out.get(qb, ()):
-                guard = Dnf(tuple(c1 + c2 for c1 in g1.clauses for c2 in g2.clauses))
-                if not P.is_sat(guard):
+                if (g1, g2) not in conjoined:
+                    guard = Dnf(tuple(c1 + c2 for c1 in g1.clauses for c2 in g2.clauses))
+                    conjoined[g1, g2] = guard if P.is_sat(guard) else None
+                guard = conjoined[g1, g2]
+                if guard is None:
                     continue
                 transitions.append((index[(qa, qb)], guard, state_id((d1, d2))))
     initial = {index[(qa, qb)] for qa in a.initial for qb in b.initial}
@@ -144,10 +164,6 @@ def _refine(cells, region_boxes):
         if outside:
             out.append((outside, covers + (False,)))
     return out
-
-
-# Subsets the determinization may build before it gives up.
-MAX_SUBSETS = 1 << 16
 
 
 def _minterms(guards, variables):
@@ -380,7 +396,6 @@ class WeightedAutomaton:
     base: SymbolicAutomaton
     semiring: Semiring
     dist: PointwiseDistance
-    guards: tuple[Dnf, ...] = field(compare=False)
 
     @property
     def variables(self):
@@ -388,32 +403,24 @@ class WeightedAutomaton:
 
 
 def decorate(a: SymbolicAutomaton, semiring: Semiring, dist: PointwiseDistance) -> WeightedAutomaton:
-    """Attach the weight rule: guards are made conjunction-minimal
-    (required whenever multiplication is not idempotent) and
-    unsatisfiable transitions are pruned."""
-    transitions = []
-    guards = []
-    normal: dict = {}
-    for src, guard, dst in a.transitions:
-        if guard not in normal:
-            dnf = P.wedge_minimize(guard)
-            normal[guard] = dnf if P.is_sat(dnf) else None
-        dnf = normal[guard]
-        if dnf is None:
-            continue
-        transitions.append((src, guard, dst))
-        guards.append(dnf)
-    base = replace(a, transitions=tuple(transitions))
-    return WeightedAutomaton(base=base, semiring=semiring, dist=dist, guards=tuple(guards))
+    """Attach the weight rule.  The guards stay as ``make_automaton`` or
+    ``determinize`` made them; without multiplicative idempotence a
+    weight is exact only on conjunction-minimal guards, so there a guard
+    not flagged ``wedge_minimal`` raises ``ValueError``, as in ``vpd``."""
+    if not semiring.multiplicatively_idempotent:
+        for _, guard, _ in a.transitions:
+            if not guard.wedge_minimal:
+                raise ValueError(f"semiring {semiring.name!r} requires ∧-minimal DNF")
+    return WeightedAutomaton(a, semiring, dist)
 
 
 def compiled_weights(w: WeightedAutomaton):
     """One ``Scorer`` over the distinct guards, and per transition the
     index of its guard's weight."""
     index: dict = {}
-    for g in w.guards:
+    for _, g, _ in w.base.transitions:
         index.setdefault(g, len(index))
-    return Scorer(tuple(index), w.semiring, w.dist), [index[g] for g in w.guards]
+    return Scorer(tuple(index), w.semiring, w.dist), [index[g] for _, g, _ in w.base.transitions]
 
 
 # --- serialization -----------------------------------------------------------

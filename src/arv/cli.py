@@ -67,9 +67,20 @@ def _out_path(base: str, trace_path: str, many: bool) -> Path:
 
 
 def cmd_monitor(args) -> int:
+    many = len(args.trace) > 1
+    base = args.prefix_series or args.out
+    if base:
+        written: dict = {}  # output path -> the trace that writes it
+        for trace_path in args.trace:
+            path = _out_path(base, trace_path, many)
+            if path in written:
+                raise ParseError(
+                    f"traces {written[path]} and {trace_path} would both write {path}; "
+                    "their file names need distinct stems"
+                )
+            written[path] = trace_path
     _, spec = _load_spec(args.spec)
     w_pos, w_neg = M.build_monitor_pair(spec, by_name(args.semiring))
-    many = len(args.trace) > 1
     for trace_path in args.trace:
         trace = read_trace_csv(trace_path)
         if args.prefix_series:

@@ -185,7 +185,7 @@ def build_monitor_pair(spec, semiring: Semiring, dist: PointwiseDistance | None 
     One automaton is translated (the negation's tableau for STL, the
     expression's for SRE) and determinized into its minimal complete
     DFA, which is decorated once; the other side is that DFA with its
-    final set flipped, sharing its transitions and guards.
+    final set flipped, sharing its transitions.
     """
     if dist is None:
         dist = default_distance(semiring)
@@ -213,7 +213,6 @@ def verdicts(trace: Trace, w_pos: A.WeightedAutomaton, w_neg: A.WeightedAutomato
     base = w_pos.base
     if (
         w_neg.base.transitions is not base.transitions
-        or w_neg.guards is not w_pos.guards
         or w_neg.base.final != frozenset(range(base.n_locations)) - base.final
     ):
         raise ValueError("verdicts needs the two sides of one build_monitor_pair")

@@ -74,8 +74,8 @@ def path_costs(trace: Trace, w: A.WeightedAutomaton, steps: int) -> dict:
     base = w.base
     sr = w.semiring
     by_src: dict = {}
-    for i, (src, _, dst) in enumerate(base.transitions):
-        by_src.setdefault(src, []).append((i, dst))
+    for src, guard, dst in base.transitions:
+        by_src.setdefault(src, []).append((guard, dst))
     costs = dict.fromkeys(range(base.n_locations), sr.e_plus)
 
     def walk(q, depth, weight):
@@ -83,8 +83,8 @@ def path_costs(trace: Trace, w: A.WeightedAutomaton, steps: int) -> dict:
             costs[q] = sr.oplus(costs[q], weight)
             return
         sample = trace.samples[depth]
-        for i, dst in by_src.get(q, ()):
-            walk(dst, depth + 1, sr.otimes(weight, vpd(sample, w.guards[i], sr, w.dist)))
+        for guard, dst in by_src.get(q, ()):
+            walk(dst, depth + 1, sr.otimes(weight, vpd(sample, guard, sr, w.dist)))
 
     for q in sorted(base.initial):
         walk(q, 0, sr.e_times)

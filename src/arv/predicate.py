@@ -4,8 +4,8 @@ A predicate is a Boolean combination of single-variable comparisons
 ``x < k`` / ``x <= k``.  ``Pred`` trees live at the edges only: the
 parsers build them and ``print_predicate`` prints them.  Inside the
 automaton layer every guard is a flat ``Dnf``, converted once by
-``to_dnf`` where an automaton is made; ``wedge_minimize`` strips
-redundant conjuncts so that distance computation stays exact for
+``to_dnf`` where an automaton is made, and there ``wedge_minimize``
+strips redundant conjuncts so that distance computation stays exact for
 semirings whose multiplication is not idempotent, and ``dnf_boxes`` /
 ``boxes_to_dnf`` move between a DNF and its region as disjoint boxes.
 
@@ -28,15 +28,6 @@ from .intervals import INF, Box, Interval, subtract_boxes
 
 class Pred:
     """Base class for predicate AST nodes."""
-
-    def __and__(self, other):
-        return And(self, other)
-
-    def __or__(self, other):
-        return Or(self, other)
-
-    def __invert__(self):
-        return Not(self)
 
 
 @dataclass(frozen=True)

@@ -39,9 +39,7 @@ class Semiring:
     otimes: Callable[[SemiringValue, SemiringValue], SemiringValue]
     e_plus: SemiringValue
     e_times: SemiringValue
-    additively_idempotent: bool
     multiplicatively_idempotent: bool
-    bounded: bool
 
     def nat_leq(self, a: SemiringValue, b: SemiringValue) -> bool:
         """Natural order: a precedes b iff a ⊕ b = a ("smaller is better")."""
@@ -71,9 +69,7 @@ BOOLEAN = Semiring(
     otimes=max,
     e_plus=1.0,
     e_times=0.0,
-    additively_idempotent=True,
     multiplicatively_idempotent=True,
-    bounded=True,
 )
 
 MINMAX = Semiring(
@@ -82,9 +78,7 @@ MINMAX = Semiring(
     otimes=max,
     e_plus=INF,
     e_times=0.0,
-    additively_idempotent=True,
     multiplicatively_idempotent=True,
-    bounded=True,
 )
 
 
@@ -94,9 +88,7 @@ TROPICAL = Semiring(
     otimes=operator.add,
     e_plus=INF,
     e_times=0.0,
-    additively_idempotent=True,
     multiplicatively_idempotent=False,
-    bounded=True,
 )
 
 SEMIRINGS = {s.name: s for s in (BOOLEAN, MINMAX, TROPICAL)}

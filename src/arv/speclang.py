@@ -116,9 +116,6 @@ class Atom(StlFormula):
         # -0.0 == 0.0, but the two print and subtract differently
         return _intern(cls, (var, op, value), (cls, var, op, value, math.copysign(1.0, value)))
 
-    def to_literal(self) -> P.Pred:
-        return P.comparison(self.var, self.op, self.value)
-
 
 @_hashconsed
 class TrueFormula(StlFormula):

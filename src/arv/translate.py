@@ -21,8 +21,11 @@ or checked once.  Window steps and tableau locations are both capped at
 Regular expressions compile compositionally into fragments with epsilon
 transitions, each proposition converted to DNF once; epsilon moves exist
 only here and are eliminated whenever a fragment becomes an automaton.
-Duration windows are budgeted like STL windows, before any fragment is
-built.
+A duration is the product of its argument's automaton with a length
+counter, a chain of ``TOP``-guarded steps, so ``product`` is the one
+synchronous product here and its location budget bounds what nested and
+starred durations build.  Duration windows are also budgeted like STL
+windows, before any fragment is built.
 """
 
 from __future__ import annotations
@@ -139,9 +142,9 @@ def _literal_key(lit: P.Pred):
 
 def _guard(clause):
     """The one-clause DNF of a conjunction of literals, or None when
-    unsatisfiable."""
-    clause = clause or (P.TOP,)
-    return P.Dnf((P._minimize_clause(clause),)) if P.is_sat(P.Dnf((clause,))) else None
+    unsatisfiable; ``make_automaton`` minimizes it."""
+    guard = P.Dnf((clause or (P.TOP,),))
+    return guard if P.is_sat(guard) else None
 
 
 def translate_stl(formula: S.StlFormula) -> SymbolicAutomaton:
@@ -280,6 +283,18 @@ def _from_automaton(a: SymbolicAutomaton) -> _Frag:
     )
 
 
+def _length(w: S.TimeWindow) -> SymbolicAutomaton:
+    """The counter of a duration window: a chain of ``cap + 1`` locations
+    joined by ``TOP`` steps, accepting from ``lo`` to ``cap``, where
+    ``cap`` is ``hi``, or ``lo`` with a loop when the window is
+    unbounded."""
+    cap = w.lo if w.hi is None else w.hi
+    steps = [(c, P.TOP, c + 1) for c in range(cap)]
+    if w.hi is None:
+        steps.append((cap, P.TOP, cap))
+    return make_automaton((), cap + 1, {0}, range(w.lo, cap + 1), steps)
+
+
 def _build(expr: S.SreExpr, variables) -> _Frag:
     if isinstance(expr, S.Epsilon):
         return _Frag(1, {0}, {0}, [], [])
@@ -321,35 +336,7 @@ def _build(expr: S.SreExpr, variables) -> _Frag:
         return _Frag(inner.n + 1, {hub}, {hub}, inner.transitions, eps)
     if isinstance(expr, S.SreDuration):
         inner = eps_eliminate(_build(expr.arg, variables), variables)
-        w = expr.window
-        cap = w.lo if w.hi is None else w.hi
-        saturating = w.hi is None
-
-        def sid(q, c):
-            return q * (cap + 1) + c
-
-        transitions = []
-        for src, guard, dst in inner.transitions:
-            for c in range(cap + 1):
-                nc = min(c + 1, cap) if saturating else c + 1
-                if nc <= cap:
-                    transitions.append((sid(src, c), guard, sid(dst, nc)))
-        final = set()
-        for q in inner.final:
-            for c in range(cap + 1):
-                if saturating:
-                    ok = c == cap
-                else:
-                    ok = w.lo <= c <= cap
-                if ok:
-                    final.add(sid(q, c))
-        return _Frag(
-            inner.n_locations * (cap + 1),
-            {sid(q, 0) for q in inner.initial},
-            final,
-            transitions,
-            [],
-        )
+        return _from_automaton(product(inner, _length(expr.window)))
     raise TypeError(f"not an SRE node: {expr!r}")
 
 

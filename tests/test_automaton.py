@@ -145,21 +145,36 @@ def test_trim_keeps_language():
         assert accepts(t, trc) == accepts(a, trc)
 
 
-def test_decorate_minimizes_guards_and_prunes():
+def test_make_automaton_minimizes_guards():
     a = make_automaton(
         ("x",),
         2,
         {0},
         {1},
-        [(0, g("x <= 3 && x <= 5"), 1), (1, P.TOP, 1)],
+        [(0, g("x <= 3 && x <= 5"), 1), (1, P.TOP, 1), (1, P.Dnf(((P.TOP, g("x >= 1")),)), 0)],
     )
+    guards = [guard for _, guard, _ in a.transitions]
+    assert all(dnf.wedge_minimal for dnf in guards)
+    assert [set(c) for c in guards[0].clauses] == [{P.Cmp("x", "<=", 3.0)}]
+    # the TOP literal a product conjoins into a clause goes
+    assert guards[2].clauses == ((g("x >= 1"),),)
+    # decorating keeps the guards; a top guard weighs nothing under any valuation
     w = decorate(a, TROPICAL, PointwiseDistance.ABS_DIFF)
-    assert all(dnf.wedge_minimal for dnf in w.guards)
-    assert [set(c) for c in w.guards[0].clauses] == [{P.Cmp("x", "<=", 3.0)}]
-    # a top guard weighs nothing under any valuation
+    assert w.base is a
     from arv.distance import vpd
 
-    assert vpd({"x": 123.0}, w.guards[1], TROPICAL, w.dist) == 0.0
+    assert vpd({"x": 123.0}, guards[1], TROPICAL, w.dist) == 0.0
+
+
+def test_decorate_rejects_a_guard_not_flagged_minimal():
+    from arv.automaton import SymbolicAutomaton
+
+    raw = P.Dnf(((g("x <= 3"), g("x <= 5")),))
+    a = SymbolicAutomaton(("x",), 2, frozenset({0}), frozenset({1}), ((0, raw, 1),))
+    with pytest.raises(ValueError, match="tropical.*minimal"):
+        decorate(a, TROPICAL, PointwiseDistance.ABS_DIFF)
+    # multiplicatively idempotent semirings score any DNF exactly
+    assert decorate(a, MINMAX, PointwiseDistance.ABS_DIFF).base is a
 
 
 def test_fixture_dot_shape():
@@ -277,6 +292,4 @@ def test_every_guard_in_the_automaton_layer_is_a_dnf():
     dfas = [determinize(a) for a in stl + sre + made]
     weighted = [decorate(a, TROPICAL, PointwiseDistance.ABS_DIFF) for a in dfas + made]
     for a in stl + sre + made + products + dfas + [w.base for w in weighted]:
-        assert all(type(g) is P.Dnf for _, g, _ in a.transitions)
-    for w in weighted:
-        assert all(type(g) is P.Dnf for g in w.guards)
+        assert all(type(g) is P.Dnf and g.wedge_minimal for _, g, _ in a.transitions)

@@ -83,6 +83,22 @@ def test_monitor_multiple_traces(spec_file, tmp_path):
     assert doc_b["rho"] == -10.0
 
 
+@pytest.mark.parametrize("mode", ["--out", "--prefix-series"])
+def test_monitor_refuses_traces_that_would_share_an_output(spec_file, tmp_path, capsys, mode):
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    t1 = write(tmp_path / "a" / "run.csv", "x\n1\n")
+    t2 = write(tmp_path / "b" / "run.csv", "x\n20\n")
+    out = tmp_path / "out.csv"
+    argv = ["monitor", "--spec", spec_file, "--trace", t1, "--trace", t2, mode, str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: traces {t1} and {t2} would both write")
+    assert "Traceback" not in captured.err
+    assert list(tmp_path.glob("out*")) == []
+
+
 def test_monitor_exit_codes(tmp_path):
     bad_spec = write(tmp_path / "bad.stl", "G(x <= )\n")
     trace = write(tmp_path / "t.csv", "x\n1\n")
@@ -209,6 +225,19 @@ def test_monitor_subset_budget_is_clean_error(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: determinizing a 10-location automaton")
     assert "exceeds 16 subsets" in err
+    assert "Traceback" not in err
+
+
+def test_monitor_product_budget_is_clean_error(tmp_path, monkeypatch, capsys):
+    import arv.automaton
+
+    monkeypatch.setattr(arv.automaton, "MAX_SUBSETS", 40)
+    spec = write(tmp_path / "nested.sre", "#lang sre\n<(<x <= 1>[0,8] ; y <= 1)*>[0,8]\n")
+    trace = write(tmp_path / "t.csv", "x,y\n1,3\n")
+    assert main(["monitor", "--spec", spec, "--trace", trace]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: the product of a 12-location and a 9-location automaton")
+    assert "exceeds 40 locations" in err
     assert "Traceback" not in err
 
 

@@ -76,8 +76,8 @@ def test_fixture_tropical_path_weights():
     from arv.distance import vpd
 
     by_src = {}
-    for i, (src, guard, dst) in enumerate(base.transitions):
-        by_src.setdefault(src, []).append((i, dst))
+    for src, guard, dst in base.transitions:
+        by_src.setdefault(src, []).append((guard, dst))
     weights = []
 
     def walk(q, depth, acc):
@@ -85,8 +85,8 @@ def test_fixture_tropical_path_weights():
             if q in base.final:
                 weights.append(acc)
             return
-        for i, dst in by_src.get(q, ()):
-            step = vpd(trace.samples[depth], w.guards[i], TROPICAL, w.dist)
+        for guard, dst in by_src.get(q, ()):
+            step = vpd(trace.samples[depth], guard, TROPICAL, w.dist)
             walk(dst, depth + 1, acc + step)
 
     walk(0, 0, 0.0)
@@ -314,7 +314,6 @@ def test_monitor_pair_decorates_once_and_shares_edges(monkeypatch):
         w_pos, w_neg = build_monitor_pair(_spec(text), MINMAX)
         assert len(calls) == 1
         assert w_pos.base.transitions is w_neg.base.transitions
-        assert w_pos.guards is w_neg.guards
         assert w_pos.base.final == frozenset(range(w_pos.base.n_locations)) - w_neg.base.final
 
 
@@ -407,7 +406,31 @@ def test_flat_disjunction_guards_are_linear_in_variables(n):
     text = "G(" + " || ".join(f"x{i} >= {i}" for i in range(n)) + ")"
     w_pos, _ = build_monitor_pair(parse_stl(text), TROPICAL)
     assert w_pos.base.n_locations == 2
-    assert max(len(g.clauses) for g in w_pos.guards) <= 2 * n
+    assert max(len(g.clauses) for _, g, _ in w_pos.base.transitions) <= 2 * n
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "<<x <= 1>[0,3]>[1,4]",
+        "<<x >= 1>[2,inf] | <y <= 2>[1,3]>[3,6]",
+        "<(<x <= 1>[1,3] ; y >= 1)*>[2,5]",
+        "<(x <= 1 ; <y >= 2>[1,2])*>[3,inf]",
+        "(<x <= 2>[1,3] ; <<y <= 1>[0,2]>[1,3])* ; <T>[3,6]",
+    ],
+)
+def test_nested_and_starred_durations_match_sre_accepts(text):
+    e = parse_sre(text)
+    pair = build_monitor_pair(e, MINMAX)
+    rng = random.Random(text)
+    for _ in range(30):
+        samples = [
+            {"x": float(rng.randint(0, 3)), "y": float(rng.randint(0, 3))}
+            for _ in range(rng.randint(1, 8))
+        ]
+        trace = Trace(("x", "y"), samples)
+        for t, v in enumerate(verdicts(trace, *pair), start=1):
+            assert v.satisfied == sre_accepts(Trace(("x", "y"), samples[:t]), e)
 
 
 def test_monitor_pair_subset_budget(monkeypatch):
@@ -432,8 +455,9 @@ def test_stream_compiles_one_scorer(monkeypatch, compiled):
     import arv.automaton
 
     w = _raw_or_compiled(compiled)
-    distinct = set(w.guards)
-    assert len(distinct) < len(w.guards)
+    guards = [g for _, g, _ in w.base.transitions]
+    distinct = set(guards)
+    assert len(distinct) < len(guards)
     built = []
 
     class Counting(arv.automaton.Scorer):
@@ -452,7 +476,7 @@ def test_step_reads_each_distinct_atom_once(compiled):
     w = _raw_or_compiled(compiled)
     atoms = set()
     literals = 0
-    for dnf in w.guards:
+    for _, dnf, _ in w.base.transitions:
         for clause in dnf.clauses:
             for lit in clause:
                 if isinstance(lit, P.Top):

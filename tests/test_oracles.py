@@ -13,15 +13,16 @@ import pytest
 
 import arv
 from arv import oracles
-from arv.automaton import SymbolicAutomaton, decorate
+from arv.automaton import SymbolicAutomaton, WeightedAutomaton, decorate
 from arv.cli import main
 from arv.distance import default_distance
 from arv.errors import ArvError
 from arv.generators import random_sre, random_stl, random_trace
 from arv.monitor import RobustnessVerdict, ValueStream, _rho, build_monitor_pair, verdicts
-from arv.predicate import Cmp, Dnf, Not, parse_predicate
-from arv.semiring import BOOLEAN, MINMAX, TROPICAL
+from arv.predicate import Cmp, Dnf, Not, Pred, parse_predicate
+from arv.semiring import BOOLEAN, MINMAX, TROPICAL, Semiring
 from arv.speclang import (
+    Atom,
     StlFormula,
     Trace,
     eval_stl,
@@ -83,6 +84,10 @@ def test_moved_and_deleted_names_are_gone():
     assert not {"eps_eliminate", "mintermize", "union"} & set(arv.__all__)
     assert "eps" not in {f.name for f in dataclasses.fields(SymbolicAutomaton)}
     assert not hasattr(Dnf, "to_pred")
+    assert [f.name for f in dataclasses.fields(WeightedAutomaton)] == ["base", "semiring", "dist"]
+    assert not hasattr(Atom, "to_literal")
+    assert not {"__and__", "__or__", "__invert__"} & set(vars(Pred))
+    assert not {"additively_idempotent", "bounded"} & {f.name for f in dataclasses.fields(Semiring)}
     for name in ("path_enumeration_value", "trace_distance_brute_force", "vpd_brute_force"):
         assert getattr(arv, name) is getattr(oracles, name)
 
@@ -252,7 +257,7 @@ BOUNDARY_SPECS = (
 def _thresholds(w):
     """Per variable, the constants its atoms compare it with."""
     out: dict = {}
-    for dnf in w.guards:
+    for _, dnf, _ in w.base.transitions:
         for clause in dnf.clauses:
             for lit in clause:
                 c = lit.arg if isinstance(lit, Not) else lit

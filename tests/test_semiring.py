@@ -33,10 +33,8 @@ def test_instance_tables():
 
 
 def test_instance_flags():
-    assert BOOLEAN.additively_idempotent and BOOLEAN.multiplicatively_idempotent and BOOLEAN.bounded
-    assert MINMAX.additively_idempotent and MINMAX.multiplicatively_idempotent and MINMAX.bounded
-    assert TROPICAL.additively_idempotent and not TROPICAL.multiplicatively_idempotent
-    assert TROPICAL.bounded
+    assert BOOLEAN.multiplicatively_idempotent and MINMAX.multiplicatively_idempotent
+    assert not TROPICAL.multiplicatively_idempotent
 
 
 def test_every_oplus_is_min():

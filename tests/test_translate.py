@@ -71,6 +71,31 @@ def test_translate_sre_duration_exact_length():
         assert accepts(a, t) == expected
 
 
+def test_nested_duration_compiles_in_linear_size():
+    """A duration is a product with a length counter, which builds only
+    the location pairs reachable from the initial ones."""
+    import time
+
+    from arv.automaton import determinize
+
+    start = time.perf_counter()
+    a = translate_sre(parse_sre("<<x <= 1>[0,400]>[0,400]"))
+    d = determinize(a)
+    assert time.perf_counter() - start < 1
+    assert (a.n_locations, d.n_locations) == (401, 402)
+
+
+def test_duration_product_budget(monkeypatch):
+    import arv.automaton
+
+    # 16 duration steps pass the up-front check; the outer product does not
+    e = parse_sre("<(<x <= 1>[0,8] ; y <= 1)*>[0,8]")
+    assert translate_sre(e).n_locations == 45
+    monkeypatch.setattr(arv.automaton, "MAX_SUBSETS", 40)
+    with pytest.raises(UnsupportedFragmentError, match="product of .* exceeds 40 locations"):
+        translate_sre(e)
+
+
 def test_translate_stl_matches_reference_semantics():
     rng = random.Random(1009)
     traces_1 = traces_upto(("x",), range(0, 4), 4)

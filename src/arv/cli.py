@@ -52,7 +52,7 @@ def _atomic_write(path: Path, text: str):
 
 def _load_spec(path: str):
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ParseError(f"spec file {path} is not UTF-8 text (byte {exc.start})") from None
     return parse_spec_text(text)
@@ -67,6 +67,8 @@ def _out_path(base: str, trace_path: str, many: bool) -> Path:
 
 
 def cmd_monitor(args) -> int:
+    if args.prefix_series and (args.out or args.json):
+        raise ParseError("--prefix-series writes the whole series; it excludes --out and --json")
     many = len(args.trace) > 1
     base = args.prefix_series or args.out
     if base:

@@ -74,7 +74,6 @@ def random_stl(
     const_hi=3,
     max_bound=2,
     ops=ALL_OPS,
-    past=False,
 ) -> S.StlFormula:
     if depth == 0 or rng.random() < 0.25:
         r = rng.random()
@@ -85,36 +84,19 @@ def random_stl(
         return S.Atom(
             rng.choice(variables), rng.choice(ops), float(rng.randint(const_lo, const_hi))
         )
-    unary = [S.Not, S.Next]
-    binary = [S.Or, S.And, S.Implies]
-    windowed_unary = [S.Eventually, S.Always]
-    windowed_binary = [S.Until]
-    if past:
-        unary.append(S.Prev)
-        windowed_unary += [S.Once, S.Historically]
-        windowed_binary.append(S.Since)
+
+    def sub():
+        return random_stl(rng, variables, depth - 1, const_lo, const_hi, max_bound, ops)
+
     r = rng.random()
     if r < 0.35:
-        ctor = rng.choice(unary)
-        return ctor(random_stl(rng, variables, depth - 1, const_lo, const_hi, max_bound, ops, past))
+        return rng.choice([S.Not, S.Next])(sub())
     if r < 0.6:
-        ctor = rng.choice(windowed_unary)
-        return ctor(
-            random_stl(rng, variables, depth - 1, const_lo, const_hi, max_bound, ops, past),
-            random_window(rng, max_bound),
-        )
+        return rng.choice([S.Eventually, S.Always])(sub(), random_window(rng, max_bound))
     if r < 0.8:
-        ctor = rng.choice(windowed_binary)
-        return ctor(
-            random_stl(rng, variables, depth - 1, const_lo, const_hi, max_bound, ops, past),
-            random_stl(rng, variables, depth - 1, const_lo, const_hi, max_bound, ops, past),
-            random_window(rng, max_bound),
-        )
-    ctor = rng.choice(binary)
-    return ctor(
-        random_stl(rng, variables, depth - 1, const_lo, const_hi, max_bound, ops, past),
-        random_stl(rng, variables, depth - 1, const_lo, const_hi, max_bound, ops, past),
-    )
+        # a choice among one still draws, so seeded streams stay as they were
+        return rng.choice([S.Until])(sub(), sub(), random_window(rng, max_bound))
+    return rng.choice([S.Or, S.And, S.Implies])(sub(), sub())
 
 
 def random_sre(

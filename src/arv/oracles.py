@@ -26,6 +26,7 @@ from .generators import (
     random_trace,
     random_valuation,
 )
+from .intervals import Box, subtract_boxes
 from .predicate import Dnf
 from .semiring import BOOLEAN, MINMAX, TROPICAL, Semiring, SemiringValue
 from .speclang import StlFormula, Trace
@@ -176,34 +177,26 @@ def accepts(a: A.SymbolicAutomaton, trace: Trace) -> bool:
 # --- structural checks -----------------------------------------------------------
 
 
-def is_deterministic_complete(a: A.SymbolicAutomaton, probe_values=None) -> bool:
-    """True when every location has exactly one enabled transition for
-    every valuation over the probe grid (defaults to guard thresholds
-    plus offset points)."""
+def is_deterministic_complete(a: A.SymbolicAutomaton) -> bool:
+    """True when there is one initial location and, at every location,
+    the outgoing guards' regions are pairwise disjoint and cover every
+    valuation.  Exact: decided on the guards' box covers."""
     if len(a.initial) != 1:
         return False
-    thresholds = set()
-    for _, guard, _ in a.transitions:
-        for clause in guard.clauses:
-            for lit in clause:
-                if isinstance(lit, P.Cmp):
-                    thresholds.add(lit.k)
-                elif isinstance(lit, P.Not):
-                    thresholds.add(lit.arg.k)
-    if probe_values is None:
-        probe_values = sorted(
-            {t for k in (thresholds or {0.0}) for t in (k - 1.0, k - 0.5, k, k + 0.5, k + 1.0)}
-        )
-    variables = a.variables or ("_",)
-    by_src: dict = {}
-    for src, guard, dst in a.transitions:
-        by_src.setdefault(src, []).append(guard)
-    for q in range(a.n_locations):
-        guards = by_src.get(q, [])
-        for point in product(probe_values, repeat=len(variables)):
-            v = dict(zip(variables, point))
-            if sum(1 for g in guards if P.evaluate_dnf(v, g)) != 1:
-                return False
+    variables = list(a.variables) or ["_"]
+    boxes_at: dict = {q: [] for q in range(a.n_locations)}
+    for src, guard, _ in a.transitions:
+        boxes_at[src].append(P.dnf_boxes(guard, variables))
+    for regions in boxes_at.values():
+        uncovered = [Box.full(len(variables))]
+        for i, boxes in enumerate(regions):
+            for other in regions[:i]:
+                if any(not b.intersect(c).is_empty for b in boxes for c in other):
+                    return False
+            for b in boxes:
+                uncovered = subtract_boxes(uncovered, b)
+        if uncovered:
+            return False
     return True
 
 

@@ -3,8 +3,8 @@
 Both languages share the comparison syntax of the predicate module and
 are interpreted over finite, non-empty traces with one sample per time
 step.  The evaluators here are the qualitative reference semantics: the
-until/since operators are strict in both arguments, time windows clip at
-the trace boundary, and a regular expression matches a trace when it
+until operator is strict in both arguments, time windows clip at the
+trace boundary, and a regular expression matches a trace when it
 matches the full segment from position 0 to the trace length.
 """
 
@@ -158,13 +158,6 @@ class Until(StlFormula):
 
 
 @_hashconsed
-class Since(StlFormula):
-    left: StlFormula
-    right: StlFormula
-    window: TimeWindow = FULL_WINDOW
-
-
-@_hashconsed
 class Eventually(StlFormula):
     arg: StlFormula
     window: TimeWindow = FULL_WINDOW
@@ -177,31 +170,12 @@ class Always(StlFormula):
 
 
 @_hashconsed
-class Once(StlFormula):
-    arg: StlFormula
-    window: TimeWindow = FULL_WINDOW
-
-
-@_hashconsed
-class Historically(StlFormula):
-    arg: StlFormula
-    window: TimeWindow = FULL_WINDOW
-
-
-@_hashconsed
 class Next(StlFormula):
-    arg: StlFormula
-
-
-@_hashconsed
-class Prev(StlFormula):
     arg: StlFormula
 
 
 TRUE = TrueFormula()
 FALSE = FalseFormula()
-
-PAST_OPERATORS = (Since, Once, Historically, Prev)
 
 
 class SreExpr:
@@ -302,12 +276,13 @@ def _bad_cell(header, row, lineno) -> ParseError:
 
 def read_trace_csv(text_or_path, from_path: bool = True) -> Trace:
     """Header row of variable names, one numeric row per sample; blank
-    lines skipped.  Errors name the file line of the offending row.
-    Each cell is converted and checked once."""
+    lines skipped; a file may start with a UTF-8 byte-order mark.  Errors
+    name the file line of the offending row.  Each cell is converted and
+    checked once."""
     source = f"trace file {text_or_path}" if from_path else "trace text"
     try:
         if from_path:
-            with open(text_or_path, newline="", encoding="utf-8") as fh:
+            with open(text_or_path, newline="", encoding="utf-8-sig") as fh:
                 rows = _csv_rows(fh)
         else:
             rows = _csv_rows(io.StringIO(text_or_path))
@@ -358,11 +333,9 @@ def write_trace_csv(trace: Trace, path) -> None:
 def stl_variables(f: StlFormula) -> set[str]:
     if isinstance(f, Atom):
         return {f.var}
-    if isinstance(f, (Not, Next, Prev)):
+    if isinstance(f, (Not, Next, Eventually, Always)):
         return stl_variables(f.arg)
-    if isinstance(f, (Eventually, Always, Once, Historically)):
-        return stl_variables(f.arg)
-    if isinstance(f, (Or, And, Implies, Until, Since)):
+    if isinstance(f, (Or, And, Implies, Until)):
         return stl_variables(f.left) | stl_variables(f.right)
     return set()
 
@@ -371,12 +344,6 @@ def _future_positions(i: int, w: TimeWindow, n: int):
     start = i + w.lo
     end = n - 1 if w.hi is None else min(i + w.hi, n - 1)
     return range(start, end + 1)
-
-
-def _past_positions(i: int, w: TimeWindow, n: int):
-    end = i - w.lo
-    start = 0 if w.hi is None else max(i - w.hi, 0)
-    return range(start, min(end, n - 1) + 1)
 
 
 def eval_stl(trace: Trace, i: int, formula: StlFormula) -> bool:
@@ -422,23 +389,12 @@ def eval_stl(trace: Trace, i: int, formula: StlFormula) -> bool:
                 ev(f.right, j) and all(ev(f.left, k) for k in range(i + 1, j))
                 for j in _future_positions(i, f.window, n)
             )
-        elif isinstance(f, Since):
-            r = any(
-                ev(f.right, j) and all(ev(f.left, k) for k in range(j + 1, i))
-                for j in _past_positions(i, f.window, n)
-            )
         elif isinstance(f, Eventually):
             r = any(ev(f.arg, j) for j in _future_positions(i, f.window, n))
         elif isinstance(f, Always):
             r = all(ev(f.arg, j) for j in _future_positions(i, f.window, n))
-        elif isinstance(f, Once):
-            r = any(ev(f.arg, j) for j in _past_positions(i, f.window, n))
-        elif isinstance(f, Historically):
-            r = all(ev(f.arg, j) for j in _past_positions(i, f.window, n))
         elif isinstance(f, Next):
             r = i + 1 < n and ev(f.arg, i + 1)
-        elif isinstance(f, Prev):
-            r = i >= 1 and ev(f.arg, i - 1)
         else:
             raise TypeError(f"not an STL node: {f!r}")
         memo[key] = r
@@ -538,7 +494,7 @@ def negate(f: StlFormula) -> StlFormula:
 
 
 def desugar(f: StlFormula) -> StlFormula:
-    """Rewrite to the core {atom, true, false, not, or, until, since}."""
+    """Rewrite to the core {atom, true, false, not, or, until}."""
     if isinstance(f, (Atom, TrueFormula, FalseFormula)):
         return f
     if isinstance(f, Not):
@@ -551,20 +507,12 @@ def desugar(f: StlFormula) -> StlFormula:
         return Or(negate(desugar(f.left)), desugar(f.right))
     if isinstance(f, Until):
         return Until(desugar(f.left), desugar(f.right), f.window)
-    if isinstance(f, Since):
-        return Since(desugar(f.left), desugar(f.right), f.window)
     if isinstance(f, Eventually):
         return Until(TRUE, desugar(f.arg), f.window)
     if isinstance(f, Always):
         return Not(Until(TRUE, negate(desugar(f.arg)), f.window))
-    if isinstance(f, Once):
-        return Since(TRUE, desugar(f.arg), f.window)
-    if isinstance(f, Historically):
-        return Not(Since(TRUE, negate(desugar(f.arg)), f.window))
     if isinstance(f, Next):
         return Until(FALSE, desugar(f.arg), NEXT_WINDOW)
-    if isinstance(f, Prev):
-        return Since(FALSE, desugar(f.arg), NEXT_WINDOW)
     raise TypeError(f"not an STL node: {f!r}")
 
 
@@ -649,8 +597,6 @@ def unfold_bounded(f: StlFormula) -> StlFormula:
             return _or(walk(node.left), walk(node.right))
         if isinstance(node, Until):
             return _unfold_strict(walk(node.left), walk(node.right), node.window.lo, node.window.hi)
-        if isinstance(node, Since):
-            return Since(walk(node.left), walk(node.right), node.window)
         raise TypeError(f"unexpected node after desugaring: {node!r}")
 
     return walk(f)
@@ -658,7 +604,9 @@ def unfold_bounded(f: StlFormula) -> StlFormula:
 
 # --- concrete syntax ----------------------------------------------------------
 
-_STL_UNARY = {"F": Eventually, "G": Always, "P": Once, "H": Historically}
+_STL_UNARY = {"F": Eventually, "G": Always}
+# S, P, H and Y name past operators, which no translation accepts; they
+# stay reserved so a past-time spec fails at the operator itself
 _STL_RESERVED = {"F", "G", "X", "Y", "U", "S", "P", "H", "T", "E", "true", "false"}
 
 
@@ -685,7 +633,7 @@ def _parse_window(t: P._Tokens, default=FULL_WINDOW) -> TimeWindow:
 
 
 class _StlParser:
-    """Precedence: unary/temporal-unary > && > || > U/S > ->."""
+    """Precedence: unary/temporal-unary > && > || > U > ->."""
 
     def __init__(self, tokens: P._Tokens):
         self.t = tokens
@@ -706,11 +654,10 @@ class _StlParser:
 
     def parse_until(self) -> StlFormula:
         node = self.parse_or()
-        while self.t.peek()[:2] in (("ident", "U"), ("ident", "S")):
-            _, op, _ = self.t.next()
+        while self.t.peek()[:2] == ("ident", "U"):
+            self.t.next()
             window = _parse_window(self.t)
-            right = self.parse_or()
-            node = Until(node, right, window) if op == "U" else Since(node, right, window)
+            node = Until(node, self.parse_or(), window)
         return node
 
     def parse_or(self) -> StlFormula:
@@ -739,9 +686,6 @@ class _StlParser:
         if kind == "ident" and value == "X":
             self.t.next()
             return Next(self.parse_unary())
-        if kind == "ident" and value == "Y":
-            self.t.next()
-            return Prev(self.parse_unary())
         return self.parse_atom()
 
     def parse_atom(self) -> StlFormula:
@@ -893,7 +837,7 @@ def print_stl(f: StlFormula) -> str:
     def prec(node):
         if isinstance(node, Implies):
             return 0
-        if isinstance(node, (Until, Since)):
+        if isinstance(node, Until):
             return 1
         if isinstance(node, Or):
             return 2
@@ -926,26 +870,15 @@ def print_stl(f: StlFormula) -> str:
             return f"{wrap(node.left, 1)} -> {wrap(node.right, 0)}"
         if isinstance(node, Until):
             right = wrap(node.right, 2)
-            if isinstance(node.right, (Until, Since)):
+            if isinstance(node.right, Until):
                 right = f"({go(node.right)})"
             return f"{wrap(node.left, 2)} U{_window_suffix(node.window)} {right}"
-        if isinstance(node, Since):
-            right = wrap(node.right, 2)
-            if isinstance(node.right, (Until, Since)):
-                right = f"({go(node.right)})"
-            return f"{wrap(node.left, 2)} S{_window_suffix(node.window)} {right}"
         if isinstance(node, Eventually):
             return f"F{_window_suffix(node.window)} {wrap(node.arg, 4)}"
         if isinstance(node, Always):
             return f"G{_window_suffix(node.window)} {wrap(node.arg, 4)}"
-        if isinstance(node, Once):
-            return f"P{_window_suffix(node.window)} {wrap(node.arg, 4)}"
-        if isinstance(node, Historically):
-            return f"H{_window_suffix(node.window)} {wrap(node.arg, 4)}"
         if isinstance(node, Next):
             return f"X {wrap(node.arg, 4)}"
-        if isinstance(node, Prev):
-            return f"Y {wrap(node.arg, 4)}"
         raise TypeError(f"not an STL node: {node!r}")
 
     return go(f)

@@ -183,9 +183,8 @@ def translate_stl(formula: S.StlFormula) -> SymbolicAutomaton:
 
 
 def _check_translatable(formula: S.StlFormula) -> int:
-    """The number of steps unfolding the formula's windows takes.  Past
-    operators, and more than ``automaton.MAX_SUBSETS`` steps, raise
-    ``UnsupportedFragmentError``."""
+    """The number of steps unfolding the formula's windows takes.  More
+    than ``automaton.MAX_SUBSETS`` steps raise ``UnsupportedFragmentError``."""
     steps = 0
     seen = set()
     stack = [formula]
@@ -194,11 +193,6 @@ def _check_translatable(formula: S.StlFormula) -> int:
         if node in seen:
             continue
         seen.add(node)
-        if isinstance(node, S.PAST_OPERATORS):
-            name = {S.Since: "S", S.Once: "P", S.Historically: "H", S.Prev: "Y"}[type(node)]
-            raise UnsupportedFragmentError(
-                f"past operator {name!r} is not translatable to an automaton"
-            )
         if isinstance(node, S.Next):
             steps += 1
         elif isinstance(node, (S.Until, S.Eventually, S.Always)):

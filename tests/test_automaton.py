@@ -88,6 +88,27 @@ def test_determinize_and_complement():
             assert accepts(d2, t) == accepts(d, t)
 
 
+@pytest.mark.parametrize(
+    "guards, expected",
+    [
+        (("x <= 2", "x > 2"), True),
+        (("x <= 2 && y <= 0", "x <= 2 && y > 0", "x > 2"), True),
+        # a gap and an overlap that hold no threshold and lie within half a
+        # unit of one, where a probe grid around the thresholds misses them
+        (("x <= 2", "x >= 2.2"), False),
+        (("x < 2.2", "x > 2"), False),
+        (("x <= 2", "x > 2 && y <= 0"), False),
+        (("x <= 2", "x >= 2"), False),
+    ],
+)
+def test_is_deterministic_complete_is_exact(guards, expected):
+    transitions = [(0, g(text), 0) for text in guards]
+    a = make_automaton(("x", "y"), 1, {0}, {0}, transitions)
+    assert is_deterministic_complete(a) == expected
+    two_initial = make_automaton(("x", "y"), 2, {0, 1}, {0}, transitions + [(1, g("true"), 1)])
+    assert not is_deterministic_complete(two_initial)
+
+
 def test_determinize_is_minimal_with_one_minterm_per_edge():
     from arv.speclang import negate, parse_sre, parse_stl
     from arv.translate import translate_sre, translate_stl

@@ -99,6 +99,22 @@ def test_monitor_refuses_traces_that_would_share_an_output(spec_file, tmp_path, 
     assert list(tmp_path.glob("out*")) == []
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [["--out", "v.json"], ["--json"], ["--json", "--out", "v.json"]],
+    ids=["out", "json", "json-out"],
+)
+def test_monitor_prefix_series_excludes_verdict_outputs(spec_file, trace_file, tmp_path, capsys, extra):
+    extra = [str(tmp_path / a) if a.endswith(".json") else a for a in extra]
+    series = tmp_path / "series.csv"
+    argv = ["monitor", "--spec", spec_file, "--trace", trace_file, "--prefix-series", str(series)]
+    assert main(argv + extra) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--prefix-series" in captured.err and "Traceback" not in captured.err
+    assert not series.exists() and not (tmp_path / "v.json").exists()
+
+
 def test_monitor_exit_codes(tmp_path):
     bad_spec = write(tmp_path / "bad.stl", "G(x <= )\n")
     trace = write(tmp_path / "t.csv", "x\n1\n")
@@ -108,7 +124,10 @@ def test_monitor_exit_codes(tmp_path):
     assert main(["monitor", "--spec", spec, "--trace", trace]) == 3
 
     past = write(tmp_path / "p.stl", "Y x <= 1\n")
-    assert main(["monitor", "--spec", past, "--trace", trace]) == 4
+    assert main(["monitor", "--spec", past, "--trace", trace]) == 2
+
+    wide = write(tmp_path / "w.stl", "F[0,100000] x >= 1\n")
+    assert main(["monitor", "--spec", wide, "--trace", trace]) == 4
 
     bad_trace = write(tmp_path / "bad.csv", "x\noops\n")
     assert main(["monitor", "--spec", spec_file_text(tmp_path), "--trace", bad_trace]) == 2
@@ -363,6 +382,22 @@ def test_translate_spec_not_utf8_is_parse_error(tmp_path, capsys):
     spec.write_bytes(b"\xffG(x <= 10)\n")
     assert main(["translate", "--spec", str(spec)]) == 2
     assert f"spec file {spec} is not UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+def test_monitor_accepts_a_byte_order_mark(tmp_path, capsys, bom):
+    spec = tmp_path / "s.stl"
+    spec.write_bytes(bom + b"G(x <= 10)\n")
+    trace = tmp_path / "t.csv"
+    trace.write_bytes(bom + b"x,y\n4,0\n12,1\n")
+    assert main(["monitor", "--spec", str(spec), "--trace", str(trace), "--json"]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out[out.index("{"):]) == {
+        "rho": -2.0,
+        "satisfied": False,
+        "d_phi": 2.0,
+        "d_not_phi": 0.0,
+    }
 
 
 def test_monitor_trace_not_utf8_is_parse_error(spec_file, tmp_path, capsys):

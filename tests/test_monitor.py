@@ -201,11 +201,6 @@ def test_robustness_sre():
     assert verdict.rho == -6.0 and not verdict.satisfied
 
 
-def test_robustness_rejects_past():
-    with pytest.raises(UnsupportedFragmentError):
-        robustness(tr(1), parse_stl("Y x <= 1"), MINMAX)
-
-
 def test_prefix_series_matches_per_prefix_runs():
     rng = random.Random(47)
     for _ in range(12):

@@ -5,6 +5,7 @@ import ast
 import contextlib
 import dataclasses
 import importlib
+import inspect
 import io
 import random
 from pathlib import Path
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import arv
-from arv import oracles
+from arv import automaton, oracles
 from arv.automaton import SymbolicAutomaton, WeightedAutomaton, decorate
 from arv.cli import main
 from arv.distance import default_distance
@@ -56,6 +57,7 @@ GONE = {
     ),
     "semiring": ("nat_lt",),
     "predicate": ("evaluate_clause", "minimal_dnf"),
+    "speclang": ("Since", "Once", "Historically", "Prev", "PAST_OPERATORS", "_past_positions"),
 }
 
 
@@ -88,6 +90,7 @@ def test_moved_and_deleted_names_are_gone():
     assert not hasattr(Atom, "to_literal")
     assert not {"__and__", "__or__", "__invert__"} & set(vars(Pred))
     assert not {"additively_idempotent", "bounded"} & {f.name for f in dataclasses.fields(Semiring)}
+    assert "past" not in inspect.signature(random_stl).parameters
     for name in ("path_enumeration_value", "trace_distance_brute_force", "vpd_brute_force"):
         assert getattr(arv, name) is getattr(oracles, name)
 
@@ -106,7 +109,8 @@ PRED_SEEDS = ("x <= 3 && x <= 5", "!(x < 1) || y >= -2.5", "true", "(a > 0 || b 
 TEXT_TOKENS = (
     "(", ")", "[", "]", ",", ";", "&", "|", "*", "!", "&&", "||", "->", "<", "<=", ">",
     ">=", "=", "-", ".", "e", "inf", "nan", "1e999", "0", "9", "x", "y", " ", "\n",
-    "#lang sre\n", "#lang stl\n", "#lang", "F", "G", "U", "X", "E", "T", "\x00", "\ufeff", "é",
+    "#lang sre\n", "#lang stl\n", "#lang", "F", "G", "U", "X", "E", "T", "S", "P", "H", "Y",
+    "\x00", "\ufeff", "é",
 )
 CSV_SEEDS = (b"x\n1\n2.5\n-3\n", b"x,y\n1,2\n\n3,4\n", b"y\n1\n", b"x\r\n6\r\n")
 CSV_TOKENS = (
@@ -153,12 +157,21 @@ def _exit(argv):
         return main(argv)
 
 
-def test_fuzz_inputs_end_in_an_exit_code_or_arv_error(tmp_path):
+def _compile_and_monitor(lang, spec, rng):
+    variables = sorted((stl_variables if lang == "stl" else sre_variables)(spec)) or ["x"]
+    trace = random_trace(rng, tuple(variables), 4, -2, 8)
+    return list(verdicts(trace, *build_monitor_pair(spec, MINMAX)))
+
+
+def test_fuzz_inputs_end_in_an_exit_code_or_arv_error(tmp_path, monkeypatch):
+    # a small budget keeps a mutated wide window from compiling for long
+    monkeypatch.setattr(automaton, "MAX_SUBSETS", 4096)
     rng = random.Random(20240605)
-    # specs are only parsed: translation is exponential in window bounds
     for _ in range(500):
         text = _text(rng, SPEC_SEEDS, TEXT_TOKENS)
-        _outcome(f"parse_spec_text({text!r})", parse_spec_text, text)
+        parsed = _outcome(f"parse_spec_text({text!r})", parse_spec_text, text)
+        if parsed is not None:
+            _outcome(f"compiling and monitoring {text!r}", _compile_and_monitor, *parsed, rng)
     for _ in range(400):
         text = _text(rng, PRED_SEEDS, TEXT_TOKENS)
         _outcome(f"parse_predicate({text!r})", parse_predicate, text)

@@ -90,6 +90,23 @@ def test_parse_errors():
         parse_sre("<x <= 3>[1,1")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("Y x <= 3", r"unexpected operator 'Y' \(at offset 0\)"),
+        ("x <= 3 S x <= 1", r"trailing input after formula \(at offset 7\)"),
+        ("G (P x <= 3)", r"unexpected operator 'P' \(at offset 3\)"),
+        ("H x <= 0", r"unexpected operator 'H' \(at offset 0\)"),
+    ],
+    ids=["Y", "S", "P", "H"],
+)
+def test_past_operators_do_not_parse(text, message):
+    # S, P, H and Y have no translation to an automaton; the letters stay
+    # reserved, so a past-time spec fails at the operator
+    with pytest.raises(ParseError, match=message):
+        parse_stl(text)
+
+
 def test_spec_text_directive():
     kind, f = parse_spec_text("#lang stl\nG x <= 3\n")
     assert kind == "stl" and isinstance(f, S.Always)
@@ -186,29 +203,14 @@ def test_desugar_and_unfold_preserve_semantics():
     for n in (1, 2, 3, 4):
         traces.extend(all_traces(("x",), range(3), n))
     for _ in range(60):
-        f = random_stl(rng, ["x"], depth=3, const_lo=0, const_hi=2, past=True)
+        f = random_stl(rng, ["x"], depth=3, const_lo=0, const_hi=2)
         cored = desugar(f)
-        future = not any(
-            isinstance(n, S.PAST_OPERATORS) for n in _walk(f)
-        )
-        unfolded = unfold_bounded(f) if future else None
+        unfolded = unfold_bounded(f)
         for t in traces:
             for i in range(len(t)):
                 expected = eval_stl(t, i, f)
                 assert eval_stl(t, i, cored) == expected
-                if unfolded is not None:
-                    assert eval_stl(t, i, unfolded) == expected
-
-
-def _walk(f):
-    stack = [f]
-    while stack:
-        node = stack.pop()
-        yield node
-        for attr in ("arg", "left", "right"):
-            child = getattr(node, attr, None)
-            if child is not None:
-                stack.append(child)
+                assert eval_stl(t, i, unfolded) == expected
 
 
 # --- qualitative STL ------------------------------------------------------------
@@ -233,22 +235,10 @@ def test_eval_stl_until_strictness():
 def test_eval_stl_negation_complement():
     rng = random.Random(41)
     for _ in range(80):
-        f = random_stl(rng, ["x"], depth=3, past=True)
+        f = random_stl(rng, ["x"], depth=3)
         t = random_trace(rng, ("x",), rng.randint(1, 4), 0, 3)
         for i in range(len(t)):
             assert eval_stl(t, i, S.Not(f)) == (not eval_stl(t, i, f))
-
-
-def test_eval_stl_past_operators():
-    f = parse_stl("P x <= 0")
-    assert eval_stl(tr(0, 5, 9), 2, f)
-    assert not eval_stl(tr(1, 5, 9), 2, f)
-    y = parse_stl("Y x <= 0")
-    assert eval_stl(tr(0, 5), 1, y)
-    assert not eval_stl(tr(0, 5), 0, y)
-    h = parse_stl("H x <= 5")
-    assert eval_stl(tr(1, 2, 3), 2, h)
-    assert not eval_stl(tr(9, 2, 3), 2, h)
 
 
 def test_eval_stl_bounds_check():
@@ -305,7 +295,7 @@ def test_eval_sre_segment_bounds():
 def test_stl_print_parse_roundtrip():
     rng = random.Random(59)
     for _ in range(300):
-        f = random_stl(rng, ["x", "y"], depth=4, past=True)
+        f = random_stl(rng, ["x", "y"], depth=4)
         assert parse_stl(print_stl(f)) == f
 
 

@@ -46,15 +46,6 @@ def test_translate_false_has_no_accepting_path():
         assert not accepts(a, t)
 
 
-def test_translate_rejects_past_operators():
-    with pytest.raises(UnsupportedFragmentError, match="'Y'"):
-        translate_stl(parse_stl("Y x <= 3"))
-    with pytest.raises(UnsupportedFragmentError, match="'S'"):
-        translate_stl(parse_stl("x <= 3 S x <= 1"))
-    with pytest.raises(UnsupportedFragmentError, match="'P'"):
-        translate_stl(parse_stl("G (P x <= 3)"))
-
-
 def test_translate_sre_basic_shape():
     a = translate_sre(parse_sre("x <= 3"))
     assert a.n_locations == 2

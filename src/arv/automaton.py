@@ -3,13 +3,13 @@
 Transitions carry guards instead of letters, each a flat ``Dnf``, and
 every automaton is epsilon-free: epsilon moves exist only inside the SRE
 builder (``translate``), which eliminates them before an automaton is
-made.  ``make_automaton`` is the one place a guard is normalized: a
-``Pred`` (from a parser, a fixture or ``from_json``) becomes its DNF,
-every DNF is made conjunction-minimal, and unsatisfiable guards drop.
-``product`` conjoins guards clause by clause and stops at
-``MAX_SUBSETS`` locations, ``determinize`` builds its minterms as DNFs
-of disjoint boxes, ``decorate`` only attaches the weight rule, and the
-printers write a guard's clauses flat.  The algebra relies on interval
+made.  ``make_automaton`` is the one place a guard is normalized: every
+DNF, whether the predicate parser or a builder made it, becomes
+conjunction-minimal, and unsatisfiable guards drop.  ``product``
+conjoins guards clause by clause and stops at ``MAX_SUBSETS``
+locations, ``determinize`` builds its minterms as DNFs of disjoint
+boxes, ``decorate`` only attaches the weight rule, and the printers
+write a guard's clauses flat.  The algebra relies on interval
 reasoning for satisfiability, so no solver is needed.
 
 ``determinize`` splits the valuation space once into the minterms of an
@@ -64,18 +64,15 @@ class SymbolicAutomaton:
 
 
 def make_automaton(variables, n_locations, initial, final, transitions) -> SymbolicAutomaton:
-    """Normalize and prune: each guard becomes its conjunction-minimal
-    ``Dnf`` (a ``Pred`` is converted first, a DNF already flagged
-    ``wedge_minimal`` is kept), and unsatisfiable guards and duplicate
-    edges (equal DNFs) go."""
+    """Normalize and prune: each ``Dnf`` guard becomes conjunction-minimal
+    (one already flagged ``wedge_minimal`` is kept), and unsatisfiable
+    guards and duplicate edges (equal DNFs) go."""
     pruned = []
     seen = set()
     normal: dict = {}  # guard -> its minimal DNF, or None when unsatisfiable
     for src, guard, dst in transitions:
         if guard not in normal:
-            dnf = guard if isinstance(guard, Dnf) else P.to_dnf(guard)
-            if not dnf.wedge_minimal:
-                dnf = P.wedge_minimize(dnf)
+            dnf = guard if guard.wedge_minimal else P.wedge_minimize(guard)
             normal[guard] = dnf if P.is_sat(dnf) else None
         edge = (src, normal[guard], dst)
         if edge[1] is None or edge in seen:

@@ -25,7 +25,7 @@ from . import predicate as P
 from .distance import PointwiseDistance, default_distance, vpd
 from .errors import ArvError, ParseError, UnsupportedFragmentError
 from .semiring import SEMIRINGS, TROPICAL, by_name
-from .speclang import parse_spec_text, read_trace_csv
+from .speclang import parse_spec_text, read_trace_csv, read_utf8
 from .translate import translate_sre, translate_stl
 
 
@@ -51,11 +51,7 @@ def _atomic_write(path: Path, text: str):
 
 
 def _load_spec(path: str):
-    try:
-        text = Path(path).read_text(encoding="utf-8-sig")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"spec file {path} is not UTF-8 text (byte {exc.start})") from None
-    return parse_spec_text(text)
+    return parse_spec_text(read_utf8(path, f"spec file {path}"))
 
 
 def _out_path(base: str, trace_path: str, many: bool) -> Path:
@@ -161,12 +157,11 @@ def _parse_valuation(text: str) -> dict:
 
 def cmd_vpd(args) -> int:
     valuation = _parse_valuation(args.valuation)
-    pred = P.parse_predicate(args.pred)
+    dnf = P.parse_predicate(args.pred)
     semiring = by_name(args.semiring)
     dist = (
         PointwiseDistance(args.dist) if args.dist else default_distance(semiring)
     )
-    dnf = P.to_dnf(pred)
     if not args.raw:
         dnf = P.wedge_minimize(dnf)
     value = vpd(valuation, dnf, semiring, dist, demonstration=args.raw)
@@ -198,7 +193,7 @@ def cmd_fixtures(_args) -> int:
     failures = 0
 
     print("conjunction minimization, min-plus distance for x = 6:")
-    raw = P.to_dnf(P.parse_predicate("x <= 3 && x <= 5"))
+    raw = P.parse_predicate("x <= 3 && x <= 5")
     minimized = P.wedge_minimize(raw)
     got_raw = vpd({"x": 6.0}, raw, TROPICAL, PointwiseDistance.ABS_DIFF, demonstration=True)
     got_min = vpd({"x": 6.0}, minimized, TROPICAL, PointwiseDistance.ABS_DIFF)

@@ -7,7 +7,7 @@ from .automaton import SymbolicAutomaton, make_automaton
 from .speclang import Trace
 
 # three-location automaton: wait anywhere, then hit the guard twice in a row
-GUARD = P.And(P.Cmp("x", "<=", 3.0), P.Not(P.Cmp("y", "<", 6.0)))
+GUARD = P.parse_predicate("x <= 3 && y >= 6")
 
 
 def example_automaton() -> SymbolicAutomaton:
@@ -17,10 +17,10 @@ def example_automaton() -> SymbolicAutomaton:
         initial={0},
         final={2},
         transitions=[
-            (0, P.TOP, 0),
+            (0, P.TRUE, 0),
             (0, GUARD, 1),
             (1, GUARD, 2),
-            (2, P.TOP, 2),
+            (2, P.TRUE, 2),
         ],
     )
 

@@ -17,24 +17,26 @@ CLOSED_OPS = ("<=", ">=")
 ALL_OPS = ("<", "<=", ">", ">=")
 
 
-def random_literal(rng: random.Random, variables, lo=-8, hi=8, ops=CLOSED_OPS) -> P.Pred:
+def random_literal(rng: random.Random, variables, lo=-8, hi=8, ops=CLOSED_OPS) -> P.Literal:
     return P.comparison(rng.choice(variables), rng.choice(ops), float(rng.randint(lo, hi)))
 
 
-def random_predicate(rng: random.Random, variables, depth=3, lo=-8, hi=8, ops=ALL_OPS) -> P.Pred:
+def random_predicate(rng: random.Random, variables, depth=3, lo=-8, hi=8, ops=ALL_OPS) -> str:
+    """Predicate text; every operand of ``!``, ``&&`` and ``||`` is
+    parenthesized, so the text parses in the shape it was drawn."""
     if depth == 0 or rng.random() < 0.3:
         r = rng.random()
         if r < 0.05:
-            return P.TOP
+            return "true"
         if r < 0.1:
-            return P.BOTTOM
-        return random_literal(rng, variables, lo, hi, ops)
+            return "false"
+        return f"{rng.choice(variables)} {rng.choice(ops)} {rng.randint(lo, hi)}"
     kind = rng.random()
     if kind < 0.2:
-        return P.Not(random_predicate(rng, variables, depth - 1, lo, hi, ops))
+        return f"!({random_predicate(rng, variables, depth - 1, lo, hi, ops)})"
     left = random_predicate(rng, variables, depth - 1, lo, hi, ops)
     right = random_predicate(rng, variables, depth - 1, lo, hi, ops)
-    return P.And(left, right) if kind < 0.6 else P.Or(left, right)
+    return f"({left}) {'&&' if kind < 0.6 else '||'} ({right})"
 
 
 def random_dnf(rng: random.Random, variables, max_clauses=3, max_literals=3, lo=-8, hi=8, ops=CLOSED_OPS) -> P.Dnf:
@@ -113,9 +115,8 @@ def random_sre(
         r = rng.random()
         if r < 0.1:
             return S.EPSILON
-        return S.SreBasic(
-            random_predicate(rng, variables, depth=1, lo=const_lo, hi=const_hi, ops=ops)
-        )
+        text = random_predicate(rng, variables, depth=1, lo=const_lo, hi=const_hi, ops=ops)
+        return S.SreBasic(P.parse_predicate(text))
     r = rng.random()
     if r < 0.15 and star_budget > 0:
         return S.SreStar(

@@ -55,7 +55,7 @@ def vpd_brute_force(
     acc = semiring.e_plus
     for point in product(grid, repeat=len(variables)):
         candidate = dict(zip(variables, (float(x) for x in point)))
-        if not P.evaluate_dnf(candidate, dnf):
+        if not P.evaluate(candidate, dnf):
             continue
         weight = semiring.product(
             point_dist(valuation[x], candidate[x], dist) for x in variables
@@ -169,7 +169,7 @@ def accepts(a: A.SymbolicAutomaton, trace: Trace) -> bool:
             dst
             for q in current
             for guard, dst in by_src.get(q, ())
-            if P.evaluate_dnf(sample, guard)
+            if P.evaluate(sample, guard)
         }
     return not a.final.isdisjoint(current)
 

@@ -1,13 +1,16 @@
-"""Predicates over real-valued variables.
+"""Predicates over real-valued variables, in one form: the ``Dnf``.
 
 A predicate is a Boolean combination of single-variable comparisons
-``x < k`` / ``x <= k``.  ``Pred`` trees live at the edges only: the
-parsers build them and ``print_predicate`` prints them.  Inside the
-automaton layer every guard is a flat ``Dnf``, converted once by
-``to_dnf`` where an automaton is made, and there ``wedge_minimize``
-strips redundant conjuncts so that distance computation stays exact for
-semirings whose multiplication is not idempotent, and ``dnf_boxes`` /
-``boxes_to_dnf`` move between a DNF and its region as disjoint boxes.
+``x < k`` / ``x <= k``.  The parser builds its disjunctive normal form
+directly, pushing negations to the literals and distributing
+conjunction over disjunction as it reads, so no predicate tree exists:
+propositions, guards and ``vpd`` arguments are all flat ``Dnf``s over
+the literals ``Top``, ``Bottom``, ``Cmp`` and ``Not`` of a ``Cmp``.
+``evaluate`` is the one evaluator and ``print_predicate`` the one
+printer.  ``wedge_minimize`` strips redundant conjuncts so that distance
+computation stays exact for semirings whose multiplication is not
+idempotent, and ``dnf_boxes`` / ``boxes_to_dnf`` move between a DNF and
+its region as disjoint boxes.
 
 Concrete syntax (shared with the specification parsers):
 ``x <= 3 && !(y < 2) || z < 0`` with operators ``&&``, ``||``, ``!`` and
@@ -26,24 +29,25 @@ from .errors import ParseError, UnboundVariableError
 from .intervals import INF, Box, Interval, subtract_boxes
 
 
-class Pred:
-    """Base class for predicate AST nodes."""
+class Literal:
+    """Base class of the DNF literals: ``Top``, ``Bottom``, ``Cmp`` and
+    ``Not`` of a ``Cmp``."""
 
 
 @dataclass(frozen=True)
-class Top(Pred):
+class Top(Literal):
     def __repr__(self):
         return "true"
 
 
 @dataclass(frozen=True)
-class Bottom(Pred):
+class Bottom(Literal):
     def __repr__(self):
         return "false"
 
 
 @dataclass(frozen=True)
-class Cmp(Pred):
+class Cmp(Literal):
     """Atomic comparison ``var op k`` with op in {"<", "<="}."""
 
     var: str
@@ -55,30 +59,21 @@ class Cmp(Pred):
 
 
 @dataclass(frozen=True)
-class Not(Pred):
-    arg: Pred
+class Not(Literal):
+    """A negated comparison; ``arg`` is a ``Cmp``."""
+
+    arg: Cmp
+
+    @property
+    def var(self) -> str:
+        return self.arg.var
 
     def __repr__(self):
         return f"!({self.arg!r})"
 
 
-@dataclass(frozen=True)
-class Or(Pred):
-    left: Pred
-    right: Pred
-
-
-@dataclass(frozen=True)
-class And(Pred):
-    left: Pred
-    right: Pred
-
-
 TOP = Top()
 BOTTOM = Bottom()
-
-# A DNF literal is Top, Bottom, Cmp, or Not(Cmp).
-Literal = Pred
 
 
 @dataclass(frozen=True)
@@ -102,13 +97,17 @@ class Dnf:
         return Dnf, (self.clauses, self.wedge_minimal)
 
 
+# the guard of a step that reads any sample
+TRUE = Dnf(((TOP,),), wedge_minimal=True)
+
+
 def fmt_const(k: float) -> str:
     if isinstance(k, float) and k.is_integer() and abs(k) < 1e15:
         return str(int(k))
     return str(k)
 
 
-def comparison(var: str, op: str, k: float) -> Pred:
+def comparison(var: str, op: str, k: float) -> Literal:
     """Build a literal from any of <, <=, >, >= (the last two negate)."""
     k = float(k)
     if op == "<":
@@ -122,76 +121,34 @@ def comparison(var: str, op: str, k: float) -> Pred:
     raise ValueError(f"unknown comparison operator {op!r}")
 
 
-def variables_of(p: Pred) -> set[str]:
-    if isinstance(p, Cmp):
-        return {p.var}
-    if isinstance(p, Not):
-        return variables_of(p.arg)
-    if isinstance(p, (And, Or)):
-        return variables_of(p.left) | variables_of(p.right)
-    return set()
+def negate_literal(lit: Literal) -> Literal:
+    """The literal that holds exactly where ``lit`` does not."""
+    if isinstance(lit, Top):
+        return BOTTOM
+    if isinstance(lit, Bottom):
+        return TOP
+    if isinstance(lit, Not):
+        return lit.arg
+    return Not(lit)
 
 
-def evaluate(valuation: dict, p: Pred) -> bool:
-    """Standard Boolean evaluation of a predicate under a valuation."""
-    if isinstance(p, Top):
+def _holds(valuation: dict, lit: Literal) -> bool:
+    if isinstance(lit, Top):
         return True
-    if isinstance(p, Bottom):
+    if isinstance(lit, Bottom):
         return False
-    if isinstance(p, Cmp):
-        try:
-            v = valuation[p.var]
-        except KeyError:
-            raise UnboundVariableError(f"unbound variable {p.var!r}") from None
-        return v < p.k if p.op == "<" else v <= p.k
-    if isinstance(p, Not):
-        return not evaluate(valuation, p.arg)
-    if isinstance(p, Or):
-        return evaluate(valuation, p.left) or evaluate(valuation, p.right)
-    if isinstance(p, And):
-        return evaluate(valuation, p.left) and evaluate(valuation, p.right)
-    raise TypeError(f"not a predicate node: {p!r}")
+    if isinstance(lit, Not):
+        return not _holds(valuation, lit.arg)
+    try:
+        v = valuation[lit.var]
+    except KeyError:
+        raise UnboundVariableError(f"unbound variable {lit.var!r}") from None
+    return v < lit.k if lit.op == "<" else v <= lit.k
 
 
-def evaluate_dnf(valuation: dict, dnf: Dnf) -> bool:
-    return any(all(evaluate(valuation, lit) for lit in c) for c in dnf.clauses)
-
-
-# --- DNF conversion -------------------------------------------------------
-
-
-def _nnf(p: Pred, negated: bool) -> Pred:
-    if isinstance(p, Top):
-        return BOTTOM if negated else TOP
-    if isinstance(p, Bottom):
-        return TOP if negated else BOTTOM
-    if isinstance(p, Cmp):
-        return Not(p) if negated else p
-    if isinstance(p, Not):
-        return _nnf(p.arg, not negated)
-    if isinstance(p, Or):
-        l, r = _nnf(p.left, negated), _nnf(p.right, negated)
-        return And(l, r) if negated else Or(l, r)
-    if isinstance(p, And):
-        l, r = _nnf(p.left, negated), _nnf(p.right, negated)
-        return Or(l, r) if negated else And(l, r)
-    raise TypeError(f"not a predicate node: {p!r}")
-
-
-def _clauses(p: Pred) -> list[tuple]:
-    if isinstance(p, (Top, Bottom, Cmp, Not)):
-        return [(p,)]
-    if isinstance(p, Or):
-        return _clauses(p.left) + _clauses(p.right)
-    if isinstance(p, And):
-        return [l + r for l, r in product(_clauses(p.left), _clauses(p.right))]
-    raise TypeError(f"not a predicate node: {p!r}")
-
-
-def to_dnf(p: Pred) -> Dnf:
-    """Push negations to the literals and distribute conjunction over
-    disjunction.  Clause and literal order follow the input."""
-    return Dnf(tuple(_clauses(_nnf(p, False))))
+def evaluate(valuation: dict, dnf: Dnf) -> bool:
+    """Standard Boolean evaluation of a DNF under a valuation."""
+    return any(all(_holds(valuation, lit) for lit in c) for c in dnf.clauses)
 
 
 # --- intervals of literals ------------------------------------------------
@@ -215,8 +172,7 @@ def conjunct_box(box: Box, clause, var_index: dict) -> Box:
             continue
         if isinstance(lit, Bottom):
             return Box.all_empty(len(comps))
-        var = lit.var if isinstance(lit, Cmp) else lit.arg.var
-        i = var_index[var]
+        i = var_index[lit.var]
         comps[i] = comps[i].intersect(literal_interval(lit))
         if comps[i].empty:
             return Box.all_empty(len(comps))
@@ -232,13 +188,13 @@ def _index(variables) -> dict:
 
 
 def dnf_variables(dnf: Dnf) -> list[str]:
-    seen = []
+    """The variables a DNF mentions, in order of first occurrence."""
+    seen: dict = {}
     for clause in dnf.clauses:
         for lit in clause:
-            for v in variables_of(lit):
-                if v not in seen:
-                    seen.append(v)
-    return seen
+            if isinstance(lit, (Cmp, Not)):
+                seen.setdefault(lit.var)
+    return list(seen)
 
 
 def is_sat(dnf: Dnf) -> bool:
@@ -271,9 +227,7 @@ def _minimize_clause(clause) -> tuple:
         for i, li in enumerate(comparisons):
             if i == j:
                 continue
-            vi = li.var if isinstance(li, Cmp) else li.arg.var
-            vj = lj.var if isinstance(lj, Cmp) else lj.arg.var
-            if vi == vj and literal_interval(li).subset_of(ij):
+            if li.var == lj.var and literal_interval(li).subset_of(ij):
                 implied = True
                 break
         if not implied:
@@ -443,90 +397,81 @@ class _Tokens:
 _PRED_KEYWORDS = {"true": TOP, "T": TOP, "false": BOTTOM}
 
 
+def _join(left: list, right: list, conjoin: bool) -> list:
+    """The clauses of the conjunction (pairwise concatenated, left
+    clause first) or of the disjunction (left list first) of two
+    clause lists."""
+    if conjoin:
+        return [l + r for l, r in product(left, right)]
+    return left + right
+
+
 class _PredParser:
-    """Recursive descent over: or > and > unary > atom."""
+    """Recursive descent over: or > and > unary > atom, building the DNF
+    during the parse.  ``negated`` is the parity of the enclosing ``!``s:
+    under it a literal becomes its complement, ``||`` conjoins clause
+    lists and ``&&`` concatenates them, so negations end at the literals
+    and conjunction distributes over disjunction.  Clause and literal
+    order follow the text."""
 
     def __init__(self, tokens: _Tokens):
         self.t = tokens
 
-    def parse_or(self) -> Pred:
-        node = self.parse_and()
+    def parse_dnf(self) -> Dnf:
+        return Dnf(tuple(self.parse_or(False)))
+
+    def parse_or(self, negated: bool) -> list:
+        clauses = self.parse_and(negated)
         while self.t.peek()[0] == "||":
             self.t.next()
-            node = Or(node, self.parse_and())
-        return node
+            clauses = _join(clauses, self.parse_and(negated), negated)
+        return clauses
 
-    def parse_and(self) -> Pred:
-        node = self.parse_unary()
+    def parse_and(self, negated: bool) -> list:
+        clauses = self.parse_unary(negated)
         while self.t.peek()[0] == "&&":
             self.t.next()
-            node = And(node, self.parse_unary())
-        return node
+            clauses = _join(clauses, self.parse_unary(negated), not negated)
+        return clauses
 
-    def parse_unary(self) -> Pred:
+    def parse_unary(self, negated: bool) -> list:
         kind, value, pos = self.t.peek()
         if kind == "!":
             self.t.next()
-            return Not(self.parse_unary())
+            return self.parse_unary(not negated)
         if kind == "(":
             self.t.next()
-            node = self.parse_or()
+            clauses = self.parse_or(negated)
             self.t.expect(")")
-            return node
+            return clauses
         if kind == "ident":
             if value in _PRED_KEYWORDS:
                 self.t.next()
-                return _PRED_KEYWORDS[value]
-            self.t.next()
-            op_kind, op, op_pos = self.t.next()
-            if op_kind != "cmp":
-                raise ParseError(f"expected comparison after variable {value!r}", op_pos)
-            num_kind, k, num_pos = self.t.next()
-            if num_kind != "num":
-                raise ParseError("expected numeric constant in comparison", num_pos)
-            return comparison(value, op, k)
+                lit = _PRED_KEYWORDS[value]
+            else:
+                self.t.next()
+                op_kind, op, op_pos = self.t.next()
+                if op_kind != "cmp":
+                    raise ParseError(f"expected comparison after variable {value!r}", op_pos)
+                num_kind, k, num_pos = self.t.next()
+                if num_kind != "num":
+                    raise ParseError("expected numeric constant in comparison", num_pos)
+                lit = comparison(value, op, k)
+            return [(negate_literal(lit) if negated else lit,)]
         raise ParseError(f"expected predicate, found {_Tokens._show(self.t.peek())}", pos)
 
 
-def parse_predicate(text: str) -> Pred:
+def parse_predicate(text: str) -> Dnf:
     tokens = _Tokens(text)
-    node = _PredParser(tokens).parse_or()
+    dnf = _PredParser(tokens).parse_dnf()
     kind, _, pos = tokens.peek()
     if kind != "eof":
         raise ParseError("trailing input after predicate", pos)
-    return node
+    return dnf
 
 
-def print_predicate(p: Pred | Dnf) -> str:
-    """Concrete syntax; negated comparisons render as ``!(x < k)``.
-
-    A ``Dnf`` prints flat, `` || `` between clauses and `` && `` between
-    literals, and ``to_dnf`` of the reparsed text gives back its clauses.
-    A ``Pred`` is parenthesized so that reparsing the output rebuilds
-    the same tree (the binary operators parse left-associative).
-    """
-    if isinstance(p, Dnf):
-        return " || ".join(" && ".join(map(print_predicate, c)) for c in p.clauses)
-    if isinstance(p, Top):
-        return "true"
-    if isinstance(p, Bottom):
-        return "false"
-    if isinstance(p, Cmp):
-        return f"{p.var} {p.op} {fmt_const(p.k)}"
-    if isinstance(p, Not):
-        return f"!({print_predicate(p.arg)})"
-    if isinstance(p, Or):
-        left = print_predicate(p.left)
-        right = print_predicate(p.right)
-        if isinstance(p.right, Or):
-            right = f"({right})"
-        return f"{left} || {right}"
-    if isinstance(p, And):
-        left = print_predicate(p.left)
-        right = print_predicate(p.right)
-        if isinstance(p.left, Or):
-            left = f"({left})"
-        if isinstance(p.right, (Or, And)):
-            right = f"({right})"
-        return f"{left} && {right}"
-    raise TypeError(f"not a predicate node: {p!r}")
+def print_predicate(dnf: Dnf) -> str:
+    """Concrete syntax, `` || `` between clauses and `` && `` between
+    literals, each literal as its ``repr`` (a negated comparison as
+    ``!(x < k)``).  Parsing the output gives back the same clauses."""
+    return " || ".join(" && ".join(map(repr, c)) for c in dnf.clauses)

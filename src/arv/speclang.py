@@ -17,6 +17,7 @@ import math
 import threading
 import weakref
 from dataclasses import MISSING, dataclass, fields
+from pathlib import Path
 
 from . import predicate as P
 from .errors import ParseError, UnboundVariableError
@@ -189,7 +190,7 @@ class Epsilon(SreExpr):
 
 @dataclass(frozen=True)
 class SreBasic(SreExpr):
-    pred: P.Pred
+    pred: P.Dnf
 
 
 @dataclass(frozen=True)
@@ -274,20 +275,26 @@ def _bad_cell(header, row, lineno) -> ParseError:
     raise AssertionError("row has no bad cell")
 
 
+def read_utf8(path, source: str) -> str:
+    """The text of a UTF-8 file, less a leading byte-order mark.  The
+    whole file is decoded at once, so a bad byte is reported at its
+    offset in the file."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{source} is not UTF-8 text (byte {exc.start})") from None
+
+
 def read_trace_csv(text_or_path, from_path: bool = True) -> Trace:
     """Header row of variable names, one numeric row per sample; blank
     lines skipped; a file may start with a UTF-8 byte-order mark.  Errors
     name the file line of the offending row.  Each cell is converted and
     checked once."""
     source = f"trace file {text_or_path}" if from_path else "trace text"
+    text = read_utf8(text_or_path, source) if from_path else text_or_path
     try:
-        if from_path:
-            with open(text_or_path, newline="", encoding="utf-8-sig") as fh:
-                rows = _csv_rows(fh)
-        else:
-            rows = _csv_rows(io.StringIO(text_or_path))
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{source} is not UTF-8 text (byte {exc.start})") from None
+        rows = _csv_rows(io.StringIO(text, newline=""))
     except csv.Error as exc:
         raise ParseError(f"{source} is not valid CSV: {exc}") from None
     if not rows:
@@ -408,7 +415,7 @@ def eval_stl(trace: Trace, i: int, formula: StlFormula) -> bool:
 
 def sre_variables(e: SreExpr) -> set[str]:
     if isinstance(e, SreBasic):
-        return P.variables_of(e.pred)
+        return set(P.dnf_variables(e.pred))
     if isinstance(e, (SreStar, SreDuration)):
         return sre_variables(e.arg)
     if isinstance(e, (SreConcat, SreUnion, SreIntersect)):
@@ -778,8 +785,7 @@ class _SreParser:
         if kind == "(":
             mark = self.t.pos
             try:
-                pred = P._PredParser(self.t).parse_or()
-                return SreBasic(pred)
+                return SreBasic(P._PredParser(self.t).parse_dnf())
             except ParseError:
                 self.t.pos = mark
             self.t.next()
@@ -787,8 +793,7 @@ class _SreParser:
             self.t.expect(")")
             return node
         if kind in ("ident", "!"):
-            pred = P._PredParser(self.t).parse_or()
-            return SreBasic(pred)
+            return SreBasic(P._PredParser(self.t).parse_dnf())
         raise ParseError(f"expected expression, found {P._Tokens._show(self.t.peek())}", pos)
 
 

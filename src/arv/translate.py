@@ -19,12 +19,12 @@ or checked once.  Window steps and tableau locations are both capped at
 ``automaton.MAX_SUBSETS``.
 
 Regular expressions compile compositionally into fragments with epsilon
-transitions, each proposition converted to DNF once; epsilon moves exist
-only here and are eliminated whenever a fragment becomes an automaton.
-A duration is the product of its argument's automaton with a length
-counter, a chain of ``TOP``-guarded steps, so ``product`` is the one
-synchronous product here and its location budget bounds what nested and
-starred durations build.  Duration windows are also budgeted like STL
+transitions, each proposition the ``Dnf`` the parser built; epsilon moves
+exist only here and are eliminated whenever a fragment becomes an
+automaton.  A duration is the product of its argument's automaton with a
+length counter, a chain of ``TRUE``-guarded steps, so ``product`` is the
+one synchronous product here and its location budget bounds what nested
+and starred durations build.  Duration windows are also budgeted like STL
 windows, before any fragment is built.
 """
 
@@ -39,12 +39,10 @@ from .automaton import SymbolicAutomaton, canonicalize, make_automaton, product,
 from .errors import UnsupportedFragmentError
 from .predicate import comparison
 
-_COMPLEMENT_OP = {"<": ">=", "<=": ">", ">": "<=", ">=": "<"}
 
-
-def _atom_literal(atom: S.Atom, positive: bool) -> P.Pred:
-    op = atom.op if positive else _COMPLEMENT_OP[atom.op]
-    return comparison(atom.var, op, atom.value)
+def _atom_literal(atom: S.Atom, positive: bool) -> P.Literal:
+    lit = comparison(atom.var, atom.op, atom.value)
+    return lit if positive else P.negate_literal(lit)
 
 
 def _combine(alternatives_a, alternatives_b):
@@ -134,7 +132,7 @@ class _Tableau:
         return pruned
 
 
-def _literal_key(lit: P.Pred):
+def _literal_key(lit: P.Literal):
     if isinstance(lit, P.Cmp):
         return (lit.var, 0, lit.op, lit.k)
     return (lit.arg.var, 1, lit.arg.op, lit.arg.k)
@@ -279,13 +277,13 @@ def _from_automaton(a: SymbolicAutomaton) -> _Frag:
 
 def _length(w: S.TimeWindow) -> SymbolicAutomaton:
     """The counter of a duration window: a chain of ``cap + 1`` locations
-    joined by ``TOP`` steps, accepting from ``lo`` to ``cap``, where
+    joined by ``TRUE`` steps, accepting from ``lo`` to ``cap``, where
     ``cap`` is ``hi``, or ``lo`` with a loop when the window is
     unbounded."""
     cap = w.lo if w.hi is None else w.hi
-    steps = [(c, P.TOP, c + 1) for c in range(cap)]
+    steps = [(c, P.TRUE, c + 1) for c in range(cap)]
     if w.hi is None:
-        steps.append((cap, P.TOP, cap))
+        steps.append((cap, P.TRUE, cap))
     return make_automaton((), cap + 1, {0}, range(w.lo, cap + 1), steps)
 
 
@@ -293,7 +291,7 @@ def _build(expr: S.SreExpr, variables) -> _Frag:
     if isinstance(expr, S.Epsilon):
         return _Frag(1, {0}, {0}, [], [])
     if isinstance(expr, S.SreBasic):
-        guard = P.to_dnf(expr.pred)
+        guard = expr.pred
         if not P.is_sat(guard):
             # an unsatisfiable proposition still matches the empty segment
             return _Frag(1, {0}, {0}, [], [])

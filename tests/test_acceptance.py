@@ -12,7 +12,7 @@ from arv import fixtures as FX
 from arv import predicate as P
 from arv.automaton import decorate
 from arv.distance import PointwiseDistance, default_distance, vpd
-from arv.generators import all_traces, random_sre, random_stl, random_trace
+from arv.generators import random_sre, random_stl, random_trace
 from arv.monitor import ValueStream, build_monitor_pair, robustness, trace_value
 from arv.oracles import (
     accepts,
@@ -24,6 +24,7 @@ from arv.oracles import (
 from arv.semiring import BOOLEAN, MINMAX, TROPICAL
 from arv.speclang import Trace, eval_sre, eval_stl, parse_sre, parse_stl
 from arv.translate import translate_sre, translate_stl
+from conftest import traces_upto
 
 INF = math.inf
 ALL = (BOOLEAN, MINMAX, TROPICAL)
@@ -35,7 +36,7 @@ def report(cid: str, ok: bool, detail: str):
 
 
 def test_a1_conjunction_minimization_distance():
-    raw = P.to_dnf(P.parse_predicate("x <= 3 && x <= 5"))
+    raw = P.parse_predicate("x <= 3 && x <= 5")
     minimized = P.wedge_minimize(raw)
     v = {"x": 6.0}
     # warm-up, then timed run
@@ -205,20 +206,13 @@ def test_a7_sign_soundness_disjunction_and_perturbation():
     )
 
 
-def _traces_upto(variables, values, max_len):
-    out = []
-    for n in range(1, max_len + 1):
-        out.extend(all_traces(variables, values, n))
-    return out
-
-
 def test_a8_translation_correctness():
     rng = random.Random(808)
     mismatches = 0
     counted = 0
 
-    traces_1 = _traces_upto(("x",), range(0, 4), 4)
-    traces_2 = _traces_upto(("x", "y"), range(0, 4), 4)
+    traces_1 = traces_upto(("x",), range(0, 4), 4)
+    traces_2 = traces_upto(("x", "y"), range(0, 4), 4)
 
     for _ in range(40):
         f = random_stl(rng, ["x"], depth=3)

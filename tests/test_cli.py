@@ -384,6 +384,20 @@ def test_translate_spec_not_utf8_is_parse_error(tmp_path, capsys):
     assert f"spec file {spec} is not UTF-8" in capsys.readouterr().err
 
 
+def test_spec_not_utf8_names_the_file_offset_after_a_byte_order_mark(tmp_path, capsys):
+    spec = tmp_path / "bad.stl"
+    spec.write_bytes(b"\xef\xbb\xbfG \xffx <= 1\n")
+    assert main(["translate", "--spec", str(spec)]) == 2
+    assert f"spec file {spec} is not UTF-8 text (byte 5)" in capsys.readouterr().err
+
+
+def test_trace_not_utf8_names_the_file_offset_in_a_long_file(spec_file, tmp_path, capsys):
+    trace = tmp_path / "bad.csv"
+    trace.write_bytes(b"x\n" + b"1\n" * 5999 + b"\xff\n")
+    assert main(["monitor", "--spec", spec_file, "--trace", str(trace)]) == 2
+    assert f"trace file {trace} is not UTF-8 text (byte 12000)" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
 def test_monitor_accepts_a_byte_order_mark(tmp_path, capsys, bom):
     spec = tmp_path / "s.stl"

@@ -15,7 +15,7 @@ INF = math.inf
 
 
 def dnf(text):
-    return P.to_dnf(P.parse_predicate(text))
+    return P.parse_predicate(text)
 
 
 def test_point_dist_examples():
@@ -86,7 +86,7 @@ def test_vpd_zero_iff_satisfied_closed_literals():
             kind = default_distance(semiring)
             use = P.wedge_minimize(d) if semiring is TROPICAL else d
             value = vpd(v, use, semiring, kind)
-            assert (value == semiring.e_times) == P.evaluate_dnf(v, d)
+            assert (value == semiring.e_times) == P.evaluate(v, d)
 
 
 def test_engine_matches_grid_fold_sample():

@@ -20,7 +20,7 @@ from arv.distance import default_distance
 from arv.errors import ArvError
 from arv.generators import random_sre, random_stl, random_trace
 from arv.monitor import RobustnessVerdict, ValueStream, _rho, build_monitor_pair, verdicts
-from arv.predicate import Cmp, Dnf, Not, Pred, parse_predicate
+from arv.predicate import Cmp, Dnf, Literal, Not, parse_predicate
 from arv.semiring import BOOLEAN, MINMAX, TROPICAL, Semiring
 from arv.speclang import (
     Atom,
@@ -56,7 +56,18 @@ GONE = {
         "_guard_boxes",
     ),
     "semiring": ("nat_lt",),
-    "predicate": ("evaluate_clause", "minimal_dnf"),
+    "predicate": (
+        "evaluate_clause",
+        "minimal_dnf",
+        "Pred",
+        "Or",
+        "And",
+        "to_dnf",
+        "_nnf",
+        "_clauses",
+        "variables_of",
+        "evaluate_dnf",
+    ),
     "speclang": ("Since", "Once", "Historically", "Prev", "PAST_OPERATORS", "_past_positions"),
 }
 
@@ -83,12 +94,12 @@ def test_moved_and_deleted_names_are_gone():
     for module, names in GONE.items():
         mod = importlib.import_module(f"arv.{module}")
         assert [n for n in names if hasattr(mod, n)] == [], module
-    assert not {"eps_eliminate", "mintermize", "union"} & set(arv.__all__)
+    assert not {"eps_eliminate", "mintermize", "union", "to_dnf"} & set(arv.__all__)
     assert "eps" not in {f.name for f in dataclasses.fields(SymbolicAutomaton)}
     assert not hasattr(Dnf, "to_pred")
     assert [f.name for f in dataclasses.fields(WeightedAutomaton)] == ["base", "semiring", "dist"]
     assert not hasattr(Atom, "to_literal")
-    assert not {"__and__", "__or__", "__invert__"} & set(vars(Pred))
+    assert not {"__and__", "__or__", "__invert__"} & set(vars(Literal))
     assert not {"additively_idempotent", "bounded"} & {f.name for f in dataclasses.fields(Semiring)}
     assert "past" not in inspect.signature(random_stl).parameters
     for name in ("path_enumeration_value", "trace_distance_brute_force", "vpd_brute_force"):

@@ -13,53 +13,66 @@ INF = math.inf
 
 
 def lit(text):
-    return P.parse_predicate(text)
+    """The one literal of a one-literal predicate."""
+    ((literal,),) = P.parse_predicate(text).clauses
+    return literal
 
 
 def clause_set(dnf):
     return [set(c) for c in dnf.clauses]
 
 
-# --- DNF conversion ---------------------------------------------------------
+# --- the parser builds the DNF ---------------------------------------------------
 
 
-def test_to_dnf_de_morgan():
-    p = P.parse_predicate("!(x <= 3 || y <= 2)")
-    dnf = P.to_dnf(p)
+def test_parse_de_morgan():
+    dnf = P.parse_predicate("!(x <= 3 || y <= 2)")
     assert clause_set(dnf) == [{lit("!(x <= 3)"), lit("!(y <= 2)")}]
 
 
-def test_to_dnf_keeps_existing_dnf():
-    p = P.parse_predicate("(x <= 3 && x <= 5 && y <= 5) || z > 0")
-    dnf = P.to_dnf(p)
+def test_parse_keeps_existing_dnf():
+    dnf = P.parse_predicate("(x <= 3 && x <= 5 && y <= 5) || z > 0")
     assert clause_set(dnf) == [
         {lit("x <= 3"), lit("x <= 5"), lit("y <= 5")},
         {lit("z > 0")},
     ]
 
 
-def test_to_dnf_top():
-    assert P.to_dnf(P.TOP).clauses == ((P.TOP,),)
+def test_parse_top():
+    assert P.parse_predicate("true").clauses == ((P.TOP,),)
+    assert P.parse_predicate("!T").clauses == ((P.BOTTOM,),)
+    assert P.parse_predicate("!!false").clauses == ((P.BOTTOM,),)
+
+
+def test_parse_pins_clause_and_literal_order():
+    """Under a negation ``&&`` lists clauses in text order and ``||``
+    combines them pairwise, left literals first."""
+    a, b, c = (P.Not(P.Cmp(v, "<", 1.0)) for v in "abc")
+    assert P.parse_predicate("!(a < 1 && (b < 1 || c < 1))").clauses == ((a,), (b, c))
+    assert P.parse_predicate("(a >= 1 || b >= 1) && c >= 1").clauses == ((a, c), (b, c))
+    assert P.parse_predicate("!(x > 2) && !!(y >= 3)").clauses == (
+        (P.Cmp("x", "<=", 2.0), P.Not(P.Cmp("y", "<", 3.0))),
+    )
 
 
 # --- conjunction minimization -------------------------------------------------
 
 
 def test_wedge_minimize_drops_implied_upper_bound():
-    dnf = P.to_dnf(P.parse_predicate("x <= 3 && x <= 5"))
+    dnf = P.parse_predicate("x <= 3 && x <= 5")
     out = P.wedge_minimize(dnf)
     assert out.wedge_minimal
     assert clause_set(out) == [{lit("x <= 3")}]
 
 
 def test_wedge_minimize_keeps_minimal_input():
-    dnf = P.to_dnf(P.parse_predicate("(x <= 3 && y <= 5) || z > 0"))
+    dnf = P.parse_predicate("(x <= 3 && y <= 5) || z > 0")
     out = P.wedge_minimize(dnf)
     assert clause_set(out) == clause_set(dnf)
 
 
 def test_wedge_minimize_negated_literals():
-    dnf = P.to_dnf(P.parse_predicate("!(x < 1) && !(x < 1.5)"))
+    dnf = P.parse_predicate("!(x < 1) && !(x < 1.5)")
     out = P.wedge_minimize(dnf)
     assert clause_set(out) == [{lit("!(x < 1.5)")}]
 
@@ -67,8 +80,7 @@ def test_wedge_minimize_negated_literals():
 def test_wedge_minimize_idempotent_and_minimal():
     rng = random.Random(5)
     for _ in range(200):
-        p = random_predicate(rng, ["x", "y"], depth=3)
-        once = P.wedge_minimize(P.to_dnf(p))
+        once = P.wedge_minimize(P.parse_predicate(random_predicate(rng, ["x", "y"], depth=3)))
         twice = P.wedge_minimize(once)
         assert once.clauses == twice.clauses
         for clause in once.clauses:
@@ -77,9 +89,7 @@ def test_wedge_minimize_idempotent_and_minimal():
                 for j, b in enumerate(comparisons):
                     if i == j:
                         continue
-                    va = a.var if isinstance(a, P.Cmp) else a.arg.var
-                    vb = b.var if isinstance(b, P.Cmp) else b.arg.var
-                    if va == vb:
+                    if a.var == b.var:
                         assert not P.literal_interval(a).subset_of(P.literal_interval(b))
 
 
@@ -110,12 +120,12 @@ def test_dnf_unpickled_under_another_hash_seed_finds_its_equal():
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     script = (
         "import pickle, sys; from arv import predicate as P; sys.stdout.buffer.write("
-        "pickle.dumps(P.to_dnf(P.parse_predicate('x <= 1 && y > 2 || z < 0'))))"
+        "pickle.dumps(P.parse_predicate('x <= 1 && y > 2 || z < 0')))"
     )
     done = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, timeout=60, check=True
     )
-    dnf = P.to_dnf(P.parse_predicate("x <= 1 && y > 2 || z < 0"))
+    dnf = P.parse_predicate("x <= 1 && y > 2 || z < 0")
     assert {dnf: "guard"}.get(pickle.loads(done.stdout)) == "guard"
 
 
@@ -123,9 +133,9 @@ def test_dnf_unpickled_under_another_hash_seed_finds_its_equal():
 
 
 def test_is_sat_examples():
-    assert not P.is_sat(P.to_dnf(P.parse_predicate("x >= 5 && x < 5")))
-    assert P.is_sat(P.to_dnf(P.TOP))
-    assert P.is_sat(P.to_dnf(P.parse_predicate("(x <= 1 && !(x <= 2)) || y <= 0")))
+    assert not P.is_sat(P.parse_predicate("x >= 5 && x < 5"))
+    assert P.is_sat(P.TRUE)
+    assert P.is_sat(P.parse_predicate("(x <= 1 && !(x <= 2)) || y <= 0"))
 
 
 # --- intervals ------------------------------------------------------------------
@@ -196,7 +206,7 @@ def test_complement_boxes_partition_grid():
 
 
 def test_dnf_boxes_single_clause():
-    boxes = P.dnf_boxes(P.to_dnf(lit("x <= 3")), ["x"])
+    boxes = P.dnf_boxes(P.parse_predicate("x <= 3"), ["x"])
     assert len(boxes) == 1
     assert boxes[0].components[0] == Interval.make(-INF, 3, False, True)
 
@@ -206,17 +216,17 @@ def test_dnf_boxes_overlapping_rectangles():
         "(!(x < 2.5) && x <= 4 && !(y < 0.5) && y <= 3.5)"
         " || (!(x < 1) && !(x < 1.5) && x <= 4 && !(y < 0.5) && y <= 2)"
     )
-    dnf = P.to_dnf(P.parse_predicate(text))
+    dnf = P.parse_predicate(text)
     boxes = P.dnf_boxes(dnf, ["x", "y"])
     for i, a in enumerate(boxes):
         for b in boxes[i + 1 :]:
             assert a.intersect(b).is_empty
     for pt in grid_points(["x", "y"], -1, 6):
-        assert in_boxes(boxes, ["x", "y"], pt) == P.evaluate_dnf(pt, dnf)
+        assert in_boxes(boxes, ["x", "y"], pt) == P.evaluate(pt, dnf)
 
 
 def test_dnf_boxes_union_region():
-    dnf = P.to_dnf(P.parse_predicate("x <= 3 || x <= 5"))
+    dnf = P.parse_predicate("x <= 3 || x <= 5")
     boxes = P.dnf_boxes(dnf, ["x"])
     for pt in grid_points(["x"], -10, 10):
         assert in_boxes(boxes, ["x"], pt) == (pt["x"] <= 5)
@@ -236,11 +246,11 @@ def test_minimal_dnf_region_equivalent():
         "(!(x < 2.5) && x <= 4 && !(y < 0.5) && y <= 3.5)"
         " || (!(x < 1) && !(x < 1.5) && x <= 4 && !(y < 0.5) && y <= 2)"
     )
-    dnf = P.to_dnf(P.parse_predicate(text))
+    dnf = P.parse_predicate(text)
     minimal = P.boxes_to_dnf(P.dnf_boxes(dnf, ["x", "y"]), ["x", "y"])
     assert minimal.wedge_minimal
     for pt in grid_points(["x", "y"], -1, 6):
-        assert P.evaluate_dnf(pt, minimal) == P.evaluate_dnf(pt, dnf)
+        assert P.evaluate(pt, minimal) == P.evaluate(pt, dnf)
     boxes = P.dnf_boxes(minimal, ["x", "y"])
     for i, a in enumerate(boxes):
         for b in boxes[i + 1 :]:
@@ -248,26 +258,39 @@ def test_minimal_dnf_region_equivalent():
 
 
 def test_minimal_dnf_simple_cases():
-    out = P.boxes_to_dnf(P.dnf_boxes(P.to_dnf(lit("x <= 3")), ["x"]), ["x"])
+    out = P.boxes_to_dnf(P.dnf_boxes(P.parse_predicate("x <= 3"), ["x"]), ["x"])
     assert clause_set(out) == [{lit("x <= 3")}]
-    dnf = P.to_dnf(P.parse_predicate("x <= 3 || x <= 5"))
+    dnf = P.parse_predicate("x <= 3 || x <= 5")
     out = P.boxes_to_dnf(P.dnf_boxes(dnf, ["x"]), ["x"])
     for pt in grid_points(["x"], -10, 10):
-        assert P.evaluate_dnf(pt, out) == (pt["x"] <= 5)
+        assert P.evaluate(pt, out) == (pt["x"] <= 5)
 
 
 # --- evaluation -------------------------------------------------------------------
 
 
 def test_evaluate_examples():
-    assert P.evaluate({"x": 2.0}, lit("x <= 3"))
+    assert P.evaluate({"x": 2.0}, P.parse_predicate("x <= 3"))
     assert not P.evaluate({"x": 6.0}, P.parse_predicate("x <= 3 && x <= 5"))
-    assert P.evaluate({"x": 5.0}, lit("!(x < 5)"))
+    assert P.evaluate({"x": 5.0}, P.parse_predicate("!(x < 5)"))
+    assert P.evaluate({"x": 6.0}, P.parse_predicate("x <= 3 || true"))
+    assert not P.evaluate({}, P.parse_predicate("false"))
     with pytest.raises(UnboundVariableError):
-        P.evaluate({"y": 0.0}, lit("x <= 3"))
+        P.evaluate({"y": 0.0}, P.parse_predicate("x <= 3"))
 
 
 # --- the representations agree everywhere -----------------------------------------
+
+
+def python_truth(text):
+    """The predicate text as a function of a valuation, evaluated by
+    Python's own ``not``, ``and`` and ``or``: a reference independent of
+    the parser."""
+    code = compile(
+        text.replace("&&", " and ").replace("||", " or ").replace("!", "not "), "<pred>", "eval"
+    )
+    constants = {"__builtins__": {}, "true": True, "T": True, "false": False}
+    return lambda valuation: eval(code, constants, valuation)
 
 
 def test_representations_agree_on_grid():
@@ -275,8 +298,9 @@ def test_representations_agree_on_grid():
     for case in range(150):
         n_vars = rng.choice([1, 1, 2, 2, 3])
         variables = ["x", "y", "z"][:n_vars]
-        p = random_predicate(rng, variables, depth=3)
-        dnf = P.to_dnf(p)
+        text = random_predicate(rng, variables, depth=3)
+        truth = python_truth(text)
+        dnf = P.parse_predicate(text)
         minimized = P.wedge_minimize(dnf)
         minimal = P.boxes_to_dnf(P.dnf_boxes(dnf, variables), variables)
         boxes = P.dnf_boxes(dnf, variables)
@@ -284,10 +308,10 @@ def test_representations_agree_on_grid():
             for b in boxes[i + 1 :]:
                 assert a.intersect(b).is_empty
         for pt in grid_points(variables, -10, 10):
-            expected = P.evaluate(pt, p)
-            assert P.evaluate_dnf(pt, dnf) == expected
-            assert P.evaluate_dnf(pt, minimized) == expected
-            assert P.evaluate_dnf(pt, minimal) == expected
+            expected = truth(pt)
+            assert P.evaluate(pt, dnf) == expected
+            assert P.evaluate(pt, minimized) == expected
+            assert P.evaluate(pt, minimal) == expected
             assert in_boxes(boxes, variables, pt) == expected
 
 
@@ -295,8 +319,8 @@ def test_representations_agree_on_grid():
 
 
 def test_parse_desugars_ge_gt():
-    assert P.parse_predicate("x > 3") == P.Not(P.Cmp("x", "<=", 3.0))
-    assert P.parse_predicate("x >= 3") == P.Not(P.Cmp("x", "<", 3.0))
+    assert lit("x > 3") == P.Not(P.Cmp("x", "<=", 3.0))
+    assert lit("x >= 3") == P.Not(P.Cmp("x", "<", 3.0))
 
 
 def test_parse_errors_carry_position():
@@ -329,6 +353,5 @@ def test_exponent_constants_round_trip(text):
 def test_print_parse_roundtrip_random():
     rng = random.Random(404)
     for _ in range(300):
-        p = random_predicate(rng, ["x", "y", "z"], depth=4)
-        text = P.print_predicate(p)
-        assert P.parse_predicate(text) == p
+        dnf = P.parse_predicate(random_predicate(rng, ["x", "y", "z"], depth=4))
+        assert P.parse_predicate(P.print_predicate(dnf)) == dnf

@@ -6,7 +6,7 @@ import pytest
 from arv import predicate as P
 from arv import speclang as S
 from arv.errors import ParseError
-from arv.generators import all_traces, random_stl, random_trace
+from arv.generators import random_stl, random_trace
 from arv.speclang import (
     Atom,
     Eventually,
@@ -27,6 +27,7 @@ from arv.speclang import (
     unfold_bounded,
     write_trace_csv,
 )
+from conftest import traces_upto
 
 
 def tr(*values):
@@ -57,7 +58,7 @@ def test_parse_sre_structure():
     e = parse_sre("T ; ((x<=5 ; T) & <x<=3 && y>=6>[1,1]) ; T")
     assert isinstance(e, S.SreConcat)
     assert isinstance(e.left, S.SreConcat)
-    assert e.left.left == S.SreBasic(P.TOP)
+    assert e.left.left == S.SreBasic(P.TRUE)
     mid = e.left.right
     assert isinstance(mid, S.SreIntersect)
     assert isinstance(mid.left, S.SreConcat)
@@ -199,9 +200,7 @@ def test_unfold_core_shape():
 
 def test_desugar_and_unfold_preserve_semantics():
     rng = random.Random(23)
-    traces = []
-    for n in (1, 2, 3, 4):
-        traces.extend(all_traces(("x",), range(3), n))
+    traces = traces_upto(("x",), range(3), 4)
     for _ in range(60):
         f = random_stl(rng, ["x"], depth=3, const_lo=0, const_hi=2)
         cored = desugar(f)

@@ -5,17 +5,11 @@ import pytest
 from arv import predicate as P
 from arv.errors import UnsupportedFragmentError
 from arv.fixtures import PHI1_TEXT, PHI2_TEXT
-from arv.generators import all_traces, random_sre, random_stl
+from arv.generators import random_sre, random_stl
 from arv.oracles import accepts
 from arv.speclang import Trace, eval_sre, eval_stl, parse_sre, parse_stl
 from arv.translate import translate_sre, translate_stl
-
-
-def traces_upto(variables, values, max_len):
-    out = []
-    for n in range(1, max_len + 1):
-        out.extend(all_traces(variables, values, n))
-    return out
+from conftest import traces_upto
 
 
 def test_translate_eventually_shape():

@@ -14,7 +14,6 @@ import math
 import os
 import re
 import sys
-from collections import deque
 from pathlib import Path
 
 from . import automaton as A
@@ -92,7 +91,7 @@ def cmd_monitor(args) -> int:
                 f"final rho = {_fmt_num(verdict.rho)} ({status})"
             )
         else:
-            (verdict,) = deque(M.verdicts(trace, w_pos, w_neg), maxlen=1)
+            verdict = M.verdict(trace, w_pos, w_neg)
             status = "satisfied" if verdict.satisfied else "violated"
             print(
                 f"{trace_path}: rho = {_fmt_num(verdict.rho)} ({status}), "

@@ -255,7 +255,7 @@ def language_distance_cross_check(cases: int, seed: int) -> int:
     """End-to-end pipeline vs the trace-to-language grid fold.
 
     Checks the formula's own automaton through ``trace_value`` and the
-    compiled monitor pair through ``verdicts``: its ``d_phi`` against the
+    compiled monitor pair through ``verdict``: its ``d_phi`` against the
     grid fold and its ``satisfied`` against ``eval_stl``.  ``d_not_phi``
     is not compared, since the negation has open comparisons whose
     infimum the grid never attains.  Formulas are resampled until the
@@ -279,7 +279,7 @@ def language_distance_cross_check(cases: int, seed: int) -> int:
             expected = trace_distance_brute_force(trace, formula, semiring, dist, grid)
             if M.trace_value(trace, w) != expected:
                 mismatches += 1
-            *_, last = M.verdicts(trace, *M.build_monitor_pair(formula, semiring, dist))
+            last = M.verdict(trace, *M.build_monitor_pair(formula, semiring, dist))
             if last.d_phi != expected or last.satisfied != S.eval_stl(trace, 0, formula):
                 mismatches += 1
     return mismatches

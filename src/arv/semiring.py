@@ -63,10 +63,17 @@ class Semiring:
         return f"Semiring({self.name})"
 
 
+def _max(a: SemiringValue, b: SemiringValue) -> SemiringValue:
+    """Builtin ``max`` of two values, by the same rule (``a`` unless
+    ``b > a``, so ties and NaN come out the same) at a fraction of its
+    call cost: the monitor calls ⊗ once per live edge and sample."""
+    return b if b > a else a
+
+
 BOOLEAN = Semiring(
     name="boolean",
     oplus=min,
-    otimes=max,
+    otimes=_max,
     e_plus=1.0,
     e_times=0.0,
     multiplicatively_idempotent=True,
@@ -75,7 +82,7 @@ BOOLEAN = Semiring(
 MINMAX = Semiring(
     name="minmax",
     oplus=min,
-    otimes=max,
+    otimes=_max,
     e_plus=INF,
     e_times=0.0,
     multiplicatively_idempotent=True,

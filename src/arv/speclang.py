@@ -258,7 +258,12 @@ class Trace:
 def _csv_rows(fh) -> list[tuple[int, list[str]]]:
     """Non-blank CSV rows, each with the line number it ends on."""
     reader = csv.reader(fh)
-    return [(reader.line_num, r) for r in reader if any(cell.strip() for cell in r)]
+    # the generator runs only for a row whose first cell is blank
+    return [
+        (reader.line_num, r)
+        for r in reader
+        if r and (r[0].strip() or any(cell.strip() for cell in r))
+    ]
 
 
 def _bad_cell(header, row, lineno) -> ParseError:

@@ -9,11 +9,13 @@ from arv.distance import PointwiseDistance, default_distance
 from arv.errors import UnboundVariableError, UnsupportedFragmentError
 from arv.generators import random_stl, random_trace
 from arv.monitor import (
+    RobustnessVerdict,
     ValueStream,
     build_monitor_pair,
     robustness,
     robustness_prefix_series,
     trace_value,
+    verdict,
     verdicts,
 )
 from arv.oracles import path_costs, path_enumeration_value, trace_distance_brute_force
@@ -513,3 +515,61 @@ def test_live_set_memo_does_not_grow_with_trace_length(text):
     assert counts[0] == counts[1]
     # keyed by members, not by the order a step visits them in
     assert counts[0] <= w_pos.base.n_locations + 1
+
+
+def test_verdict_refuses_an_empty_trace_before_reading_the_stream(monkeypatch):
+    """``w_pos`` of an STL pair accepts the empty trace, so the verdict of
+    zero samples would read a stream that never stepped."""
+    pair = build_monitor_pair(parse_stl(MONITORED[0]), MINMAX)
+    assert ValueStream(pair[0]).path_exists
+
+    def forbidden(*_args):
+        raise AssertionError("stream built for an empty trace")
+
+    monkeypatch.setattr(ValueStream, "__init__", forbidden)
+    empty = object.__new__(Trace)
+    empty.variables = ("x",)
+    empty.samples = []
+    with pytest.raises(ValueError, match="traces must contain at least one sample"):
+        verdict(empty, *pair)
+
+
+def test_verdict_is_the_last_of_verdicts():
+    from arv.generators import random_sre
+
+    rng = random.Random(4242)
+    for k in range(60):
+        make = random_stl if k % 2 else random_sre
+        spec = make(rng, ["x", "y"], depth=2)
+        t = random_trace(rng, ("x", "y"), rng.randint(1, 6))
+        for sr in ALL:
+            pair = build_monitor_pair(spec, sr)
+            got = verdict(t, *pair)
+            assert type(got) is RobustnessVerdict
+            assert repr(got) == repr(list(verdicts(t, *pair))[-1])
+            assert got == robustness(t, spec, sr)
+
+
+def test_robustness_verdict_is_a_named_tuple():
+    v = RobustnessVerdict(3.0, True, 0.0, 3.0)
+    assert RobustnessVerdict._fields == ("rho", "satisfied", "d_phi", "d_not_phi")
+    assert repr(v) == "RobustnessVerdict(rho=3.0, satisfied=True, d_phi=0.0, d_not_phi=3.0)"
+    assert v == RobustnessVerdict(rho=3.0, satisfied=True, d_phi=0.0, d_not_phi=3.0)
+    assert v != RobustnessVerdict(3.0, False, 0.0, 3.0)
+    assert (v.rho, v.satisfied, v.d_phi, v.d_not_phi) == (3.0, True, 0.0, 3.0)
+
+
+@pytest.mark.parametrize("semiring", ALL, ids=lambda s: s.name)
+def test_live_indexed_costs_match_path_enumeration(semiring):
+    """The stream keeps one cost per live location; ``costs`` spells them
+    out over all 113 locations, as explicit path enumeration does."""
+    w_pos, _ = build_monitor_pair(parse_stl("G[0,20] F[0,5] x >= 8"), semiring)
+    assert w_pos.base.n_locations == 113
+    rng = random.Random(113)
+    trace = Trace(("x",), [{"x": rng.randint(0, 40) / 4} for _ in range(10)])
+    stream = ValueStream(w_pos)
+    assert stream.costs == path_costs(trace, w_pos, 0)
+    for steps, sample in enumerate(trace.samples, start=1):
+        stream.step(sample)
+        assert len(stream._costs) <= 7
+        assert stream.costs == path_costs(trace, w_pos, steps)

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from arv.semiring import BOOLEAN, MINMAX, SEMIRINGS, TROPICAL, by_name, to_signed
+from arv.semiring import BOOLEAN, MINMAX, SEMIRINGS, TROPICAL, _max, by_name, to_signed
 
 INF = math.inf
 ALL = (BOOLEAN, MINMAX, TROPICAL)
@@ -45,6 +45,25 @@ def test_every_oplus_is_min():
         for a in grid:
             for b in grid:
                 assert semiring.oplus(a, b) == min(a, b), (semiring.name, a, b)
+
+
+def test_max_otimes_is_builtin_max():
+    """``_max`` keeps builtin ``max``'s two-argument rule: the first
+    argument unless the second is greater, so ties between ``0.0`` and
+    ``-0.0`` and a NaN in either position come out the same."""
+    assert BOOLEAN.otimes is _max and MINMAX.otimes is _max
+    grid = (-INF, -2.5, -0.0, 0.0, 1.0, 3.0, INF, math.nan)
+    for a in grid:
+        for b in grid:
+            got, want = _max(a, b), max(a, b)
+            if math.isnan(want):
+                assert math.isnan(got), (a, b)
+            else:
+                assert got == want, (a, b)
+                assert math.copysign(1.0, got) == math.copysign(1.0, want), (a, b)
+    assert math.copysign(1.0, _max(0.0, -0.0)) == 1.0
+    assert math.copysign(1.0, _max(-0.0, 0.0)) == -1.0
+    assert math.isnan(_max(math.nan, 1.0)) and _max(1.0, math.nan) == 1.0
 
 
 def test_by_name():

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 import random
 
@@ -370,6 +372,17 @@ def test_trace_csv_skips_blank_lines(tmp_path):
     p.write_text("x\n\n1\n\n2\n")
     t = read_trace_csv(p)
     assert [s["x"] for s in t.samples] == [1.0, 2.0]
+
+
+def test_csv_rows_skip_exactly_the_blank_rows():
+    """Blank lines and rows of blank cells are dropped; a row with any
+    non-blank cell is kept, also when its first cell is blank."""
+    text = "x,y\n\n , \n,5\n1,\n \t,\n3,4\n,\n"
+    rows = S._csv_rows(io.StringIO(text, newline=""))
+    reference = csv.reader(io.StringIO(text, newline=""))
+    expected = [(reference.line_num, r) for r in reference if any(cell.strip() for cell in r)]
+    assert rows == expected
+    assert rows == [(1, ["x", "y"]), (4, ["", "5"]), (5, ["1", ""]), (7, ["3", "4"])]
 
 
 def test_empty_trace_rejected():

@@ -9,6 +9,7 @@ tables) and ``vpd`` (score one valuation against one predicate).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -83,7 +84,7 @@ def cmd_monitor(args) -> int:
         if args.prefix_series:
             lines = ["t,rho,satisfied"]
             for t, verdict in enumerate(M.verdicts(trace, w_pos, w_neg), start=1):
-                lines.append(f"{t},{_fmt_num(verdict.rho)},{str(verdict.satisfied).lower()}")
+                lines.append(f"{t},{_fmt_num(verdict.rho)},{'true' if verdict.satisfied else 'false'}")
             _atomic_write(_out_path(args.prefix_series, trace_path, many), "\n".join(lines) + "\n")
             status = "satisfied" if verdict.satisfied else "violated"
             print(
@@ -107,11 +108,8 @@ def cmd_monitor(args) -> int:
 
 
 def _fmt_num(x: float) -> str:
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    if float(x).is_integer():
-        return str(int(x))
-    return repr(float(x))
+    x = float(x)
+    return str(int(x)) if x.is_integer() else repr(x)
 
 
 def cmd_translate(args) -> int:
@@ -239,7 +237,10 @@ def cmd_fixtures(_args) -> int:
     return 0 if failures == 0 else 1
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every call
+    of ``main``: parsing fills a fresh namespace, so calls stay apart."""
     parser = argparse.ArgumentParser(
         prog="arv",
         description="Semiring-parametric robustness monitoring over symbolic weighted automata",
@@ -282,8 +283,11 @@ def main(argv=None) -> int:
         help="skip conjunction minimization (demonstration mode)",
     )
     p_vpd.set_defaults(fn=cmd_vpd)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except ArvError as exc:

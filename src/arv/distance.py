@@ -9,9 +9,13 @@ identity (the distance to an empty set).
 
 ``Scorer`` does this for many guards at once: per sample it compares
 each distinct atom ``var op k`` once, keeping its truth and its
-pointwise distance in a table, and folds every guard's weight from that
-table.  The truths also name the minterm that holds, which the
-monitor's DFA moves on.
+pointwise distance in a table.  Which literals a sample violates
+depends on the truths alone, so the scorer memoizes, per truth vector,
+a *recipe*: which guards hold, and for each other guard the *slot* its
+weight is read from, either one atom's distance or a compound weight
+appended after the atoms.  Equal slot tuples are interned to a small
+*shape* id, and the monitor memoizes what a step does per shape, so
+per sample only the table and the compounds are arithmetic.
 """
 
 from __future__ import annotations
@@ -65,9 +69,16 @@ def vpd(
     ):
         raise ValueError(f"semiring {semiring.name!r} requires ∧-minimal DNF")
     try:
-        return Scorer((dnf,), semiring, dist).score(valuation)[1][0]
+        return Scorer((dnf,), semiring, dist).score(valuation)[0]
     except KeyError as exc:
         raise UnboundVariableError(f"unbound variable {exc.args[0]!r}") from None
+
+
+# the slot of a guard that holds (it weighs the ⊗ identity, so an edge it
+# guards passes its cost on) and of one without clauses (it weighs the ⊕
+# identity, so an edge it guards never relaxes)
+HELD = -1
+NEVER = -2
 
 
 class Scorer:
@@ -75,13 +86,20 @@ class Scorer:
     of their atoms.
 
     Each distinct atom ``var op k`` of the guards' satisfiable clauses is
-    compared once per valuation; its truth and its pointwise distance go
-    into the table.  A guard's weight is then folded from the table:
-    clause by clause (⊕), literal by literal (⊗), where a satisfied
-    literal or ``Top`` contributes the multiplicative identity and a
-    violated one its atom's distance.  Unsatisfiable clauses are dropped
-    up front, so a guard without clauses weighs the additive identity.
-    This is the only scoring loop: ``vpd`` scores one guard with it.
+    compared once per valuation (``table``); its truth and its pointwise
+    distance go into the table.  Which literals are violated depends on
+    the truths alone, so per truth vector the scorer derives a *recipe*
+    once and memoizes it (``recipes``).  A guard's weight is the ⊕ (min)
+    over its clauses of the ⊗ of their violated atoms' distances, so in
+    a recipe each guard that holds gets the slot ``HELD``, a guard
+    without clauses ``NEVER``, a guard whose weight is one atom's
+    distance that atom's index, and any other guard the index of a
+    *compound*, which ``compound`` appends to the distances after the
+    atoms.  Equal compounds share a slot.  The tuple of slots is
+    interned to a small *shape* id (``shapes``), so truth vectors that
+    differ only in which atoms a compound folds share a shape.  ``score``
+    spells the weights out per guard, which is how ``vpd`` scores one
+    guard; ``ValueStream`` reads the slots straight from the distances.
     """
 
     def __init__(self, dnfs, semiring: Semiring, dist: PointwiseDistance):
@@ -102,42 +120,96 @@ class Scorer:
                 clauses.append(tuple(lits))
             guards.append(tuple(clauses))
         self.guards = tuple(guards)
-        self.score = _compile(tuple(atoms), self.guards, semiring, dist)
+        self.n_atoms = len(atoms)
+        self.table = _table(tuple(atoms), dist)
+        self.semiring = semiring
+        self.recipes: dict = {}  # truth vector -> (shape id, compounds)
+        self._shape_ids: dict = {}  # slots -> shape id
+        self.shapes: list = []  # per shape id, its slots
 
-    def holding(self, truth) -> int:
-        """Index of the first guard that holds where the atoms have these
-        truths; distance 0 does not tell, since ``x < k`` fails at k."""
-        for j, clauses in enumerate(self.guards):
-            if any(all(truth[a] != negated for a, negated in lits) for lits in clauses):
-                return j
-        raise ValueError("no guard holds")
+    def recipe(self, truth):
+        """``(shape id, compounds)`` for a truth vector, memoized; each
+        compound is the clauses, as atom tuples, whose ⊗s it takes the
+        ⊕ of.  The work is linear in the guards' literals."""
+        recipe = self.recipes.get(truth)
+        if recipe is not None:
+            return recipe
+        slots = []
+        compounds: dict = {}  # clauses -> their slot
+        base = self.n_atoms
+        for clauses in self.guards:
+            violated = []
+            for lits in clauses:
+                atoms = tuple([a for a, negated in lits if truth[a] == negated])
+                if not atoms:
+                    slots.append(HELD)
+                    break
+                violated.append(atoms)
+            else:
+                # a clause that violates an atom another clause violates
+                # alone weighs no less (⊗ is monotone and no distance is
+                # below its identity), so it never wins the ⊕
+                singles = {atoms[0] for atoms in violated if len(atoms) == 1}
+                if singles:
+                    violated = [
+                        atoms for atoms in violated if len(atoms) == 1 or singles.isdisjoint(atoms)
+                    ]
+                violated = tuple(dict.fromkeys(violated))
+                if not violated:
+                    slots.append(NEVER)
+                elif len(violated) == 1 and len(violated[0]) == 1:
+                    slots.append(violated[0][0])
+                else:
+                    slots.append(compounds.setdefault(violated, base + len(compounds)))
+        slots = tuple(slots)
+        shape = self._shape_ids.get(slots)
+        if shape is None:
+            shape = self._shape_ids[slots] = len(self.shapes)
+            self.shapes.append(slots)
+        recipe = self.recipes[truth] = (shape, tuple(compounds))
+        return recipe
+
+    def compound(self, dists: list, compounds) -> None:
+        """Append each compound weight to the atoms' distances (⊕ = min)."""
+        e_plus = self.semiring.e_plus
+        e_times = self.semiring.e_times
+        otimes = self.semiring.otimes
+        for clauses in compounds:
+            best = e_plus
+            for atoms in clauses:
+                acc = e_times
+                for a in atoms:
+                    acc = otimes(acc, dists[a])
+                if acc < best:
+                    best = acc
+            dists.append(best)
+
+    def score(self, valuation) -> list:
+        """Each guard's weight under the valuation."""
+        truth, dists = self.table(valuation)
+        shape, compounds = self.recipe(truth)
+        self.compound(dists, compounds)
+        e_plus, e_times = self.semiring.e_plus, self.semiring.e_times
+        # the ⊕ starts from e_plus, which caps a distance that does not
+        # fit the carrier (boolean with absdiff); relaxing needs no cap,
+        # since a cost from such a weight never beats e_plus
+        return [
+            e_times if s == HELD else e_plus if s == NEVER else min(dists[s], e_plus)
+            for s in self.shapes[shape]
+        ]
 
 
-def _compile(atoms, guards, semiring: Semiring, dist: PointwiseDistance):
-    """``valuation -> (atom truths, guard weights)``; relies on ⊕ = min."""
-    e_plus = semiring.e_plus
-    e_times = semiring.e_times
-    otimes = semiring.otimes
+def _table(atoms, dist: PointwiseDistance):
+    """``valuation -> (atom truths, atom distances)``."""
     discrete = dist is PointwiseDistance.DISCRETE01
 
-    def score(valuation):
+    def table(valuation):
         truth = []
         dists = []
         for var, strict, k in atoms:
             v = valuation[var]
             truth.append(v < k if strict else v <= k)
             dists.append((0.0 if v == k else 1.0) if discrete else abs(v - k))
-        weights = []
-        for clauses in guards:
-            best = e_plus
-            for lits in clauses:
-                acc = e_times
-                for a, negated in lits:
-                    if truth[a] == negated:
-                        acc = otimes(acc, dists[a])
-                if acc < best:
-                    best = acc
-            weights.append(best)
-        return tuple(truth), weights
+        return tuple(truth), dists
 
-    return score
+    return table

@@ -1,23 +1,31 @@
 """Trace measurement over weighted symbolic automata.
 
 One dynamic-programming pass keeps, per live location, the best cost
-of reaching it with the consumed prefix.  Adding a sample fills one
-atom table (each distinct comparison of the guards evaluated once),
-folds every guard's weight from it, and relaxes the edges of the live
-locations; the live sets are memoized, since each depends only on the
-one before, and each indexes its edges into its successor, so a step
-allocates and touches only live entries.  The work per sample is
-independent of trace length.  A specification compiles to one minimal
-complete DFA over the minterms of its automaton's guards; that DFA and
-its flipped copy are the monitor pair.  The two sides share every edge
-and weight, so one pass of the program gives both the distance to the
-specification (the costs inside its final set) and to its negation
-(the costs outside it).  The robustness verdict combines the two into
-a signed degree; the qualitative verdict, which resolves the sign when
-the degree is zero, is the DFA's own run in the same pass: the
-sample's minterm is looked up by the atom table's truths, and the move
-is one table lookup.  ``verdicts`` reads a verdict after every sample,
-``verdict`` only after the last.
+of reaching it with the consumed prefix.  A step memoizes everything it
+decides and does only arithmetic per sample.  It fills one atom table
+(each distinct comparison of the guards evaluated once) and looks up
+the *recipe* of the table's truths (see ``distance.Scorer``): which
+guards hold, and the slot each other guard's weight is read from, one
+atom's distance or a compound appended after the atoms.  Recipes with
+the same slots share a *shape* id.  The live sets are
+memoized, since each depends only on the one before, and each keeps one
+*plan* per shape it has met: its successor and, per member, the
+destinations its cost passes to unchanged (a guard that holds) and the
+``(destination, slot)`` pairs it is ⊗-ed into.  A step allocates and
+touches only live entries, and its work is independent of trace length.
+
+A specification compiles to one minimal complete DFA over the minterms
+of its automaton's guards; that DFA and its flipped copy are the
+monitor pair.  The two sides share every edge and weight, so one pass
+of the program gives both the distance to the specification (the costs
+inside its final set) and to its negation (the costs outside it); live
+sets list their final members first, so each is a ``min`` over one
+slice.  The robustness verdict combines the two into a signed degree;
+the qualitative verdict, which resolves the sign when the degree is
+zero, is the DFA's own run in the same pass: exactly one minterm holds,
+so the run moves to its location's one free destination in the step's
+plan.  ``verdicts`` reads a verdict after every sample, ``verdict``
+only after the last.
 """
 
 
@@ -29,7 +37,7 @@ from typing import NamedTuple
 
 from . import automaton as A
 from . import speclang as S
-from .distance import PointwiseDistance, Valuation, default_distance
+from .distance import HELD, PointwiseDistance, Valuation, default_distance
 from .errors import UnboundVariableError
 from .semiring import Semiring, SemiringValue, to_signed
 from .speclang import SreExpr, StlFormula, Trace
@@ -37,19 +45,22 @@ from .translate import translate_sre, translate_stl
 
 
 class _LiveSet:
-    """One set of live locations, sorted: which of them lie inside and
-    outside the final set, as indices into ``members``; and, once linked
-    to the live set after one more step, its outgoing edges as
-    ``(source index, [(destination index in next, guard index), ...])``."""
+    """One set of live locations, final ones first (``members[:n_final]``
+    lie inside the final set); the live set after one more step
+    (``next``, filled when first needed, the same for every sample); and
+    per weight shape the *plan* of a step from it: ``(next, rows)``
+    with one row ``(free, priced)`` per member, where ``free`` lists the
+    destinations (indices into ``next.members``) of its edges whose
+    guard holds and ``priced`` the ``(destination, slot)`` pairs of the
+    others."""
 
-    __slots__ = ("members", "final", "other", "edges", "next")
+    __slots__ = ("members", "n_final", "next", "plans")
 
     def __init__(self, members, final):
-        self.members = members
-        self.final = [i for i, q in enumerate(members) if q in final]
-        self.other = [i for i, q in enumerate(members) if q not in final]
-        self.edges = None
+        self.members = sorted(members, key=lambda q: (q not in final, q))
+        self.n_final = sum(q in final for q in members)
         self.next = None
+        self.plans: dict = {}
 
 
 class ValueStream:
@@ -64,9 +75,12 @@ class ValueStream:
 
     Which locations are live after a step depends only on which were
     live before it, never on the sample, so each live set is built once
-    and memoized by its members, together with its successor.  The
-    stream keeps one cost per member of the current live set, in its
-    order; ``costs`` spells them out over every location.
+    and memoized by its members, together with its successor.  What a
+    step does with a sample beyond arithmetic depends only on the
+    sample's weight shape (see ``Scorer``), so each live set memoizes one
+    plan per shape it has met.  The stream keeps one cost per member of
+    the current live set, in its order; ``costs`` spells them out over
+    every location.
     """
 
     def __init__(self, w: A.WeightedAutomaton):
@@ -81,24 +95,36 @@ class ValueStream:
         self._live_sets: dict = {}
         self._live = self._live_set(base.initial)
         self._costs = [w.semiring.e_times] * len(self._live.members)
-        self._truth = ()  # the atom truths of the last sample
+        self._plan = None  # the plan of the last step
 
     def _live_set(self, members) -> _LiveSet:
         members = frozenset(members)
         live = self._live_sets.get(members)
         if live is None:
-            live = self._live_sets[members] = _LiveSet(sorted(members), self.w.base.final)
+            live = self._live_sets[members] = _LiveSet(members, self.w.base.final)
         return live
 
-    def _link(self, live: _LiveSet) -> None:
-        """Fill ``live.next`` and index ``live.edges`` into it."""
+    def _make_plan(self, live: _LiveSet, shape: int):
+        """The plan of a step from ``live`` under a weight shape.  An edge
+        whose guard has no clause is left out (it never relaxes), and so
+        is a priced edge to a destination its source reaches free (its
+        cost ``c ⊗ w`` is never below ``c``)."""
         out = self._out
-        nxt = self._live_set(dst for q in live.members for dst, _ in out[q])
-        at = {q: i for i, q in enumerate(nxt.members)}
-        live.edges = [
-            (i, [(at[dst], j) for dst, j in out[q]]) for i, q in enumerate(live.members) if out[q]
-        ]
-        live.next = nxt
+        if live.next is None:
+            live.next = self._live_set(dst for q in live.members for dst, _ in out[q])
+        at = {q: i for i, q in enumerate(live.next.members)}
+        slots = self._scorer.shapes[shape]
+        rows = []
+        for q in live.members:
+            free = {at[dst]: None for dst, j in out[q] if slots[j] == HELD}
+            priced = {
+                (at[dst], slots[j]): None
+                for dst, j in out[q]
+                if slots[j] >= 0 and at[dst] not in free
+            }
+            rows.append((tuple(free), tuple(priced)))
+        plan = live.plans[shape] = (live.next, rows)
+        return plan
 
     @property
     def costs(self) -> dict:
@@ -118,40 +144,47 @@ class ValueStream:
         """The ⊕ (min) of the live costs inside the final set and whether
         any live location lies there; then the same outside it."""
         costs = self._costs
+        k = self._live.n_final
         e_plus = self._semiring.e_plus
-        live = self._live
+        outside = k < len(costs)
         return (
-            min([costs[i] for i in live.final], default=e_plus),
-            bool(live.final),
-            min([costs[i] for i in live.other], default=e_plus),
-            bool(live.other),
+            min(costs[:k]) if k else e_plus,
+            k > 0,
+            min(costs[k:]) if outside else e_plus,
+            outside,
         )
 
     def step(self, valuation: Valuation) -> None:
-        """Score every guard from one atom table, then relax the edges of
-        the live locations (⊕ is min, so relaxing is one comparison)."""
+        """Fill the atom table, look up the sample's recipe and the live
+        set's plan for its shape, then relax: a free edge passes its
+        source's cost on, a priced one ⊗s it with its slot's weight (⊕ is
+        min, so relaxing is one comparison)."""
+        scorer = self._scorer
         try:
-            self._truth, scores = self._scorer.score(valuation)
+            truth, weights = scorer.table(valuation)
         except KeyError as exc:
             raise UnboundVariableError(f"unbound variable {exc.args[0]!r}") from None
+        shape, compounds = scorer.recipes.get(truth) or scorer.recipe(truth)
+        if compounds:
+            scorer.compound(weights, compounds)
         live = self._live
-        if live.next is None:
-            self._link(live)
+        self._plan = nxt, rows = live.plans.get(shape) or self._make_plan(live, shape)
         sr = self._semiring
         e_plus = sr.e_plus
         otimes = sr.otimes
-        costs = self._costs
-        new_costs = [e_plus] * len(live.next.members)
-        for i, edges in live.edges:
-            c = costs[i]
+        new_costs = [e_plus] * len(nxt.members)
+        for c, (free, priced) in zip(self._costs, rows):
             if c == e_plus:
                 continue
-            for d, j in edges:
-                v = otimes(c, scores[j])
+            for d in free:
+                if c < new_costs[d]:
+                    new_costs[d] = c
+            for d, s in priced:
+                v = otimes(c, weights[s])
                 if v < new_costs[d]:
                     new_costs[d] = v
         self._costs = new_costs
-        self._live = live.next
+        self._live = nxt
 
 
 def _check_variables(w: A.WeightedAutomaton, trace: Trace):
@@ -216,8 +249,10 @@ def build_monitor_pair(spec, semiring: Semiring, dist: PointwiseDistance | None 
 
 def _pass(trace: Trace, w_pos: A.WeightedAutomaton, w_neg: A.WeightedAutomaton):
     """The one pass behind ``verdicts`` and ``verdict``: yields, after
-    each sample, the pair's stream and the DFA's own run location.  The
-    run looks the sample's minterm up by the atom table's truths."""
+    each sample, the pair's stream and the DFA's own run, as an index
+    into the stream's live members.  Exactly one minterm holds, so the
+    run moves to its location's one free destination in the step's
+    plan."""
     base = w_pos.base
     if (
         w_neg.base.transitions is not base.transitions
@@ -227,26 +262,19 @@ def _pass(trace: Trace, w_pos: A.WeightedAutomaton, w_neg: A.WeightedAutomaton):
     _check_variables(w_pos, trace)
     stream = ValueStream(w_pos)
     step = stream.step
-    holding = stream._scorer.holding
-    # per location, its destination on each minterm (a guard index)
-    move = [{j: dst for dst, j in edges} for edges in stream._out]
-    minterm: dict = {}  # atom truths -> the minterm that holds there
-    (q,) = base.initial
+    run = 0  # the one initial location
     for sample in trace.samples:
         step(sample)
-        truth = stream._truth
-        m = minterm.get(truth)
-        if m is None:
-            m = minterm[truth] = holding(truth)
-        q = move[q][m]
-        yield stream, q
+        run = stream._plan[1][run][0][0]
+        yield stream, run
 
 
-def _verdict(stream: ValueStream, q: int) -> RobustnessVerdict:
-    """The verdict of the stream's consumed prefix, its run at ``q``."""
+def _verdict(stream: ValueStream, run: int) -> RobustnessVerdict:
+    """The verdict of the stream's consumed prefix, its run at member
+    ``run`` of the live set (final members come first)."""
     d_phi, phi_exists, d_not_phi, not_phi_exists = stream._split()
     rho = _rho(d_phi, phi_exists, d_not_phi, not_phi_exists, stream._semiring)
-    return RobustnessVerdict(rho, q in stream.w.base.final, d_phi, d_not_phi)
+    return RobustnessVerdict(rho, run < stream._live.n_final, d_phi, d_not_phi)
 
 
 def verdicts(trace: Trace, w_pos: A.WeightedAutomaton, w_neg: A.WeightedAutomaton):
@@ -260,8 +288,8 @@ def verdicts(trace: Trace, w_pos: A.WeightedAutomaton, w_neg: A.WeightedAutomato
     positive final location.  ``ValueError`` if the two sides are not
     one such pair.
     """
-    for stream, q in _pass(trace, w_pos, w_neg):
-        yield _verdict(stream, q)
+    for stream, run in _pass(trace, w_pos, w_neg):
+        yield _verdict(stream, run)
 
 
 def verdict(
@@ -272,9 +300,9 @@ def verdict(
     never read before the first step)."""
     if not trace.samples:
         raise ValueError("traces must contain at least one sample")
-    for stream, q in _pass(trace, w_pos, w_neg):
+    for stream, run in _pass(trace, w_pos, w_neg):
         pass
-    return _verdict(stream, q)
+    return _verdict(stream, run)
 
 
 def robustness(

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from arv.cli import main
+from arv.cli import _fmt_num, main
 from arv.speclang import Trace, read_trace_csv, write_trace_csv
 
 
@@ -67,6 +67,38 @@ def test_monitor_prefix_series(spec_file, tmp_path, capsys):
     assert lines[0] == "t,rho,satisfied"
     assert len(lines) == 5
     assert lines[1].startswith("1,")
+
+
+def test_main_calls_in_one_process_stay_independent(spec_file, tmp_path, capsys):
+    """The parser is built once and shared; a ``--trace`` list or a
+    ``--json`` flag of one call must not leak into the next."""
+    a = write(tmp_path / "a.csv", "x\n1\n")
+    b = write(tmp_path / "b.csv", "x\n20\n")
+    c = write(tmp_path / "c.csv", "x\n7\n")
+    assert main(["monitor", "--spec", spec_file, "--trace", a, "--trace", b, "--json"]) == 0
+    first = capsys.readouterr().out
+    assert main(["monitor", "--spec", spec_file, "--trace", c]) == 0
+    second = capsys.readouterr().out
+    assert first.count("rho = ") == 2 and first.count("{") == 2
+    assert second == f"{c}: rho = 3 (satisfied), d_phi = 0, d_not_phi = 3\n"
+    assert main(["monitor", "--spec", spec_file, "--trace", a, "--trace", b, "--json"]) == 0
+    assert capsys.readouterr().out == first
+
+
+@pytest.mark.parametrize(
+    "x, text",
+    [
+        (float("inf"), "inf"),
+        (float("-inf"), "-inf"),
+        (-0.0, "0"),
+        (3.0, "3"),
+        (0.25, "0.25"),
+        (2.5e-7, "2.5e-07"),
+        (1e16, "10000000000000000"),
+    ],
+)
+def test_fmt_num_spelling(x, text):
+    assert _fmt_num(x) == text
 
 
 def test_monitor_multiple_traces(spec_file, tmp_path):

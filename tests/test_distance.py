@@ -4,7 +4,7 @@ import random
 import pytest
 
 from arv import predicate as P
-from arv.distance import PointwiseDistance, default_distance, point_dist, vpd
+from arv.distance import HELD, NEVER, PointwiseDistance, Scorer, default_distance, point_dist, vpd
 from arv.generators import CLOSED_OPS, random_dnf, random_valuation
 from arv.oracles import vpd_brute_force, vpd_cross_check
 from arv.semiring import BOOLEAN, MINMAX, TROPICAL
@@ -91,3 +91,76 @@ def test_vpd_zero_iff_satisfied_closed_literals():
 
 def test_engine_matches_grid_fold_sample():
     assert vpd_cross_check(150, seed=7) == 0
+
+
+def naive_weight(valuation, dnf, semiring, dist):
+    """The per-literal fold over the satisfiable clauses: ⊕ (min) over
+    clauses of the ⊗ of the violated literals' pointwise distances."""
+    best = semiring.e_plus
+    for clause in dnf.clauses:
+        if not P.is_sat(P.Dnf((clause,))):
+            continue
+        acc = semiring.e_times
+        for lit in clause:
+            if isinstance(lit, P.Top) or P.evaluate(valuation, P.Dnf(((lit,),))):
+                continue
+            c = lit if isinstance(lit, P.Cmp) else lit.arg
+            acc = semiring.otimes(acc, point_dist(valuation[c.var], c.k, dist))
+        if acc < best:
+            best = acc
+    return best
+
+
+def random_guard(rng, atoms):
+    """A DNF over a few shared atoms: ``Top``, ``Bottom``, atoms repeated
+    within and across clauses, clauses with an atom and its negation, and
+    sometimes no clause at all."""
+    clauses = []
+    for _ in range(rng.randint(0, 4)):
+        clause = []
+        for _ in range(rng.randint(1, 4)):
+            r = rng.random()
+            if r < 0.1:
+                clause.append(P.TOP)
+            elif r < 0.13:
+                clause.append(P.BOTTOM)
+            else:
+                a = rng.choice(atoms)
+                clause.append(P.Not(a) if rng.random() < 0.5 else a)
+        clauses.append(tuple(clause))
+    return P.Dnf(tuple(clauses))
+
+
+@pytest.mark.parametrize("semiring", [BOOLEAN, MINMAX, TROPICAL], ids=lambda s: s.name)
+@pytest.mark.parametrize("kind", [ABS, D01], ids=lambda k: k.value)
+def test_scorer_equals_the_per_literal_fold(semiring, kind):
+    """Scoring through memoized recipes equals folding every literal, on
+    samples that often sit exactly on a threshold (where ``x < k`` fails
+    at distance 0); recipes are reused across samples of one scorer."""
+    rng = random.Random(2016)
+    values = (-1.0, 0.0, 0.5, 1.0, 2.0, 3.0)
+    compounds = 0
+    for _ in range(150):
+        atoms = [
+            P.Cmp(rng.choice("xy"), rng.choice(("<", "<=")), float(rng.randint(0, 2)))
+            for _ in range(rng.randint(1, 4))
+        ]
+        guards = [random_guard(rng, atoms) for _ in range(rng.randint(1, 4))]
+        scorer = Scorer(guards, semiring, kind)
+        for _ in range(12):
+            v = {"x": rng.choice(values), "y": rng.choice(values)}
+            assert scorer.score(v) == [naive_weight(v, g, semiring, kind) for g in guards]
+        compounds += sum(s >= scorer.n_atoms for slots in scorer.shapes for s in slots)
+    assert compounds > 0
+
+
+def test_scorer_slots_at_a_threshold():
+    """At ``x = 1``, ``x < 1`` is violated at distance 0 and its negation
+    holds: the recipe tells them apart by the truths, not the distance."""
+    guards = [dnf("x < 1"), dnf("!(x < 1)"), dnf("x < 0 && y <= 2 || x < 1 && y <= 1"), dnf("false")]
+    scorer = Scorer(guards, MINMAX, ABS)
+    assert scorer.score({"x": 1.0, "y": 3.0}) == [0.0, 0.0, 1.0, INF]
+    (truth,) = scorer.recipes
+    shape, compounds = scorer.recipes[truth]
+    assert scorer.shapes[shape] == (0, HELD, scorer.n_atoms, NEVER)
+    assert compounds == (((1, 2), (0, 3)),)

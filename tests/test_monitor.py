@@ -506,15 +506,64 @@ def test_live_set_memo_does_not_grow_with_trace_length(text):
     w_pos, _ = build_monitor_pair(spec, TROPICAL)
     rng = random.Random(31)
     samples = [{"x": rng.randint(0, 40) / 4, "y": rng.randint(0, 16) / 4} for _ in range(20_000)]
-    counts = []
+    counts, plans = [], []
     for n in (1_000, 20_000):
         stream = ValueStream(w_pos)
         for sample in samples[:n]:
             stream.step(sample)
         counts.append(len(stream._live_sets))
+        plans.append(plan_count(stream))
     assert counts[0] == counts[1]
+    assert plans[0] == plans[1]
     # keyed by members, not by the order a step visits them in
     assert counts[0] <= w_pos.base.n_locations + 1
+
+
+def plan_count(stream):
+    return sum(len(live.plans) for live in stream._live_sets.values())
+
+
+def test_plans_are_keyed_by_weight_shape_not_by_truths():
+    """A flat disjunction over 12 atoms meets thousands of truth vectors,
+    but they fall into a few weight shapes, and plans are kept per shape."""
+    names = [f"x{i}" for i in range(12)]
+    w_pos, _ = build_monitor_pair(parse_stl("G(" + " || ".join(f"{x} < 1" for x in names) + ")"), MINMAX)
+    rng = random.Random(12)
+    stream = ValueStream(w_pos)
+    for _ in range(8000):
+        stream.step({x: rng.choice((0.0, 0.5, 1.0, 2.0)) for x in names})
+    assert len(stream._scorer.recipes) > 2000
+    assert plan_count(stream) <= 30
+
+
+@pytest.mark.parametrize("semiring", ALL, ids=lambda s: s.name)
+@pytest.mark.parametrize("compiled", [False, True], ids=["tableau", "dfa"])
+def test_costs_match_path_enumeration_where_guards_overlap(semiring, compiled):
+    """On the raw tableau several guards of one location hold at once, so
+    a step passes a cost on along several free edges; on the DFA pair one
+    minterm holds.  Either way ``costs`` equals path enumeration after
+    every step, on samples that sit on the thresholds too."""
+    f = parse_stl("G (x <= 5 -> F[0,3] y >= 2)")
+    if compiled:
+        sides = build_monitor_pair(f, semiring)
+    else:
+        sides = (decorate(translate_stl(f), semiring, default_distance(semiring)),)
+    rng = random.Random(5)
+    trace = Trace(("x", "y"), [
+        {"x": rng.choice((4.0, 5.0, 6.0)), "y": rng.choice((1.0, 2.0, 3.0))} for _ in range(6)
+    ])
+    free = set()  # how many free destinations the plans' rows list
+    for w in sides:
+        stream = ValueStream(w)
+        for steps, sample in enumerate(trace.samples, start=1):
+            stream.step(sample)
+            assert stream.costs == path_costs(trace, w, steps)
+        for live in stream._live_sets.values():
+            free.update(len(row[0]) for _, rows in live.plans.values() for row in rows)
+    if compiled:
+        assert free == {1}
+    else:
+        assert max(free) >= 2
 
 
 def test_verdict_refuses_an_empty_trace_before_reading_the_stream(monkeypatch):

@@ -7,10 +7,10 @@ made.  ``make_automaton`` is the one place a guard is normalized: every
 DNF, whether the predicate parser or a builder made it, becomes
 conjunction-minimal, and unsatisfiable guards drop.  ``product``
 conjoins guards clause by clause and stops at ``MAX_SUBSETS``
-locations, ``determinize`` builds its minterms as DNFs of disjoint
-boxes, ``decorate`` only attaches the weight rule, and the printers
-write a guard's clauses flat.  The algebra relies on interval
-reasoning for satisfiability, so no solver is needed.
+locations, ``determinize`` builds its minterms as DNFs of box covers,
+``decorate`` only attaches the weight rule, and the printers write a
+guard's clauses flat.  The algebra relies on interval reasoning for
+satisfiability, so no solver is needed.
 
 ``determinize`` splits the valuation space once into the minterms of an
 automaton's distinct guards, runs the subset construction over minterm
@@ -27,9 +27,9 @@ from collections import Counter
 from dataclasses import dataclass, replace
 
 from . import predicate as P
-from .distance import PointwiseDistance, Scorer
+from .distance import PointwiseDistance, Scorer, check_fits
 from .errors import ParseError, UnsupportedFragmentError
-from .intervals import Box, subtract_boxes
+from .intervals import Box, complement_cover, meet
 from .predicate import Dnf
 from .semiring import Semiring
 
@@ -142,34 +142,22 @@ def product(a: SymbolicAutomaton, b: SymbolicAutomaton) -> SymbolicAutomaton:
 # --- minterms ----------------------------------------------------------------
 
 
-def _refine(cells, region_boxes):
-    """Split each (boxes, covers) cell into its parts inside and outside
-    the region."""
-    out = []
-    for boxes, covers in cells:
-        inside = []
-        for piece in boxes:
-            for rbox in region_boxes:
-                chunk = piece.intersect(rbox)
-                if not chunk.is_empty:
-                    inside.append(chunk)
-        outside = boxes
-        for rbox in region_boxes:
-            outside = subtract_boxes(outside, rbox)
-        if inside:
-            out.append((inside, covers + (True,)))
-        if outside:
-            out.append((outside, covers + (False,)))
-    return out
-
-
 def _minterms(guards, variables):
     """The non-empty cells the guards cut the valuation space into: per
-    cell, its DNF (one clause per disjoint box) and whether it lies
-    inside each guard."""
+    cell, its DNF (one clause per box of its cover) and whether it lies
+    inside each guard.  A guard's inside is covered by its clause boxes
+    and its outside by their ``complement_cover``; a cell meets its
+    cover with both, and an empty meet drops out."""
     cells = [([Box.full(len(variables))], ())]
     for guard in guards:
-        cells = _refine(cells, P.dnf_boxes(guard, variables))
+        inside = P.dnf_boxes(guard, variables)
+        outside = complement_cover(inside, len(variables))
+        cells = [
+            (part, covers + (side,))
+            for boxes, covers in cells
+            for side, region in ((True, inside), (False, outside))
+            if (part := meet(boxes, region))
+        ]
     return [(P.boxes_to_dnf(boxes, variables), covers) for boxes, covers in cells]
 
 
@@ -403,7 +391,9 @@ def decorate(a: SymbolicAutomaton, semiring: Semiring, dist: PointwiseDistance) 
     """Attach the weight rule.  The guards stay as ``make_automaton`` or
     ``determinize`` made them; without multiplicative idempotence a
     weight is exact only on conjunction-minimal guards, so there a guard
-    not flagged ``wedge_minimal`` raises ``ValueError``, as in ``vpd``."""
+    not flagged ``wedge_minimal`` raises ``ValueError``, as in ``vpd``,
+    and so does a distance that does not fit the carrier."""
+    check_fits(semiring, dist)
     if not semiring.multiplicatively_idempotent:
         for _, guard, _ in a.transitions:
             if not guard.wedge_minimal:

@@ -161,7 +161,10 @@ def cmd_vpd(args) -> int:
     )
     if not args.raw:
         dnf = P.wedge_minimize(dnf)
-    value = vpd(valuation, dnf, semiring, dist, demonstration=args.raw)
+    try:
+        value = vpd(valuation, dnf, semiring, dist, demonstration=args.raw)
+    except ValueError as exc:  # a --dist that does not fit the semiring
+        raise ParseError(str(exc)) from None
     print(_fmt_num(value))
     return 0
 
@@ -237,6 +240,13 @@ def cmd_fixtures(_args) -> int:
     return 0 if failures == 0 else 1
 
 
+def _case_count(text: str) -> int:
+    """An ``oracle`` case count: a non-negative integer."""
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"case count {text} is negative")
+    return int(text)
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by every call
@@ -263,9 +273,9 @@ def _parser() -> argparse.ArgumentParser:
     p_tr.set_defaults(fn=cmd_translate)
 
     p_or = sub.add_parser("oracle", help="run the randomized cross-check suites")
-    p_or.add_argument("--vpd-cases", type=int, default=1000)
-    p_or.add_argument("--value-cases", type=int, default=500)
-    p_or.add_argument("--language-cases", type=int, default=200)
+    p_or.add_argument("--vpd-cases", type=_case_count, default=1000)
+    p_or.add_argument("--value-cases", type=_case_count, default=500)
+    p_or.add_argument("--language-cases", type=_case_count, default=200)
     p_or.add_argument("--seed", type=int, default=2024)
     p_or.set_defaults(fn=cmd_oracle)
 

@@ -24,7 +24,7 @@ import enum
 
 from .errors import UnboundVariableError
 from .predicate import Cmp, Dnf, Top, _clause_sat, _index, dnf_variables
-from .semiring import Semiring, SemiringValue
+from .semiring import INF, Semiring, SemiringValue
 
 Valuation = dict
 
@@ -49,6 +49,13 @@ def default_distance(semiring: Semiring) -> PointwiseDistance:
     return PointwiseDistance.ABS_DIFF
 
 
+def check_fits(semiring: Semiring, dist: PointwiseDistance) -> None:
+    """Raise ``ValueError`` for a pointwise distance that can exceed the
+    semiring's largest value ``e_plus``: ``absdiff`` under ``boolean``."""
+    if dist is PointwiseDistance.ABS_DIFF and semiring.e_plus < INF:
+        raise ValueError(f"distance 'absdiff' does not fit the carrier of {semiring.name!r}")
+
+
 def vpd(
     valuation: Valuation,
     dnf: Dnf,
@@ -60,8 +67,10 @@ def vpd(
 
     Without multiplicative idempotence the result is only exact on
     conjunction-minimal input, so non-minimal input is rejected for such
-    semirings unless ``demonstration`` explicitly allows it.
+    semirings unless ``demonstration`` explicitly allows it; ``check_fits``
+    rejects a distance that does not fit the carrier.
     """
+    check_fits(semiring, dist)
     if (
         not semiring.multiplicatively_idempotent
         and not dnf.wedge_minimal

@@ -2,15 +2,16 @@
 
 These carry the satisfiability and region computations for predicates:
 every single-variable comparison denotes a half-line, a conjunction a
-box, and a DNF a finite union of boxes.  The outside of an n-variable
-box is cut into at most 2n disjoint slabs, so carving one box out of
-another, and every minterm built that way, stays linear in n.
+box, and a DNF a finite union of boxes.  A region is a *cover*, boxes
+that may overlap (a distance to it is the min over its boxes), and
+``complement_boxes`` and ``meet`` build covers without carving a box.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 INF = math.inf
 
@@ -47,10 +48,6 @@ class Interval:
     def full() -> "Interval":
         return Interval(-INF, INF, False, False)
 
-    @property
-    def is_full(self) -> bool:
-        return not self.empty and self.lo == -INF and self.hi == INF
-
     def contains(self, x: float) -> bool:
         if self.empty:
             return False
@@ -61,24 +58,23 @@ class Interval:
         return True
 
     def intersect(self, other: "Interval") -> "Interval":
-        if self.empty or other.empty:
-            return Interval.empty_interval()
-        if self.lo > other.lo:
-            lo, lo_closed = self.lo, self.lo_closed
-        elif self.lo < other.lo:
-            lo, lo_closed = other.lo, other.lo_closed
-        else:
-            lo, lo_closed = self.lo, self.lo_closed and other.lo_closed
-        if self.hi < other.hi:
-            hi, hi_closed = self.hi, self.hi_closed
-        elif self.hi > other.hi:
-            hi, hi_closed = other.hi, other.hi_closed
-        else:
-            hi, hi_closed = self.hi, self.hi_closed and other.hi_closed
-        return Interval.make(lo, hi, lo_closed, hi_closed)
+        # an operand inside the other is the result, kept by identity
+        if self.subset_of(other):
+            return self
+        if other.subset_of(self):
+            return other
+        # otherwise each bound is the tighter one, open on a tie
+        lo = self if other.lo < self.lo or other.lo == self.lo and not self.lo_closed else other
+        hi = self if self.hi < other.hi or self.hi == other.hi and not self.hi_closed else other
+        return Interval.make(lo.lo, hi.hi, lo.lo_closed, hi.hi_closed)
 
     def subset_of(self, other: "Interval") -> bool:
-        return self.intersect(other) == self
+        """Containment, by comparing bounds (infinite bounds are open)."""
+        if self.empty or other.empty:
+            return self.empty
+        lo = other.lo < self.lo or other.lo == self.lo and (other.lo_closed or not self.lo_closed)
+        hi = self.hi < other.hi or self.hi == other.hi and (other.hi_closed or not self.hi_closed)
+        return lo and hi
 
     def complement_parts(self) -> list["Interval"]:
         """The at most two intervals making up the complement."""
@@ -128,44 +124,49 @@ class Box:
     def is_empty(self) -> bool:
         return any(c.empty for c in self.components)
 
-    @property
-    def is_full(self) -> bool:
-        return all(c.is_full for c in self.components)
-
     def contains(self, point) -> bool:
         return all(c.contains(x) for c, x in zip(self.components, point))
 
     def intersect(self, other: "Box") -> "Box":
         return Box.make(a.intersect(b) for a, b in zip(self.components, other.components))
 
+    def subset_of(self, other: "Box") -> bool:
+        for a, b in zip(self.components, other.components):
+            if a is not b and not a.subset_of(b):
+                return False
+        return True
+
 
 def complement_boxes(box: Box) -> list[Box]:
-    """At most 2n pairwise-disjoint slabs covering everything outside an
-    n-variable ``box``.
-
-    Slab i lies outside the box on axis i (on one side of it) and inside
-    it on every axis before i; the axes after i are unconstrained.
-    """
+    """At most 2n half-spaces covering everything outside an n-variable
+    ``box``: per finite bound, the side of it the box does not reach.
+    They may overlap."""
     n = len(box.components)
     if box.is_empty:
         return [Box.full(n)]
-    out = []
-    for i, comp in enumerate(box.components):
-        rest = (Interval.full(),) * (n - i - 1)
-        for part in comp.complement_parts():
-            out.append(Box(box.components[:i] + (part,) + rest))
-    return out
+    full = (Interval.full(),) * n
+    return [
+        Box(full[:i] + (part,) + full[i + 1 :])
+        for i, comp in enumerate(box.components)
+        for part in comp.complement_parts()
+    ]
 
 
-def subtract_boxes(pieces: list[Box], hole: Box) -> list[Box]:
-    """Remove ``hole`` from a disjoint box list, keeping disjointness."""
-    if hole.is_empty:
-        return list(pieces)
-    cells = complement_boxes(hole)
-    out = []
-    for piece in pieces:
-        for cell in cells:
-            chunk = piece.intersect(cell)
-            if not chunk.is_empty:
-                out.append(chunk)
+def complement_cover(cover: list[Box], n: int) -> list[Box]:
+    """A cover of everything outside a cover of n-variable boxes: the
+    ``meet`` of its boxes' complements."""
+    return reduce(meet, map(complement_boxes, cover), [Box.full(n)])
+
+
+def meet(a: list[Box], b: list[Box]) -> list[Box]:
+    """A cover of the intersection of two covers: the non-empty pairwise
+    intersections, without any box that lies inside another."""
+    out: list[Box] = []
+    for x in a:
+        for y in b:
+            box = x.intersect(y)
+            if box.is_empty or any(box.subset_of(kept) for kept in out):
+                continue
+            out = [kept for kept in out if not kept.subset_of(box)]
+            out.append(box)
     return out

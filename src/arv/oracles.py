@@ -26,7 +26,7 @@ from .generators import (
     random_trace,
     random_valuation,
 )
-from .intervals import Box, subtract_boxes
+from .intervals import complement_cover, meet
 from .predicate import Dnf
 from .semiring import BOOLEAN, MINMAX, TROPICAL, Semiring, SemiringValue
 from .speclang import StlFormula, Trace
@@ -188,14 +188,10 @@ def is_deterministic_complete(a: A.SymbolicAutomaton) -> bool:
     for src, guard, _ in a.transitions:
         boxes_at[src].append(P.dnf_boxes(guard, variables))
     for regions in boxes_at.values():
-        uncovered = [Box.full(len(variables))]
         for i, boxes in enumerate(regions):
-            for other in regions[:i]:
-                if any(not b.intersect(c).is_empty for b in boxes for c in other):
-                    return False
-            for b in boxes:
-                uncovered = subtract_boxes(uncovered, b)
-        if uncovered:
+            if any(meet(boxes, other) for other in regions[:i]):
+                return False
+        if complement_cover([b for boxes in regions for b in boxes], len(variables)):
             return False
     return True
 

@@ -10,7 +10,7 @@ the literals ``Top``, ``Bottom``, ``Cmp`` and ``Not`` of a ``Cmp``.
 printer.  ``wedge_minimize`` strips redundant conjuncts so that distance
 computation stays exact for semirings whose multiplication is not
 idempotent, and ``dnf_boxes`` / ``boxes_to_dnf`` move between a DNF and
-its region as disjoint boxes.
+its region as a cover of boxes, one per satisfiable clause.
 
 Concrete syntax (shared with the specification parsers):
 ``x <= 3 && !(y < 2) || z < 0`` with operators ``&&``, ``||``, ``!`` and
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from .errors import ParseError, UnboundVariableError
-from .intervals import INF, Box, Interval, subtract_boxes
+from .intervals import INF, Box, Interval
 
 
 class Literal:
@@ -252,29 +252,19 @@ def wedge_minimize(dnf: Dnf) -> Dnf:
     return Dnf(tuple(out), wedge_minimal=True)
 
 
-# --- region form: disjoint boxes and back ----------------------------------
+# --- region form: clause boxes and back --------------------------------------
 
 
 def dnf_boxes(dnf: Dnf, variables=None) -> list[Box]:
-    """A pairwise-disjoint box cover of the DNF's region.
-
-    Later clauses enter whole; earlier accumulated boxes are carved down
-    to their parts outside the new clause.
-    """
+    """The non-empty boxes of the DNF's clauses, a cover of its region;
+    they may overlap."""
     if variables is None:
         variables = dnf_variables(dnf)
     variables = list(variables) or ["_"]
     idx = _index(variables)
-    n = len(variables)
-    boxes: list[Box] = []
-    for clause in dnf.clauses:
-        region = conjunct_box(Box.full(n), clause, idx)
-        if region.is_empty:
-            continue
-        if region.is_full:
-            return [region]
-        boxes = [region] + subtract_boxes(boxes, region)
-    return boxes
+    full = Box.full(len(variables))
+    boxes = [conjunct_box(full, clause, idx) for clause in dnf.clauses]
+    return [box for box in boxes if not box.is_empty]
 
 
 def _interval_literals(var: str, comp: Interval) -> list:

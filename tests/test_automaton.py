@@ -1,9 +1,11 @@
+import itertools
 import random
 
 import pytest
 
 from arv import predicate as P
 from arv.automaton import (
+    _minterms,
     canonicalize,
     complement,
     decorate,
@@ -18,7 +20,7 @@ from arv.automaton import (
 from arv.distance import PointwiseDistance, default_distance
 from arv.errors import ParseError
 from arv.fixtures import example_automaton
-from arv.generators import random_automaton
+from arv.generators import random_automaton, random_predicate
 from arv.oracles import accepts, is_deterministic_complete
 from arv.semiring import MINMAX, TROPICAL
 from arv.speclang import Trace
@@ -129,6 +131,61 @@ def test_determinize_is_minimal_with_one_minterm_per_edge():
     assert determinize(translate_stl(negate(f))).n_locations == 6
     assert automata[-1].n_locations == 31
     assert determinize(automata[-1]).n_locations == 6
+
+
+# guards with a whole-space clause, unsatisfiable clauses, nested and
+# overlapping clauses; ``{a}`` and ``{b}`` name variables, maybe the same
+GUARD_SHAPES = (
+    "true",
+    "({a} < 1 && {a} > 2) || {b} <= 0",
+    "{a} < 1 && {a} > 2",
+    "{a} <= 1 || {a} <= 3 || ({a} <= 2 && {b} >= -1)",
+    "({a} <= 2 && {b} <= 2) || ({a} >= 1 && {b} >= 1)",
+    "!({a} <= 1 || {b} > 3)",
+)
+
+
+def _arrangement_points(guards, variables):
+    """One point per cell of the threshold arrangement: on each axis,
+    every threshold, the midpoints between them and one point beyond
+    each end."""
+    axes = []
+    for var in variables:
+        ks = sorted(
+            {0.0}
+            | {
+                (lit.arg if isinstance(lit, P.Not) else lit).k
+                for guard in guards
+                for clause in guard.clauses
+                for lit in clause
+                if isinstance(lit, (P.Cmp, P.Not)) and lit.var == var
+            }
+        )
+        mids = [(lo + hi) / 2 for lo, hi in zip(ks, ks[1:])]
+        axes.append(ks + mids + [ks[0] - 1, ks[-1] + 1])
+    return [dict(zip(variables, point)) for point in itertools.product(*axes)]
+
+
+def test_minterms_partition_the_space_and_match_each_guard():
+    """Checked by ``evaluate`` alone, independently of boxes: at a point
+    of every cell of the threshold arrangement exactly one minterm
+    holds, and its covers are the guards' truths there."""
+    rng = random.Random(71)
+    for _ in range(150):
+        variables = ["x", "y", "z"][: rng.randint(1, 3)]
+        guards = []
+        for _ in range(rng.randint(1, 4)):
+            if rng.random() < 0.5:
+                text = random_predicate(rng, variables, depth=3, lo=-3, hi=3)
+            else:
+                a, b = rng.choice(variables), rng.choice(variables)
+                text = rng.choice(GUARD_SHAPES).format(a=a, b=b)
+            guards.append(g(text))
+        cells = _minterms(guards, variables)
+        assert len({covers for _, covers in cells}) == len(cells)
+        for point in _arrangement_points(guards, variables):
+            holding = [covers for dnf, covers in cells if P.evaluate(point, dnf)]
+            assert holding == [tuple(P.evaluate(point, guard) for guard in guards)]
 
 
 def test_determinize_subset_budget(monkeypatch):

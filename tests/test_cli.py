@@ -369,6 +369,26 @@ def test_vpd_subcommand(capsys):
     assert capsys.readouterr().out.strip() == "3"
 
 
+def test_vpd_rejects_a_distance_outside_the_carrier(capsys):
+    argv = ["vpd", "--valuation", "x=1.5", "--pred", "x <= 1", "--semiring", "boolean"]
+    assert main(argv + ["--dist", "absdiff"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: distance 'absdiff' does not fit")
+    assert main(argv + ["--dist", "discrete01"]) == 0
+    assert capsys.readouterr().out.strip() == "1"
+
+
+@pytest.mark.parametrize("option", ["--vpd-cases", "--value-cases", "--language-cases"])
+def test_oracle_rejects_a_negative_case_count(option, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", option, "-3"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: argument {option}: case count -3 is negative" in captured.err
+
+
 def test_fixtures_subcommand(capsys):
     assert main(["fixtures"]) == 0
     out = capsys.readouterr().out

@@ -51,6 +51,22 @@ def test_vpd_minimization_example():
         vpd({"x": 6.0}, raw, TROPICAL, ABS)
 
 
+def test_a_distance_must_fit_the_carrier():
+    """``absdiff`` can exceed the Boolean carrier {0, 1}: ``vpd`` and
+    ``decorate`` refuse the pair, and accept every other one."""
+    from arv.automaton import decorate
+    from arv.fixtures import example_automaton
+
+    guard = P.wedge_minimize(dnf("x <= 1"))
+    with pytest.raises(ValueError, match="does not fit"):
+        vpd({"x": 1.5}, guard, BOOLEAN, ABS)
+    with pytest.raises(ValueError, match="does not fit"):
+        decorate(example_automaton(), BOOLEAN, ABS)
+    for semiring, kind in ((BOOLEAN, D01), (MINMAX, ABS), (MINMAX, D01), (TROPICAL, ABS), (TROPICAL, D01)):
+        assert vpd({"x": 1.0}, guard, semiring, kind) == semiring.e_times
+        assert decorate(example_automaton(), semiring, kind).dist is kind
+
+
 def test_vpd_satisfied_gives_identity():
     for semiring, kind in ((BOOLEAN, D01), (MINMAX, ABS), (TROPICAL, ABS)):
         assert vpd({"x": 5.0}, P.wedge_minimize(dnf("x <= 5")), semiring, kind) == semiring.e_times

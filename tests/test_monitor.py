@@ -396,10 +396,46 @@ def test_monitor_pair_of_response_is_small():
     assert w_pos.base.final == frozenset(range(w_neg.base.n_locations)) - w_neg.base.final
 
 
+def test_response_minterms_are_one_clause_each():
+    """Minterms are covers of whole boxes: the ``y >= 2`` cell is one
+    clause, not the two halves ``x <= 5`` cuts it into."""
+    for w in build_monitor_pair(parse_stl("G(x <= 5 -> F[0,3] y >= 2)"), MINMAX):
+        guards = {g for _, g, _ in w.base.transitions}
+        assert len(guards) == 3
+        assert all(len(g.clauses) == 1 for g in guards)
+        assert P.parse_predicate("!(y < 2)") in guards
+
+
+def test_cnf_proposition_minterms_stay_small():
+    """A CNF-shaped proposition (32 clauses over 10 variables) splits
+    into a minterm of 5 clauses and one of 32, and its verdicts agree
+    with ``sre_accepts``."""
+    n = 5
+    text = "((" + ") && (".join(f"a{i} < 1 || b{i} < 1" for i in range(n)) + "))*"
+    e = parse_sre(text)
+    pair = build_monitor_pair(e, MINMAX)
+    for w in pair:
+        assert w.base.n_locations == 2
+        assert sorted(len(g.clauses) for g in {g for _, g, _ in w.base.transitions}) == [5, 32]
+    variables = tuple(f"{c}{i}" for i in range(n) for c in "ab")
+    rng = random.Random(5)
+    seen = set()
+    for _ in range(200):
+        samples = [
+            {v: rng.choice((0.0, 0.0, 0.5, 1.0, 2.0)) for v in variables}
+            for _ in range(rng.randint(1, 3))
+        ]
+        trace = Trace(variables, samples)
+        satisfied = verdict(trace, *pair).satisfied
+        assert satisfied == sre_accepts(trace, e)
+        seen.add(satisfied)
+    assert seen == {True, False}
+
+
 @pytest.mark.parametrize("n", [10, 16])
 def test_flat_disjunction_guards_are_linear_in_variables(n):
-    """The minterms of a disjunction over n variables are at most 2n
-    slab-split boxes each, not 3^n - 1 grid cells."""
+    """The minterms of a disjunction over n variables cover at most 2n
+    clause boxes each, not 3^n - 1 grid cells."""
     text = "G(" + " || ".join(f"x{i} >= {i}" for i in range(n)) + ")"
     w_pos, _ = build_monitor_pair(parse_stl(text), TROPICAL)
     assert w_pos.base.n_locations == 2

@@ -6,7 +6,7 @@ import pytest
 from arv import predicate as P
 from arv.errors import ParseError, UnboundVariableError
 from arv.generators import random_predicate
-from arv.intervals import Box, Interval, complement_boxes
+from arv.intervals import Box, Interval, complement_boxes, complement_cover, meet
 from conftest import grid_points, in_boxes
 
 INF = math.inf
@@ -157,20 +157,22 @@ def test_conjunct_box():
 
 
 def test_complement_boxes_square():
-    """Two slabs outside the box on x, then two inside it on x and
-    outside on y."""
+    """One half-space per finite bound, x's two, then y's two; they
+    overlap at the corners."""
     box = Box.make([Interval.make(2, 4, True, True), Interval.make(2, 4, True, True)])
     cells = complement_boxes(box)
     left = Interval.make(-INF, 2, False, False)
-    mid = Interval.make(2, 4, True, True)
     right = Interval.make(4, INF, False, False)
     full = Interval.full()
     assert [tuple(c.components) for c in cells] == [
         (left, full),
         (right, full),
-        (mid, left),
-        (mid, right),
+        (full, left),
+        (full, right),
     ]
+    for pt in grid_points(["x", "y"], 0, 6):
+        point = [pt["x"], pt["y"]]
+        assert box.contains(point) == (not any(c.contains(point) for c in cells))
 
 
 def test_complement_boxes_edge_cases():
@@ -182,7 +184,7 @@ def test_complement_boxes_edge_cases():
     }
 
 
-def test_complement_boxes_partition_grid():
+def test_complement_boxes_cover_grid():
     rng = random.Random(31)
     pts = grid_points(["x", "y"], -5, 5)
     for _ in range(30):
@@ -196,13 +198,52 @@ def test_complement_boxes_partition_grid():
         if box.is_empty:
             continue
         cells = complement_boxes(box)
+        assert len(cells) <= 4
         for pt in pts:
             point = [pt["x"], pt["y"]]
-            hits = sum(1 for c in cells if c.contains(point)) + (1 if box.contains(point) else 0)
-            assert hits == 1
+            assert box.contains(point) == (not any(c.contains(point) for c in cells))
 
 
-# --- disjoint region form -------------------------------------------------------
+def assert_antichain(boxes):
+    """No box of the cover lies inside another (equal ones included)."""
+    for i, a in enumerate(boxes):
+        for j, b in enumerate(boxes):
+            assert i == j or not a.subset_of(b)
+
+
+def test_meet_covers_the_intersection_without_nested_boxes():
+    rng = random.Random(37)
+    variables = ["x", "y"]
+    pts = grid_points(variables, -6, 6)
+    for _ in range(60):
+        first = P.parse_predicate(random_predicate(rng, variables, depth=3, lo=-5, hi=5))
+        second = P.parse_predicate(random_predicate(rng, variables, depth=3, lo=-5, hi=5))
+        a, b = P.dnf_boxes(first, variables), P.dnf_boxes(second, variables)
+        both = meet(a, b)
+        assert_antichain(both)
+        for pt in pts:
+            expected = P.evaluate(pt, first) and P.evaluate(pt, second)
+            assert in_boxes(both, variables, pt) == expected
+
+
+def test_meet_edge_cases():
+    unit = Box.make([Interval.make(0, 1, True, True)])
+    wide = Box.make([Interval.make(-1, 2, True, True)])
+    apart = Box.make([Interval.make(5, 6, True, True)])
+    assert meet([unit], []) == []
+    assert meet([unit], [apart]) == []
+    # the full box meets to the cover itself, minus the nested box
+    assert meet([Box.full(1)], [unit, wide, unit]) == [wide]
+    assert meet([unit, wide], [unit, wide]) == [wide]
+    # Interval.subset_of compares bounds: open and closed ends differ
+    half_open = Interval.make(0, 1, False, True)
+    assert half_open.subset_of(unit.components[0])
+    assert not unit.components[0].subset_of(half_open)
+    assert Interval.empty_interval().subset_of(half_open)
+    assert Interval.full().subset_of(Interval.full())
+
+
+# --- region form: clause boxes ---------------------------------------------------
 
 
 def test_dnf_boxes_single_clause():
@@ -218,9 +259,9 @@ def test_dnf_boxes_overlapping_rectangles():
     )
     dnf = P.parse_predicate(text)
     boxes = P.dnf_boxes(dnf, ["x", "y"])
-    for i, a in enumerate(boxes):
-        for b in boxes[i + 1 :]:
-            assert a.intersect(b).is_empty
+    # one box per clause, kept whole although the two overlap
+    assert len(boxes) == 2
+    assert not boxes[0].intersect(boxes[1]).is_empty
     for pt in grid_points(["x", "y"], -1, 6):
         assert in_boxes(boxes, ["x", "y"], pt) == P.evaluate(pt, dnf)
 
@@ -251,10 +292,8 @@ def test_minimal_dnf_region_equivalent():
     assert minimal.wedge_minimal
     for pt in grid_points(["x", "y"], -1, 6):
         assert P.evaluate(pt, minimal) == P.evaluate(pt, dnf)
-    boxes = P.dnf_boxes(minimal, ["x", "y"])
-    for i, a in enumerate(boxes):
-        for b in boxes[i + 1 :]:
-            assert a.intersect(b).is_empty
+    # a box encodes as one clause, which decodes to the same box
+    assert P.dnf_boxes(minimal, ["x", "y"]) == P.dnf_boxes(dnf, ["x", "y"])
 
 
 def test_minimal_dnf_simple_cases():
@@ -304,15 +343,15 @@ def test_representations_agree_on_grid():
         minimized = P.wedge_minimize(dnf)
         minimal = P.boxes_to_dnf(P.dnf_boxes(dnf, variables), variables)
         boxes = P.dnf_boxes(dnf, variables)
-        for i, a in enumerate(boxes):
-            for b in boxes[i + 1 :]:
-                assert a.intersect(b).is_empty
+        outside = complement_cover(boxes, n_vars)
+        assert_antichain(outside)
         for pt in grid_points(variables, -10, 10):
             expected = truth(pt)
             assert P.evaluate(pt, dnf) == expected
             assert P.evaluate(pt, minimized) == expected
             assert P.evaluate(pt, minimal) == expected
             assert in_boxes(boxes, variables, pt) == expected
+            assert in_boxes(outside, variables, pt) == (not expected)
 
 
 # --- concrete syntax ---------------------------------------------------------------

@@ -1,14 +1,16 @@
 """Batch command-line front end.
 
 Subcommands: ``monitor`` (verdict or prefix series for trace files),
-``translate`` (spec to DOT/JSON), ``oracle`` (the randomized cross-check
-suites of ``oracles``), ``fixtures`` (reproduce the worked example
-tables) and ``vpd`` (score one valuation against one predicate).
+``translate`` (the DFA ``monitor`` runs, as DOT/JSON), ``oracle`` (the
+randomized cross-check suites of ``oracles``), ``fixtures`` (reproduce
+the worked example tables) and ``vpd`` (score one valuation against
+one predicate).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -26,7 +28,6 @@ from .distance import PointwiseDistance, default_distance, vpd
 from .errors import ArvError, ParseError, UnsupportedFragmentError
 from .semiring import SEMIRINGS, TROPICAL, by_name
 from .speclang import parse_spec_text, read_trace_csv, read_utf8
-from .translate import translate_sre, translate_stl
 
 
 def _json_value(x: float):
@@ -46,8 +47,13 @@ def _verdict_doc(verdict: M.RobustnessVerdict) -> dict:
 
 def _atomic_write(path: Path, text: str):
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except OSError:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        raise
 
 
 def _load_spec(path: str):
@@ -113,16 +119,16 @@ def _fmt_num(x: float) -> str:
 
 
 def cmd_translate(args) -> int:
-    kind, spec = _load_spec(args.spec)
-    auto = translate_stl(spec) if kind == "stl" else translate_sre(spec)
+    _, spec = _load_spec(args.spec)
+    dfa = A.canonicalize(M.spec_dfa(spec))
     print(
-        f"{args.spec}: {auto.n_locations} locations, {len(auto.transitions)} transitions, "
-        f"{len(auto.final)} accepting"
+        f"{args.spec}: {dfa.n_locations} locations, {len(dfa.transitions)} transitions, "
+        f"{len(dfa.final)} accepting"
     )
     if args.dot:
-        _atomic_write(Path(args.dot), A.to_dot(auto))
+        _atomic_write(Path(args.dot), A.to_dot(dfa))
     if args.json_out:
-        _atomic_write(Path(args.json_out), A.to_json(auto))
+        _atomic_write(Path(args.json_out), A.to_json(dfa))
     return 0
 
 

@@ -15,15 +15,16 @@ destinations its cost passes to unchanged (a guard that holds) and the
 touches only live entries, and its work is independent of trace length.
 
 A specification compiles to one minimal complete DFA over the minterms
-of its automaton's guards; that DFA and its flipped copy are the
-monitor pair.  The two sides share every edge and weight, so one pass
-of the program gives both the distance to the specification (the costs
-inside its final set) and to its negation (the costs outside it); live
-sets list their final members first, so each is a ``min`` over one
-slice.  The robustness verdict combines the two into a signed degree;
-the qualitative verdict, which resolves the sign when the degree is
-zero, is the DFA's own run in the same pass: exactly one minterm holds,
-so the run moves to its location's one free destination in the step's
+of its automaton's guards, ``spec_dfa``, which ``arv translate``
+prints; that DFA and its flipped copy are the monitor pair.  The two
+sides share every edge and weight, so one pass of the program gives
+both the distance to the specification (the costs inside its final
+set) and to its negation (the costs outside it); live sets list their
+final members first, so each is a ``min`` over one slice.  The
+robustness verdict combines the two into a signed degree; the
+qualitative verdict, which resolves the sign when the degree is zero,
+is the DFA's own run in the same pass: exactly one minterm holds, so
+the run moves to its location's one free destination in the step's
 plan.  ``verdicts`` reads a verdict after every sample, ``verdict``
 only after the last.
 """
@@ -227,23 +228,25 @@ def _rho(v1, exists1, v2, exists2, semiring: Semiring) -> float:
     return to_signed(v1, negate=True)
 
 
-def build_monitor_pair(spec, semiring: Semiring, dist: PointwiseDistance | None = None):
-    """The weighted automata for a specification and its negation.
+def spec_dfa(spec) -> A.SymbolicAutomaton:
+    """The automaton of a specification: its minimal complete DFA.  For
+    STL it is the complement of the negation's tableau, whose initial
+    location accepts the empty trace; for SRE, the expression's own
+    automaton determinized.  ``TypeError`` for anything else."""
+    if isinstance(spec, StlFormula):
+        return A.complement(translate_stl(S.negate(spec)))
+    if isinstance(spec, SreExpr):
+        return A.determinize(translate_sre(spec))
+    raise TypeError(f"not a specification: {spec!r}")
 
-    One automaton is translated (the negation's tableau for STL, the
-    expression's for SRE) and determinized into its minimal complete
-    DFA, which is decorated once; the other side is that DFA with its
-    final set flipped, sharing its transitions.
-    """
+
+def build_monitor_pair(spec, semiring: Semiring, dist: PointwiseDistance | None = None):
+    """The weighted automata for a specification and its negation: the
+    ``spec_dfa``, decorated once, and that DFA with its final set
+    flipped, sharing its transitions."""
     if dist is None:
         dist = default_distance(semiring)
-    if isinstance(spec, StlFormula):
-        dfa = A.flip(A.determinize(translate_stl(S.negate(spec))))
-    elif isinstance(spec, SreExpr):
-        dfa = A.determinize(translate_sre(spec))
-    else:
-        raise TypeError(f"not a specification: {spec!r}")
-    w = A.decorate(dfa, semiring, dist)
+    w = A.decorate(spec_dfa(spec), semiring, dist)
     return w, replace(w, base=A.flip(w.base))
 
 

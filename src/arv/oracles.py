@@ -196,6 +196,40 @@ def is_deterministic_complete(a: A.SymbolicAutomaton) -> bool:
     return True
 
 
+def dfa_equivalent(a: A.SymbolicAutomaton, b: A.SymbolicAutomaton) -> bool:
+    """True when two complete DFAs accept the same non-empty traces.
+    Exact: a breadth-first search of their product from the initial
+    pair steps along the minterm pairs whose boxes meet, over both
+    automata's variables, and compares the final flags at every pair
+    it reaches after at least one step."""
+    variables = sorted(set(a.variables) | set(b.variables))
+    boxes: dict = {}  # guard -> its boxes over ``variables``
+
+    def edges(d):
+        out = [[] for _ in range(d.n_locations)]
+        for src, guard, dst in d.transitions:
+            if guard not in boxes:
+                boxes[guard] = P.dnf_boxes(guard, variables)
+            out[src].append((boxes[guard], dst))
+        return out
+
+    out_a, out_b = edges(a), edges(b)
+    (p0,), (q0,) = a.initial, b.initial
+    seen = set()
+    order = [(p0, q0)]
+    for p, q in order:  # breadth first: the list is its own queue
+        for boxes_a, dst_a in out_a[p]:
+            for boxes_b, dst_b in out_b[q]:
+                pair = (dst_a, dst_b)
+                if pair in seen or not meet(boxes_a, boxes_b):
+                    continue
+                if (dst_a in a.final) != (dst_b in b.final):
+                    return False
+                seen.add(pair)
+                order.append(pair)
+    return True
+
+
 def guards_closed(auto: A.SymbolicAutomaton) -> bool:
     """True when every guard literal is a closed comparison, so a grid
     holding the thresholds attains every distance infimum."""

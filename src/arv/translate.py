@@ -153,7 +153,7 @@ def translate_stl(formula: S.StlFormula) -> SymbolicAutomaton:
     ``automaton.MAX_SUBSETS`` steps and locations with an
     ``UnsupportedFragmentError``.
     """
-    steps = _check_translatable(formula)
+    steps = _window_steps(formula, "unfolding the formula's windows takes")
     core = S.unfold_bounded(formula)
     variables = tuple(sorted(S.stl_variables(formula)))
 
@@ -180,30 +180,31 @@ def translate_stl(formula: S.StlFormula) -> SymbolicAutomaton:
     return canonicalize(trim(a))
 
 
-def _check_translatable(formula: S.StlFormula) -> int:
-    """The number of steps unfolding the formula's windows takes.  More
-    than ``automaton.MAX_SUBSETS`` steps raise ``UnsupportedFragmentError``."""
+def _window_steps(root, what: str) -> int:
+    """The steps unfolding a formula's or an expression's windows takes:
+    per node, one for a next and a window's ``hi``, or its ``lo`` when
+    unbounded.  The walk is iterative and counts each node object once;
+    STL nodes are hash-consed, so that is once per distinct subformula,
+    and a parsed SRE is a tree, so that is once per occurrence.  More
+    than ``automaton.MAX_SUBSETS`` steps raise
+    ``UnsupportedFragmentError``, saying ``what`` takes them."""
     steps = 0
     seen = set()
-    stack = [formula]
+    stack = [root]
     while stack:
         node = stack.pop()
-        if node in seen:
+        if id(node) in seen:
             continue
-        seen.add(node)
-        if isinstance(node, S.Next):
-            steps += 1
-        elif isinstance(node, (S.Until, S.Eventually, S.Always)):
-            w = node.window
+        seen.add(id(node))
+        w = getattr(node, "window", None)
+        if w is not None:
             steps += w.lo if w.hi is None else w.hi
-        for attr in ("arg", "left", "right"):
-            child = getattr(node, attr, None)
-            if child is not None:
-                stack.append(child)
+        elif isinstance(node, S.Next):
+            steps += 1
+        stack += [getattr(node, attr) for attr in ("arg", "left", "right") if hasattr(node, attr)]
     if steps > A.MAX_SUBSETS:
         raise UnsupportedFragmentError(
-            f"unfolding the formula's windows takes {steps} steps, "
-            f"more than the budget of {A.MAX_SUBSETS}"
+            f"{what} {steps} steps, more than the budget of {A.MAX_SUBSETS}"
         )
     return steps
 
@@ -332,26 +333,12 @@ def _build(expr: S.SreExpr, variables) -> _Frag:
     raise TypeError(f"not an SRE node: {expr!r}")
 
 
-def _duration_steps(expr: S.SreExpr) -> int:
-    """The steps of the expression's duration windows, every occurrence
-    counted: a window's ``hi``, or its ``lo`` when unbounded."""
-    w = getattr(expr, "window", None)
-    own = 0 if w is None else (w.lo if w.hi is None else w.hi)
-    children = (getattr(expr, attr) for attr in ("arg", "left", "right") if hasattr(expr, attr))
-    return own + sum(map(_duration_steps, children))
-
-
 def translate_sre(expr: S.SreExpr) -> SymbolicAutomaton:
     """Compile a signal regular expression to an epsilon-free automaton
     accepting exactly the traces the expression matches end to end.
     Durations of more than ``automaton.MAX_SUBSETS`` steps in all raise
     ``UnsupportedFragmentError`` before anything is built."""
-    steps = _duration_steps(expr)
-    if steps > A.MAX_SUBSETS:
-        raise UnsupportedFragmentError(
-            f"the expression's durations take {steps} steps, "
-            f"more than the budget of {A.MAX_SUBSETS}"
-        )
+    _window_steps(expr, "the expression's durations take")
     variables = tuple(sorted(S.sre_variables(expr)))
     a = eps_eliminate(_build(expr, variables), variables)
     return canonicalize(trim(a))

@@ -13,9 +13,10 @@ from arv import predicate as P
 from arv.automaton import decorate
 from arv.distance import PointwiseDistance, default_distance, vpd
 from arv.generators import random_sre, random_stl, random_trace
-from arv.monitor import ValueStream, build_monitor_pair, robustness, trace_value
+from arv.monitor import ValueStream, build_monitor_pair, robustness, spec_dfa, trace_value
 from arv.oracles import (
     accepts,
+    dfa_equivalent,
     language_distance_cross_check,
     path_enumeration_value,
     value_cross_check,
@@ -109,7 +110,9 @@ def test_a4_semantic_invariance_pairs():
             for left, right in pairs:
                 if robustness(trace, left, sr).rho != robustness(trace, right, sr).rho:
                     bad += 1
-    report("A4 semantic invariance", bad == 0, f"100 traces x 2 pairs x 2 semirings, {bad} mismatches")
+    exact = sum(not dfa_equivalent(spec_dfa(left), spec_dfa(right)) for left, right in pairs)
+    bad += exact
+    report("A4 semantic invariance", bad == 0, f"100 traces x 2 pairs x 2 semirings and exact DFA equivalence, {bad} mismatches")
 
 
 def test_a5_valuation_distance_cross_check():

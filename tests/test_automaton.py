@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -21,7 +22,7 @@ from arv.distance import PointwiseDistance, default_distance
 from arv.errors import ParseError
 from arv.fixtures import example_automaton
 from arv.generators import random_automaton, random_predicate
-from arv.oracles import accepts, is_deterministic_complete
+from arv.oracles import accepts, dfa_equivalent, is_deterministic_complete
 from arv.semiring import MINMAX, TROPICAL
 from arv.speclang import Trace
 from arv.translate import _Frag, eps_eliminate
@@ -305,30 +306,14 @@ def test_monitors_share_one_automaton():
 
 def _equivalent_pairs(d):
     """Pairs of distinct locations of a complete DFA that accept the same
-    language: those from which the product of ``d`` with itself reaches
-    no pair that disagrees on acceptance."""
-    succ = [dict() for _ in range(d.n_locations)]
-    for src, guard, dst in d.transitions:
-        succ[src][P.print_predicate(guard)] = dst
-    minterms = set(succ[0])
-    assert all(set(row) == minterms for row in succ)
+    language: they agree on acceptance, and so do all their successors."""
     pairs = [(p, q) for p in range(d.n_locations) for q in range(p + 1, d.n_locations)]
-    equivalent = []
-    for pair in pairs:
-        seen = {pair}
-        stack = [pair]
-        while stack:
-            p, q = stack.pop()
-            if (p in d.final) != (q in d.final):
-                break
-            for m in minterms:
-                nxt = (succ[p][m], succ[q][m])
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        else:
-            equivalent.append(pair)
-    return equivalent
+    return [
+        (p, q)
+        for p, q in pairs
+        if (p in d.final) == (q in d.final)
+        and dfa_equivalent(replace(d, initial=frozenset({p})), replace(d, initial=frozenset({q})))
+    ]
 
 
 def test_determinize_merges_every_equivalent_location():
@@ -347,6 +332,7 @@ def test_determinize_merges_every_equivalent_location():
     for a in automata:
         d = determinize(a)
         assert d.initial == {0}
+        assert is_deterministic_complete(d)
         assert _equivalent_pairs(d) == []
         assert determinize(d).n_locations == d.n_locations
 

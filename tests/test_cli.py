@@ -348,12 +348,118 @@ def test_translate_outputs(tmp_path, capsys):
     code = main(["translate", "--spec", spec, "--dot", str(dot), "--json", str(jsn)])
     assert code == 0
     text = dot.read_text()
-    assert text.count("shape=") == 3
-    assert text.count("->") == 4
+    assert text.count("shape=") == 4
+    assert text.count("->") == 24
     doc = json.loads(jsn.read_text())
-    assert len(doc["locations"]) == 3
-    assert len(doc["transitions"]) == 4
-    assert "3 locations" in capsys.readouterr().out
+    assert len(doc["locations"]) == 4
+    assert len(doc["transitions"]) == 24
+    assert "4 locations, 24 transitions, 3 accepting" in capsys.readouterr().out
+
+
+def _translated(tmp_path, text):
+    """``arv translate``'s DOT and JSON of a spec file holding ``text``."""
+    spec = write(tmp_path / "spec.txt", text)
+    dot, jsn = tmp_path / "a.dot", tmp_path / "a.json"
+    assert main(["translate", "--spec", spec, "--dot", str(dot), "--json", str(jsn)]) == 0
+    return dot.read_text(), jsn.read_text()
+
+
+def _spec_texts():
+    """The benchmark's spec files and 100 random STL and SRE specs."""
+    import importlib.util
+    import random
+    import sys
+    from pathlib import Path
+
+    from arv.generators import random_sre, random_stl
+    from arv.speclang import print_sre, print_stl
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("perfbench_corpus", path)
+    corpus = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    texts = [e.spec_text for w in corpus.WORKLOADS for e in corpus.entries(w)]
+    assert len(texts) == 11
+    rng = random.Random(1801)
+    for i in range(100):
+        if i % 2:
+            texts.append("#lang sre\n" + print_sre(random_sre(rng, ["x", "y"], depth=3)) + "\n")
+        else:
+            texts.append(print_stl(random_stl(rng, ["x", "y"], depth=3)) + "\n")
+    return texts
+
+
+def test_translate_prints_the_monitor_dfa(tmp_path):
+    from arv.automaton import to_json
+    from arv.monitor import build_monitor_pair
+    from arv.semiring import MINMAX
+    from arv.speclang import parse_spec_text
+
+    for text in _spec_texts():
+        _, jsn = _translated(tmp_path, text)
+        w_pos, _ = build_monitor_pair(parse_spec_text(text)[1], MINMAX)
+        assert jsn == to_json(w_pos.base), text
+
+
+def test_translate_dot_and_json_number_locations_alike(tmp_path):
+    import re
+
+    for text in _spec_texts()[:40]:
+        dot, jsn = _translated(tmp_path, text)
+        doc = json.loads(jsn)
+        edges = re.findall(r'^  (\d+) -> (\d+) \[label="(.*)"\];$', dot, re.M)
+        assert edges == [
+            (str(t["src"]), str(t["dst"]), t["guard"].replace('"', '\\"'))
+            for t in doc["transitions"]
+        ]
+        finals = [int(q) for q in re.findall(r"^  (\d+) \[shape=doublecircle", dot, re.M)]
+        assert finals == doc["final"]
+        assert re.findall(r"^  (\d+) \[.*color=blue", dot, re.M) == [str(q) for q in doc["initial"]]
+
+
+def test_translate_and_monitor_refuse_alike(tmp_path, monkeypatch, capsys):
+    import arv.automaton
+
+    monkeypatch.setattr(arv.automaton, "MAX_SUBSETS", 16)
+    spec = write(tmp_path / "resp.stl", "G(x <= 5 -> F[0,8] y >= 2)\n")
+    trace = write(tmp_path / "t.csv", "x,y\n1,3\n")
+    assert main(["translate", "--spec", spec]) == 4
+    translate_err = capsys.readouterr().err
+    assert main(["monitor", "--spec", spec, "--trace", trace]) == 4
+    assert capsys.readouterr().err == translate_err
+    assert translate_err.startswith("error: determinizing a 10-location automaton")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "G(x <= 5 -> F[0,12] y >= 2)",
+        "G(a <= 5 -> F[0,6] b >= 2) && G(c <= 5 -> F[0,6] d >= 2)",
+    ],
+)
+def test_translate_compiles_responses_quickly(text, tmp_path, capsys):
+    spec = write(tmp_path / "resp.stl", text + "\n")
+    start = time.perf_counter()
+    assert main(["translate", "--spec", spec]) == 0
+    assert time.perf_counter() - start < 2
+    assert " 1 accepting" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["monitor", "--trace", "TRACE", "--out"],
+        ["translate", "--json"],
+    ],
+)
+def test_failed_write_leaves_no_temp_file(argv, spec_file, trace_file, tmp_path, capsys):
+    target = tmp_path / "taken"
+    target.mkdir()
+    argv = [trace_file if a == "TRACE" else a for a in argv]
+    assert main([argv[0], "--spec", spec_file, *argv[1:], str(target)]) == 2
+    assert "error: " in capsys.readouterr().err
+    assert target.is_dir()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.stl", "t.csv", "taken"]
 
 
 def test_vpd_subcommand(capsys):

@@ -14,12 +14,19 @@ import pytest
 
 import arv
 from arv import automaton, oracles
-from arv.automaton import SymbolicAutomaton, WeightedAutomaton, decorate
+from arv.automaton import SymbolicAutomaton, WeightedAutomaton, decorate, determinize, flip
 from arv.cli import main
 from arv.distance import default_distance
 from arv.errors import ArvError
 from arv.generators import random_sre, random_stl, random_trace
-from arv.monitor import RobustnessVerdict, ValueStream, _rho, build_monitor_pair, verdicts
+from arv.monitor import (
+    RobustnessVerdict,
+    ValueStream,
+    _rho,
+    build_monitor_pair,
+    spec_dfa,
+    verdicts,
+)
 from arv.predicate import Cmp, Dnf, Literal, Not, parse_predicate
 from arv.semiring import BOOLEAN, MINMAX, TROPICAL, Semiring
 from arv.speclang import (
@@ -265,6 +272,76 @@ def test_dfa_pair_matches_two_nfa_reference():
             trace = random_trace(rng, tuple(variables), rng.randint(1, 7), 0, 4)
             mismatches += _dfa_pair_mismatches(spec, trace, semiring)
     assert mismatches == 0
+
+
+# --- exact DFA equivalence ----------------------------------------------------------
+
+
+def test_spec_dfa_has_the_language_of_the_formula_tableau():
+    """The STL DFA, the complement of the negation's tableau, accepts the
+    non-empty traces that the formula's own tableau accepts; on the
+    empty trace the two differ by design."""
+    rng = random.Random(1802)
+    empty_differs = 0
+    for i in range(320):
+        variables = ["x", "y"] if i % 3 == 0 else ["x"]
+        formula = random_stl(rng, variables, depth=3, max_bound=3)
+        dfa, reference = spec_dfa(formula), determinize(translate_stl(formula))
+        assert oracles.dfa_equivalent(dfa, reference), formula
+        assert dfa.initial <= dfa.final
+        empty_differs += not reference.initial <= reference.final
+    assert empty_differs == 320
+
+
+def test_dfa_equivalence_tells_languages_apart():
+    texts = [
+        "G(x <= 5 -> F[0,3] y >= 2)",
+        "G(x <= 5 -> F[0,4] y >= 2)",
+        "G(x <= 5 -> F[0,3] y > 2)",
+        "F[0,3] G[0,3] x >= 1",
+        "#lang sre\n<x >= 8>[2,3]",
+        "#lang sre\n<x >= 8>[2,4]",
+    ]
+    dfas = [spec_dfa(parse_spec_text(text)[1]) for text in texts]
+    for i, a in enumerate(dfas):
+        assert oracles.dfa_equivalent(a, a)
+        assert not oracles.dfa_equivalent(a, flip(a))
+        for b in dfas[i + 1 :]:
+            assert not oracles.dfa_equivalent(a, b)
+            assert not oracles.dfa_equivalent(b, a)
+    # equal languages over different variables and minterms
+    true_dfa = spec_dfa(parse_spec_text("G(x >= 1 || x < 1)")[1])
+    split_dfa = spec_dfa(parse_spec_text("G(y <= 3 || y > 3)")[1])
+    assert oracles.dfa_equivalent(true_dfa, split_dfa)
+    g = spec_dfa(parse_spec_text("G x >= 1")[1])
+    either = spec_dfa(parse_spec_text("G x >= 1 && y >= 0 || G x >= 1 && y < 0")[1])
+    assert oracles.dfa_equivalent(either, g)
+    assert not oracles.dfa_equivalent(spec_dfa(parse_spec_text("G(x >= 1 && y >= 0)")[1]), g)
+
+
+def test_dfa_equivalence_agrees_with_runs_on_short_traces():
+    """Rewrites that keep a random formula's meaning give equivalent
+    DFAs.  Pairs of random formulas the oracle calls equivalent accept
+    the same traces of length 1 to 3 on a grid; pairs it separates
+    differ on some non-empty trace, which a short one often shows."""
+    from conftest import traces_upto
+
+    from arv.speclang import FALSE, And, Not, Or
+
+    rng = random.Random(1803)
+    traces = traces_upto(("x",), (0.0, 1.0, 2.0, 3.0), 3)
+    separated_short = 0
+    for _ in range(150):
+        f, g = (random_stl(rng, ["x"], depth=2, max_bound=1) for _ in range(2))
+        a, b = spec_dfa(f), spec_dfa(g)
+        for same in (And(f, f), Or(FALSE, f), Not(Not(f))):
+            assert oracles.dfa_equivalent(a, spec_dfa(same)), same
+        runs_agree = all(oracles.accepts(a, t) == oracles.accepts(b, t) for t in traces)
+        if oracles.dfa_equivalent(a, b):
+            assert runs_agree, (f, g)
+        else:
+            separated_short += not runs_agree
+    assert separated_short > 50
 
 
 # --- samples on the thresholds ---------------------------------------------------

@@ -208,3 +208,16 @@ def test_translation_independent_of_hash_seed_and_history(tmp_path):
         assert first == again
         outputs.append(done.stdout)
     assert outputs[0] == outputs[1]
+
+
+def test_window_steps_walk_a_concatenation_deeper_than_the_recursion_limit():
+    import sys
+
+    from arv.speclang import SreBasic, SreConcat, SreDuration, TimeWindow
+    from arv.translate import _window_steps
+
+    depth = sys.getrecursionlimit() + 500
+    expr = SreBasic(P.parse_predicate("x <= 1"))
+    for i in range(depth):
+        expr = SreConcat(expr, SreDuration(SreBasic(P.parse_predicate("y >= 0")), TimeWindow(i % 3, 2)))
+    assert _window_steps(expr, "the expression's durations take") == 2 * depth

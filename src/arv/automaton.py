@@ -13,11 +13,11 @@ guard's clauses flat.  The algebra relies on interval reasoning for
 satisfiability, so no solver is needed.
 
 ``determinize`` splits the valuation space once into the minterms of an
-automaton's distinct guards, runs the subset construction over minterm
-indices and minimizes the result by Hopcroft's partition refinement
-(after D'Antoni & Veanes, *Minimization of Symbolic Automata*, POPL
-2014).  The result is complete, with one transition per location and
-minterm, so ``flip`` (swapping its final set) complements it.
+automaton's guards, runs the subset construction over minterm indices,
+minimizes by Hopcroft's partition refinement and merges the minterms no
+location tells apart (after D'Antoni & Veanes, *Minimization of Symbolic
+Automata*, POPL 2014).  The result is complete, with one transition per
+location and minterm, so ``flip`` (swapping its final set) complements it.
 """
 
 from __future__ import annotations
@@ -144,33 +144,41 @@ def product(a: SymbolicAutomaton, b: SymbolicAutomaton) -> SymbolicAutomaton:
 
 def _minterms(guards, variables):
     """The non-empty cells the guards cut the valuation space into: per
-    cell, its DNF (one clause per box of its cover) and whether it lies
-    inside each guard.  A guard's inside is covered by its clause boxes
-    and its outside by their ``complement_cover``; a cell meets its
-    cover with both, and an empty meet drops out."""
+    cell, its DNF and whether it lies inside each guard.  A guard's
+    outside and inside are covered by their maximal boxes, the
+    ``complement_cover`` of its clause boxes and of that; a cell meets
+    its cover with both, so its cover is maximal too."""
     cells = [([Box.full(len(variables))], ())]
     for guard in guards:
-        inside = P.dnf_boxes(guard, variables)
-        outside = complement_cover(inside, len(variables))
+        clauses = P.dnf_boxes(guard, variables)
+        outside = complement_cover(clauses, len(variables))
+        inside = clauses if len(clauses) == 1 else complement_cover(outside, len(variables))
         cells = [
             (part, covers + (side,))
             for boxes, covers in cells
             for side, region in ((True, inside), (False, outside))
             if (part := meet(boxes, region))
         ]
-    return [(P.boxes_to_dnf(boxes, variables), covers) for boxes, covers in cells]
+    return [(_region_dnf(boxes, variables), covers) for boxes, covers in cells]
 
 
-def _subsets(a: SymbolicAutomaton, inside, n_minterms):
+def _region_dnf(maximal, variables) -> Dnf:
+    """A region's DNF, one clause per maximal box, sorted by the bounds."""
+    key = lambda box: [(c.lo, c.hi, c.lo_closed, c.hi_closed) for c in box.components]
+    return P.boxes_to_dnf(sorted(maximal, key=key), variables)
+
+
+def _subsets(a: SymbolicAutomaton, joined, inside, n_minterms):
     """Subset construction over minterm indices.
 
-    Subsets are bitmasks of ``a``'s locations; ``inside[guard]`` lists
-    the minterms lying inside that guard.  Returns the subsets in
-    discovery order (the initial one first) and, per subset, the index
-    of its successor on each minterm.
+    Subsets are bitmasks of ``a``'s locations, ``joined`` maps its
+    (source, destination) pairs to their guards' union, and
+    ``inside[guard]`` lists the minterms inside that guard.  Returns the
+    subsets in discovery order (the initial one first) and, per subset,
+    the index of its successor on each minterm.
     """
     succ = [[0] * n_minterms for _ in range(a.n_locations)]
-    for src, guard, dst in a.transitions:
+    for (src, dst), guard in joined.items():
         for j in inside[guard]:
             succ[src][j] |= 1 << dst
     start = sum(1 << q for q in a.initial)
@@ -249,25 +257,31 @@ def _hopcroft(accepting, delta, n_minterms):
 
 
 def determinize(a: SymbolicAutomaton) -> SymbolicAutomaton:
-    """The minimal complete deterministic automaton of ``a``.
+    """The minimal complete deterministic automaton of ``a`` over the
+    coarsest alphabet: the one DFA of its language.
 
-    The valuation space is split once into the minterms of ``a``'s
-    distinct guards, the subset construction runs over minterm indices,
-    and Hopcroft refinement merges equivalent subsets in O(m·n·log n)
-    for n subsets and m minterms.  Locations are numbered by their first
-    subset in discovery order, so the initial one is 0.  Every location
-    has one transition per minterm, each guarded by exactly that
-    minterm, and the empty subset is a real sink location, so ``flip``
+    Parallel edges join, the valuation space is split once into the
+    minterms of the joined guards, the subset construction runs over
+    minterm indices, and Hopcroft refinement merges equivalent subsets
+    in O(m·n·log n) for n subsets and m minterms.  Minterms with the same
+    successor at every location then merge, each printed as its maximal
+    boxes.  Locations are numbered by their first subset in discovery
+    order, so the initial one is 0.  Every location has one transition
+    per minterm and the empty subset is a real sink, so ``flip``
     complements.  Past ``MAX_SUBSETS`` subsets it raises
     ``UnsupportedFragmentError``.
     """
     variables = a.variables or ("_",)
-    guards = list(dict.fromkeys(g for _, g, _ in a.transitions))
+    joined: dict = {}  # (source, destination) -> the union of their guards
+    for src, g, dst in a.transitions:
+        h = joined.get((src, dst))
+        joined[src, dst] = g if h is None else Dnf(h.clauses + g.clauses)
+    guards = list(dict.fromkeys(joined.values()))
     cells = _minterms(guards, variables)
     inside = {
         g: [j for j, (_, covers) in enumerate(cells) if covers[i]] for i, g in enumerate(guards)
     }
-    subsets, delta = _subsets(a, inside, len(cells))
+    subsets, delta = _subsets(a, joined, inside, len(cells))
     final_mask = sum(1 << q for q in a.final)
     block = _hopcroft([bool(s & final_mask) for s in subsets], delta, len(cells))
     # blocks are numbered by their first subset in discovery order, so the
@@ -275,9 +289,17 @@ def determinize(a: SymbolicAutomaton) -> SymbolicAutomaton:
     rep: dict = {}
     for s, b in enumerate(block):
         rep.setdefault(b, s)
-    transitions = tuple(
-        (b, cells[j][0], block[t]) for b, s in rep.items() for j, t in enumerate(delta[s])
-    )
+    columns: dict = {}  # successor block at every location -> its minterms, then guard
+    for j in range(len(cells)):
+        columns.setdefault(tuple(block[delta[s][j]] for s in rep.values()), []).append(j)
+    for column, group in columns.items():
+        if len(group) == 1:
+            columns[column] = cells[group[0]][0]
+            continue
+        union = [box for j in group for box in P.dnf_boxes(cells[j][0], variables)]
+        maximal = complement_cover(complement_cover(union, len(variables)), len(variables))
+        columns[column] = _region_dnf(maximal, variables)
+    transitions = tuple((b, guard, column[b]) for b in rep for column, guard in columns.items())
     final = frozenset(b for b, s in rep.items() if subsets[s] & final_mask)
     return SymbolicAutomaton(a.variables, len(rep), frozenset({0}), final, transitions)
 

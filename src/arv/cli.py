@@ -180,7 +180,11 @@ def cmd_oracle(args) -> int:
     checks = [
         ("valuation-predicate distance", O.vpd_cross_check, args.vpd_cases),
         ("trace value vs path enumeration", O.value_cross_check, args.value_cases),
-        ("pipeline vs language distance", O.language_distance_cross_check, args.language_cases),
+        (
+            "pipeline vs language distance, STL and SRE each",
+            O.language_distance_cross_check,
+            args.language_cases,
+        ),
     ]
     for label, fn, cases in checks:
         mism = fn(cases, args.seed)

@@ -22,6 +22,7 @@ from .generators import (
     CLOSED_OPS,
     random_automaton,
     random_dnf,
+    random_sre,
     random_stl,
     random_trace,
     random_valuation,
@@ -30,7 +31,7 @@ from .intervals import complement_cover, meet
 from .predicate import Dnf
 from .semiring import BOOLEAN, MINMAX, TROPICAL, Semiring, SemiringValue
 from .speclang import StlFormula, Trace
-from .translate import translate_stl
+from .translate import translate_sre, translate_stl
 
 # --- brute-force evaluators ----------------------------------------------------
 
@@ -282,34 +283,37 @@ def value_cross_check(cases: int, seed: int) -> int:
 
 
 def language_distance_cross_check(cases: int, seed: int) -> int:
-    """End-to-end pipeline vs the trace-to-language grid fold.
+    """End-to-end pipeline vs the trace-to-language grid fold, on
+    ``cases`` STL formulas and then ``cases`` SREs.
 
-    Checks the formula's own automaton through ``trace_value`` and the
-    compiled monitor pair through ``verdict``: its ``d_phi`` against the
-    grid fold and its ``satisfied`` against ``eval_stl``.  ``d_not_phi``
-    is not compared, since the negation has open comparisons whose
-    infimum the grid never attains.  Formulas are resampled until the
-    formula's compiled guards contain only closed comparisons, so the
-    grid attains every infimum of ``d_phi``.
+    Checks the specification's own automaton through ``trace_value`` and
+    the compiled monitor pair through ``verdict``: its ``d_phi`` against
+    the grid fold and its ``satisfied`` against ``eval_stl`` or
+    ``sre_accepts``.  ``d_not_phi`` is not compared, since the negation
+    has open comparisons whose infimum the grid never attains.
+    Specifications are resampled until their compiled guards contain
+    only closed comparisons, so the grid attains every infimum of
+    ``d_phi``.
     """
     rng = random.Random(seed)
     grid = range(0, 5)
     mismatches = 0
-    done = 0
-    while done < cases:
-        formula = random_stl(rng, ["x"], depth=2, ops=CLOSED_OPS)
-        auto = translate_stl(formula)
-        if not guards_closed(auto):
-            continue
-        done += 1
-        trace = random_trace(rng, ("x",), rng.randint(1, 3), 0, 4)
-        for semiring in (BOOLEAN, MINMAX, TROPICAL):
-            dist = default_distance(semiring)
-            w = A.decorate(auto, semiring, dist)
-            expected = trace_distance_brute_force(trace, formula, semiring, dist, grid)
-            if M.trace_value(trace, w) != expected:
-                mismatches += 1
-            last = M.verdict(trace, *M.build_monitor_pair(formula, semiring, dist))
-            if last.d_phi != expected or last.satisfied != S.eval_stl(trace, 0, formula):
-                mismatches += 1
+    for draw, translate in ((random_stl, translate_stl), (random_sre, translate_sre)):
+        done = 0
+        while done < cases:
+            spec = draw(rng, ["x"], depth=2, ops=CLOSED_OPS)
+            auto = translate(spec)
+            if not guards_closed(auto):
+                continue
+            done += 1
+            trace = random_trace(rng, ("x",), rng.randint(1, 3), 0, 4)
+            for semiring in (BOOLEAN, MINMAX, TROPICAL):
+                dist = default_distance(semiring)
+                w = A.decorate(auto, semiring, dist)
+                expected = trace_distance_brute_force(trace, spec, semiring, dist, grid)
+                if M.trace_value(trace, w) != expected:
+                    mismatches += 1
+                last = M.verdict(trace, *M.build_monitor_pair(spec, semiring, dist))
+                if last.d_phi != expected or last.satisfied != _qualitative(trace, spec):
+                    mismatches += 1
     return mismatches

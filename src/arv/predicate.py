@@ -268,25 +268,12 @@ def dnf_boxes(dnf: Dnf, variables=None) -> list[Box]:
 
 
 def _interval_literals(var: str, comp: Interval) -> list:
+    """The bound literals of an interval: its upper bound's, then its lower bound's."""
     lits = []
-    lo, hi = comp.lo, comp.hi
-    if comp.lo_closed and comp.hi_closed:
-        lits = [Cmp(var, "<=", hi), Not(Cmp(var, "<", lo))]
-    elif not comp.lo_closed and not comp.hi_closed:
-        if lo == -INF and hi != INF:
-            lits = [Cmp(var, "<", hi)]
-        elif lo != -INF and hi == INF:
-            lits = [Not(Cmp(var, "<=", lo))]
-        elif lo != -INF and hi != INF:
-            lits = [Cmp(var, "<", hi), Not(Cmp(var, "<=", lo))]
-    elif comp.lo_closed:
-        lits = [Not(Cmp(var, "<", lo))]
-        if hi != INF:
-            lits.append(Cmp(var, "<", hi))
-    else:
-        lits = [Cmp(var, "<=", hi)]
-        if lo != -INF:
-            lits.append(Not(Cmp(var, "<=", lo)))
+    if comp.hi != INF:
+        lits.append(Cmp(var, "<=" if comp.hi_closed else "<", comp.hi))
+    if comp.lo != -INF:
+        lits.append(Not(Cmp(var, "<" if comp.lo_closed else "<=", comp.lo)))
     return lits
 
 

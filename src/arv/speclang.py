@@ -291,13 +291,13 @@ def read_utf8(path, source: str) -> str:
         raise ParseError(f"{source} is not UTF-8 text (byte {exc.start})") from None
 
 
-def read_trace_csv(text_or_path, from_path: bool = True) -> Trace:
+def read_trace_csv(path) -> Trace:
     """Header row of variable names, one numeric row per sample; blank
     lines skipped; a file may start with a UTF-8 byte-order mark.  Errors
     name the file line of the offending row.  Each cell is converted and
     checked once."""
-    source = f"trace file {text_or_path}" if from_path else "trace text"
-    text = read_utf8(text_or_path, source) if from_path else text_or_path
+    source = f"trace file {path}"
+    text = read_utf8(path, source)
     try:
         rows = _csv_rows(io.StringIO(text, newline=""))
     except csv.Error as exc:

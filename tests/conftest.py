@@ -1,4 +1,7 @@
+import importlib.util
 import itertools
+import sys
+from pathlib import Path
 
 from arv.generators import all_traces
 
@@ -23,3 +26,13 @@ def traces_upto(variables, values, max_len):
 def in_boxes(boxes, variables, valuation):
     point = [valuation[v] for v in variables]
     return any(b.contains(point) for b in boxes)
+
+
+def benchmark_entries():
+    """The benchmark corpus's entries, read from ``perfbench/corpus.py``:
+    each has a ``name`` and a ``spec_text``."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("perfbench_corpus", path)
+    corpus = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    return [e for w in corpus.WORKLOADS for e in corpus.entries(w)]

@@ -5,6 +5,7 @@ import pytest
 
 from arv.cli import _fmt_num, main
 from arv.speclang import Trace, read_trace_csv, write_trace_csv
+from conftest import benchmark_entries
 
 
 def write(path, text):
@@ -349,11 +350,11 @@ def test_translate_outputs(tmp_path, capsys):
     assert code == 0
     text = dot.read_text()
     assert text.count("shape=") == 4
-    assert text.count("->") == 24
+    assert text.count("->") == 8
     doc = json.loads(jsn.read_text())
     assert len(doc["locations"]) == 4
-    assert len(doc["transitions"]) == 24
-    assert "4 locations, 24 transitions, 3 accepting" in capsys.readouterr().out
+    assert len(doc["transitions"]) == 8
+    assert "4 locations, 8 transitions, 3 accepting" in capsys.readouterr().out
 
 
 def _translated(tmp_path, text):
@@ -366,19 +367,12 @@ def _translated(tmp_path, text):
 
 def _spec_texts():
     """The benchmark's spec files and 100 random STL and SRE specs."""
-    import importlib.util
     import random
-    import sys
-    from pathlib import Path
 
     from arv.generators import random_sre, random_stl
     from arv.speclang import print_sre, print_stl
 
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "corpus.py"
-    spec = importlib.util.spec_from_file_location("perfbench_corpus", path)
-    corpus = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(corpus)
-    texts = [e.spec_text for w in corpus.WORKLOADS for e in corpus.entries(w)]
+    texts = [e.spec_text for e in benchmark_entries()]
     assert len(texts) == 11
     rng = random.Random(1801)
     for i in range(100):

@@ -111,6 +111,7 @@ def test_moved_and_deleted_names_are_gone():
     assert not {"__and__", "__or__", "__invert__"} & set(vars(Literal))
     assert not {"additively_idempotent", "bounded"} & {f.name for f in dataclasses.fields(Semiring)}
     assert "past" not in inspect.signature(random_stl).parameters
+    assert "from_path" not in inspect.signature(arv.read_trace_csv).parameters
     for name in ("path_enumeration_value", "trace_distance_brute_force", "vpd_brute_force"):
         assert getattr(arv, name) is getattr(oracles, name)
 
@@ -406,3 +407,18 @@ def test_samples_on_thresholds_match_the_references():
     assert checked > 2000
     assert zero_yet_violated > 0
     assert mismatches == 0
+
+
+def test_language_cross_check_runs_sre_cases(monkeypatch):
+    """After its STL formulas the language check draws as many SREs and
+    checks their verdicts against ``sre_accepts``, so a wrong
+    ``sre_accepts`` shows as mismatches."""
+    import arv.speclang
+
+    drawn = []
+    real = arv.speclang.sre_accepts
+    monkeypatch.setattr(arv.speclang, "sre_accepts", lambda t, e: drawn.append(e) or real(t, e))
+    assert oracles.language_distance_cross_check(20, seed=3) == 0
+    assert len({id(e) for e in drawn}) == 20
+    monkeypatch.setattr(arv.speclang, "sre_accepts", lambda t, e: not real(t, e))
+    assert oracles.language_distance_cross_check(20, seed=3) > 0

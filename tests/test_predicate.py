@@ -280,6 +280,9 @@ def test_boxes_to_dnf_cases():
     out = P.boxes_to_dnf([Box.make([Interval.make(2, INF, False, False)])], ["x"])
     assert clause_set(out) == [{lit("!(x <= 2)")}]
     assert clause_set(P.boxes_to_dnf([], ["x"])) == [{P.BOTTOM}]
+    # each box writes its upper bound's literal, then its lower bound's
+    out = P.boxes_to_dnf([Box.make([Interval.make(1, 3, True, False)])], ["x"])
+    assert P.print_predicate(out) == "x < 3 && !(x < 1)"
 
 
 def test_minimal_dnf_region_equivalent():

@@ -74,9 +74,12 @@ def cmd_monitor(args) -> int:
     many = len(args.trace) > 1
     base = args.prefix_series or args.out
     if base:
+        inputs = {Path(p).resolve(): p for p in (args.spec, *args.trace)}
         written: dict = {}  # output path -> the trace that writes it
         for trace_path in args.trace:
             path = _out_path(base, trace_path, many)
+            if path.resolve() in inputs:
+                raise ParseError(f"output {path} would overwrite the input {inputs[path.resolve()]}")
             if path in written:
                 raise ParseError(
                     f"traces {written[path]} and {trace_path} would both write {path}; "

@@ -15,7 +15,8 @@ a *recipe*: which guards hold, and for each other guard the *slot* its
 weight is read from, either one atom's distance or a compound weight
 appended after the atoms.  Equal slot tuples are interned to a small
 *shape* id, and the monitor memoizes what a step does per shape, so
-per sample only the table and the compounds are arithmetic.
+per sample only the table and the compounds are arithmetic.  ``tables``
+builds the tables of a whole trace an atom at a time, over its columns.
 """
 
 from __future__ import annotations
@@ -130,11 +131,28 @@ class Scorer:
             guards.append(tuple(clauses))
         self.guards = tuple(guards)
         self.n_atoms = len(atoms)
-        self.table = _table(tuple(atoms), dist)
+        self.atoms = tuple(atoms)
+        self._discrete = dist is PointwiseDistance.DISCRETE01
+        self.table = _table(self.atoms, dist)
         self.semiring = semiring
         self.recipes: dict = {}  # truth vector -> (shape id, compounds)
         self._shape_ids: dict = {}  # slots -> shape id
         self.shapes: list = []  # per shape id, its slots
+
+    def tables(self, trace):
+        """Per sample of the trace, the ``(truths, distances)`` that ``table``
+        gives for it, built an atom at a time over the trace's columns."""
+        truths, dists = [], []
+        for var, strict, k in self.atoms:
+            try:
+                col = trace.columns[var]
+            except KeyError:
+                raise UnboundVariableError(f"unbound variable {var!r}") from None
+            truths.append([v < k for v in col] if strict else [v <= k for v in col])
+            dists.append([0.0 if v == k else 1.0 for v in col] if self._discrete else [abs(v - k) for v in col])
+        if not truths:  # no atoms: every sample gets an empty table
+            return [((), []) for _ in range(len(trace))]
+        return zip(zip(*truths), map(list, zip(*dists)))
 
     def recipe(self, truth):
         """``(shape id, compounds)`` for a truth vector, memoized; each

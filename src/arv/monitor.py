@@ -13,6 +13,9 @@ memoized, since each depends only on the one before, and each keeps one
 destinations its cost passes to unchanged (a guard that holds) and the
 ``(destination, slot)`` pairs it is ⊗-ed into.  A step allocates and
 touches only live entries, and its work is independent of trace length.
+These are built once per weighted automaton and shared by its streams.
+``step`` fills the table from one sample, ``Scorer.tables`` those of a
+whole trace a column at a time, and both feed one relax, ``advance``.
 
 A specification compiles to one minimal complete DFA over the minterms
 of its automaton's guards, ``spec_dfa``, which ``arv translate``
@@ -64,8 +67,52 @@ class _LiveSet:
         self.plans: dict = {}
 
 
+class _Program:
+    """What the streams over one weighted automaton share: its guards'
+    ``Scorer``, per source location its ``(destination, guard index)``
+    edges, and the memo of live sets with their successors and plans."""
+
+    def __init__(self, w: A.WeightedAutomaton):
+        base = w.base
+        self.scorer, index = A.compiled_weights(w)
+        self.out = [[] for _ in range(base.n_locations)]
+        for (src, _, dst), j in zip(base.transitions, index):
+            self.out[src].append((dst, j))
+        self.final = base.final
+        self.live_sets: dict = {}
+
+    def live_set(self, members) -> _LiveSet:
+        members = frozenset(members)
+        live = self.live_sets.get(members)
+        if live is None:
+            live = self.live_sets[members] = _LiveSet(members, self.final)
+        return live
+
+    def make_plan(self, live: _LiveSet, shape: int):
+        """The plan of a step from ``live`` under a weight shape.  An edge
+        whose guard has no clause is left out (it never relaxes), and so
+        is a priced edge to a destination its source reaches free (its
+        cost ``c ⊗ w`` is never below ``c``)."""
+        out = self.out
+        if live.next is None:
+            live.next = self.live_set(dst for q in live.members for dst, _ in out[q])
+        at = {q: i for i, q in enumerate(live.next.members)}
+        slots = self.scorer.shapes[shape]
+        rows = []
+        for q in live.members:
+            free = {at[dst]: None for dst, j in out[q] if slots[j] == HELD}
+            priced = {
+                (at[dst], slots[j]): None
+                for dst, j in out[q]
+                if slots[j] >= 0 and at[dst] not in free
+            }
+            rows.append((tuple(free), tuple(priced)))
+        plan = live.plans[shape] = (live.next, rows)
+        return plan
+
+
 class ValueStream:
-    """Online evaluator: feed samples one at a time.
+    """Online evaluator: feed samples (``step``) or atom tables (``advance``).
 
     After ``k`` steps, ``value`` equals the batch computation on the
     first ``k`` samples.  ``path_exists`` tells whether the automaton
@@ -79,53 +126,25 @@ class ValueStream:
     and memoized by its members, together with its successor.  What a
     step does with a sample beyond arithmetic depends only on the
     sample's weight shape (see ``Scorer``), so each live set memoizes one
-    plan per shape it has met.  The stream keeps one cost per member of
-    the current live set, in its order; ``costs`` spells them out over
-    every location.
+    plan per shape it has met.  These memos and the scorer are the
+    automaton's ``_Program``, built by its first stream and shared.  The
+    stream keeps one cost per member of the current live set, in its
+    order; ``costs`` spells them out over every location.
     """
 
     def __init__(self, w: A.WeightedAutomaton):
         self.w = w
-        base = w.base
-        self._scorer, index = A.compiled_weights(w)
-        # per source location, its (destination, guard index) edges
-        self._out = [[] for _ in range(base.n_locations)]
-        for (src, _, dst), j in zip(base.transitions, index):
-            self._out[src].append((dst, j))
+        prog = w.__dict__.get("_program")
+        if prog is None:  # a flipped copy is a new automaton, with its own
+            prog = _Program(w)
+            object.__setattr__(w, "_program", prog)
+        self._prog = prog
+        self._scorer = prog.scorer
+        self._live_sets = prog.live_sets
         self._semiring = w.semiring
-        self._live_sets: dict = {}
-        self._live = self._live_set(base.initial)
+        self._live = prog.live_set(w.base.initial)
         self._costs = [w.semiring.e_times] * len(self._live.members)
         self._plan = None  # the plan of the last step
-
-    def _live_set(self, members) -> _LiveSet:
-        members = frozenset(members)
-        live = self._live_sets.get(members)
-        if live is None:
-            live = self._live_sets[members] = _LiveSet(members, self.w.base.final)
-        return live
-
-    def _make_plan(self, live: _LiveSet, shape: int):
-        """The plan of a step from ``live`` under a weight shape.  An edge
-        whose guard has no clause is left out (it never relaxes), and so
-        is a priced edge to a destination its source reaches free (its
-        cost ``c ⊗ w`` is never below ``c``)."""
-        out = self._out
-        if live.next is None:
-            live.next = self._live_set(dst for q in live.members for dst, _ in out[q])
-        at = {q: i for i, q in enumerate(live.next.members)}
-        slots = self._scorer.shapes[shape]
-        rows = []
-        for q in live.members:
-            free = {at[dst]: None for dst, j in out[q] if slots[j] == HELD}
-            priced = {
-                (at[dst], slots[j]): None
-                for dst, j in out[q]
-                if slots[j] >= 0 and at[dst] not in free
-            }
-            rows.append((tuple(free), tuple(priced)))
-        plan = live.plans[shape] = (live.next, rows)
-        return plan
 
     @property
     def costs(self) -> dict:
@@ -156,20 +175,24 @@ class ValueStream:
         )
 
     def step(self, valuation: Valuation) -> None:
-        """Fill the atom table, look up the sample's recipe and the live
-        set's plan for its shape, then relax: a free edge passes its
-        source's cost on, a priced one ⊗s it with its slot's weight (⊕ is
-        min, so relaxing is one comparison)."""
-        scorer = self._scorer
+        """One sample: its atom table (``Scorer.table``), then ``advance``."""
         try:
-            truth, weights = scorer.table(valuation)
+            truths, distances = self._scorer.table(valuation)
         except KeyError as exc:
             raise UnboundVariableError(f"unbound variable {exc.args[0]!r}") from None
-        shape, compounds = scorer.recipes.get(truth) or scorer.recipe(truth)
+        self.advance(truths, distances)
+
+    def advance(self, truths, distances: list) -> None:
+        """Consume one sample given its atom table: look up the recipe of
+        its truths and the live set's plan for its shape, then relax: a
+        free edge passes its source's cost on, a priced one ⊗s it with its
+        slot's weight (⊕ is min, so relaxing is one comparison)."""
+        scorer = self._scorer
+        shape, compounds = scorer.recipes.get(truths) or scorer.recipe(truths)
         if compounds:
-            scorer.compound(weights, compounds)
+            scorer.compound(distances, compounds)
         live = self._live
-        self._plan = nxt, rows = live.plans.get(shape) or self._make_plan(live, shape)
+        self._plan = nxt, rows = live.plans.get(shape) or self._prog.make_plan(live, shape)
         sr = self._semiring
         e_plus = sr.e_plus
         otimes = sr.otimes
@@ -181,7 +204,7 @@ class ValueStream:
                 if c < new_costs[d]:
                     new_costs[d] = c
             for d, s in priced:
-                v = otimes(c, weights[s])
+                v = otimes(c, distances[s])
                 if v < new_costs[d]:
                     new_costs[d] = v
         self._costs = new_costs
@@ -198,8 +221,8 @@ def trace_value(trace: Trace, w: A.WeightedAutomaton) -> SemiringValue:
     """Best accepting cost of the whole trace (batch form)."""
     _check_variables(w, trace)
     stream = ValueStream(w)
-    for sample in trace.samples:
-        stream.step(sample)
+    for table in stream._scorer.tables(trace):
+        stream.advance(*table)
     return stream.value
 
 
@@ -264,10 +287,10 @@ def _pass(trace: Trace, w_pos: A.WeightedAutomaton, w_neg: A.WeightedAutomaton):
         raise ValueError("verdicts needs the two sides of one build_monitor_pair")
     _check_variables(w_pos, trace)
     stream = ValueStream(w_pos)
-    step = stream.step
+    advance = stream.advance
     run = 0  # the one initial location
-    for sample in trace.samples:
-        step(sample)
+    for truths, distances in stream._scorer.tables(trace):
+        advance(truths, distances)
         run = stream._plan[1][run][0][0]
         yield stream, run
 
@@ -301,7 +324,7 @@ def verdict(
     """The last of ``verdicts``: the same pass, read once after the last
     sample.  ``ValueError`` for a trace without samples (the stream is
     never read before the first step)."""
-    if not trace.samples:
+    if not len(trace):
         raise ValueError("traces must contain at least one sample")
     for stream, run in _pass(trace, w_pos, w_neg):
         pass

@@ -11,6 +11,7 @@ matches the full segment from position 0 to the trace length.
 from __future__ import annotations
 
 import csv
+import functools
 import inspect
 import io
 import math
@@ -228,18 +229,16 @@ EPSILON = Epsilon()
 # --- traces -----------------------------------------------------------------
 
 
-@dataclass
 class Trace:
-    """Finite sequence of valuations, one per time step."""
+    """Finite sequence of valuations, one per time step, stored as one
+    column of values per variable (``columns``).  ``samples`` is the
+    row view, one dict per step, built on first use."""
 
-    variables: tuple[str, ...]
-    samples: list[dict]
-
-    def __post_init__(self):
-        if not self.samples:
+    def __init__(self, variables, samples):
+        if not samples:
             raise ValueError("traces must contain at least one sample")
-        for i, sample in enumerate(self.samples):
-            for v in self.variables:
+        for i, sample in enumerate(samples):
+            for v in variables:
                 if v not in sample:
                     raise UnboundVariableError(f"sample missing variable {v!r}")
                 try:
@@ -250,9 +249,23 @@ class Trace:
                     ) from None
                 if not finite:
                     raise ParseError(f"non-finite value {sample[v]!r} at sample {i}, variable {v!r}")
+        self.variables, self._length = variables, len(samples)
+        self.columns = {v: [sample[v] for sample in samples] for v in variables}
+
+    @classmethod
+    def from_columns(cls, variables, columns: dict) -> Trace:
+        """A trace of checked columns, as ``read_trace_csv`` builds them."""
+        trace = cls.__new__(cls)
+        trace.variables, trace.columns, trace._length = variables, columns, len(columns[variables[0]])
+        return trace
+
+    @functools.cached_property
+    def samples(self) -> list[dict]:
+        rows = zip(*map(self.columns.get, self.variables)) if self.variables else [()] * self._length
+        return [dict(zip(self.variables, row)) for row in rows]
 
     def __len__(self):
-        return len(self.samples)
+        return self._length
 
 
 def _csv_rows(fh) -> list[tuple[int, list[str]]]:
@@ -266,18 +279,22 @@ def _csv_rows(fh) -> list[tuple[int, list[str]]]:
     ]
 
 
-def _bad_cell(header, row, lineno) -> ParseError:
-    """The error for the first cell of a row that is not a finite number."""
-    for name, cell in zip(header, row):
-        try:
-            value = float(cell)
-        except ValueError:
-            return ParseError(f"non-numeric cell in trace row {lineno}, column {name!r}")
-        if not math.isfinite(value):
-            return ParseError(
-                f"non-finite value {cell.strip()!r} in trace row {lineno}, column {name!r}"
-            )
-    raise AssertionError("row has no bad cell")
+def _bad_row(header, body) -> ParseError:
+    """The error for the first row, in file order, that is not one finite
+    number per column: a wrong cell count, else its first bad cell."""
+    for lineno, row in body:
+        if len(row) != len(header):
+            return ParseError(f"trace row {lineno} has {len(row)} cells, expected {len(header)}")
+        for name, cell in zip(header, row):
+            try:
+                value = float(cell)
+            except ValueError:
+                return ParseError(f"non-numeric cell in trace row {lineno}, column {name!r}")
+            if not math.isfinite(value):
+                return ParseError(
+                    f"non-finite value {cell.strip()!r} in trace row {lineno}, column {name!r}"
+                )
+    raise AssertionError("no row is bad")
 
 
 def read_utf8(path, source: str) -> str:
@@ -294,8 +311,8 @@ def read_utf8(path, source: str) -> str:
 def read_trace_csv(path) -> Trace:
     """Header row of variable names, one numeric row per sample; blank
     lines skipped; a file may start with a UTF-8 byte-order mark.  Errors
-    name the file line of the offending row.  Each cell is converted and
-    checked once."""
+    name the file line of the first offending row.  The cells are
+    converted and checked a column at a time."""
     source = f"trace file {path}"
     text = read_utf8(path, source)
     try:
@@ -310,25 +327,17 @@ def read_trace_csv(path) -> Trace:
             raise ParseError(f"trace header column {col} has no name")
         if name in header[: col - 1]:
             raise ParseError(f"trace header names column {name!r} twice")
-    isfinite = math.isfinite
-    samples = []
-    for lineno, row in rows[1:]:
-        if len(row) != len(header):
-            raise ParseError(f"trace row {lineno} has {len(row)} cells, expected {len(header)}")
-        try:
-            values = list(map(float, row))
-        except ValueError:
-            raise _bad_cell(header, row, lineno) from None
-        if not all(map(isfinite, values)):
-            raise _bad_cell(header, row, lineno)
-        samples.append(dict(zip(header, values)))
-    if not samples:
+    body = rows[1:]
+    if not body:
         raise ParseError("trace file has no samples")
-    # every sample was checked above; skip ``Trace``'s own pass over them
-    trace = object.__new__(Trace)
-    trace.variables = header
-    trace.samples = samples
-    return trace
+    try:
+        # a row of another length ends ``zip`` with a ValueError
+        columns = [list(map(float, col)) for col in zip(*(row for _, row in body), strict=True)]
+    except ValueError:
+        columns = []
+    if len(columns) != len(header) or not all(all(map(math.isfinite, col)) for col in columns):
+        raise _bad_row(header, body)
+    return Trace.from_columns(header, dict(zip(header, columns)))
 
 
 def write_trace_csv(trace: Trace, path) -> None:

@@ -133,6 +133,38 @@ def test_monitor_refuses_traces_that_would_share_an_output(spec_file, tmp_path, 
 
 
 @pytest.mark.parametrize(
+    "traces, mode, out, hit",
+    [
+        (["b.csv"], "--out", "b.csv", "b.csv"),
+        (["b.csv"], "--prefix-series", "sub/../b.csv", "b.csv"),
+        (["a.csv", "out.a.csv"], "--prefix-series", "out.csv", "out.a.csv"),
+        (["a.csv", "stl.csv"], "--out", "spec", "spec.stl"),
+        (["a.csv"], "--out", "spec.stl", "spec.stl"),
+    ],
+    ids=["out-is-trace", "series-is-trace", "series-of-a-is-trace", "out-of-stl-is-spec", "out-is-spec"],
+)
+def test_monitor_refuses_to_overwrite_its_inputs(spec_file, tmp_path, monkeypatch, capsys, traces, mode, out, hit):
+    """An output that resolves to a ``--trace`` or ``--spec`` file is
+    refused before anything is read or written; the inputs stay as they
+    were, byte for byte."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    for name in traces:
+        write(tmp_path / name, "x\n1\n20\n")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+    argv = ["monitor", "--spec", "spec.stl", mode, out]
+    for name in traces:
+        argv += ["--trace", name]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: output ")
+    assert captured.err.rstrip().endswith(f"would overwrite the input {hit}")
+    assert "Traceback" not in captured.err
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
+
+
+@pytest.mark.parametrize(
     "extra",
     [["--out", "v.json"], ["--json"], ["--json", "--out", "v.json"]],
     ids=["out", "json", "json-out"],

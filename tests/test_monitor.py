@@ -614,7 +614,8 @@ def test_verdict_refuses_an_empty_trace_before_reading_the_stream(monkeypatch):
     monkeypatch.setattr(ValueStream, "__init__", forbidden)
     empty = object.__new__(Trace)
     empty.variables = ("x",)
-    empty.samples = []
+    empty.columns = {"x": []}
+    empty._length = 0
     with pytest.raises(ValueError, match="traces must contain at least one sample"):
         verdict(empty, *pair)
 
@@ -658,3 +659,78 @@ def test_live_indexed_costs_match_path_enumeration(semiring):
         stream.step(sample)
         assert len(stream._costs) <= 7
         assert stream.costs == path_costs(trace, w_pos, steps)
+
+
+@pytest.mark.parametrize("semiring", ALL, ids=lambda s: s.name)
+def test_column_tables_equal_row_tables(semiring):
+    """Per sample, the atom table built a column at a time
+    (``Scorer.tables``) equals the one ``Scorer.table`` builds from the
+    sample's row, on random STL and SRE specs with strict and non-strict
+    atoms, under every distance that fits the semiring."""
+    from arv.generators import random_sre
+    from arv.monitor import spec_dfa
+
+    rng = random.Random(1966)
+    dists = [default_distance(semiring)]
+    if semiring is not BOOLEAN:
+        dists.append(PointwiseDistance.DISCRETE01)
+    strict = sizes = 0
+    for k in range(220):
+        make = random_stl if k % 2 else random_sre
+        dfa = spec_dfa(make(rng, ["x", "y"], depth=2))
+        for dist in dists:
+            scorer = ValueStream(decorate(dfa, semiring, dist))._scorer
+            strict += sum(s for _, s, _ in scorer.atoms)
+            for _ in range(2):
+                trace = random_trace(rng, ("x", "y"), rng.randint(1, 7), lo=-1, hi=4)
+                got = list(scorer.tables(trace))
+                assert got == [scorer.table(sample) for sample in trace.samples]
+                assert all(type(distances) is list for _, distances in got)
+                sizes += len(got)
+    assert strict > 0 and sizes > 1000
+
+
+def test_a_spec_without_atoms_gets_one_table_and_verdict_per_sample():
+    """SRE ``T*`` compiles to one guard with no atom: ``zip`` of no
+    columns yields nothing, yet every sample needs its (empty) table."""
+    pair = build_monitor_pair(parse_sre("T*"), MINMAX)
+    trace = tr(3, 1, 4, 1, 5)
+    scorer = ValueStream(pair[0])._scorer
+    assert scorer.n_atoms == 0
+    tables = list(scorer.tables(trace))
+    assert tables == [((), [])] * 5
+    assert len({id(distances) for _, distances in tables}) == 5
+    series = list(verdicts(trace, *pair))
+    assert len(series) == 5
+    assert all(v.satisfied and v.rho == INF for v in series)
+    assert trace_value(trace, pair[0]) == MINMAX.e_times
+
+
+def test_streams_over_one_automaton_share_one_program():
+    """The scorer, the live-set memo and its plans are built once per
+    weighted automaton, by its first stream; the flipped side of a pair
+    is another automaton and gets its own."""
+    w_pos, w_neg = build_monitor_pair(parse_stl(MONITORED[0]), TROPICAL)
+    a, b = ValueStream(w_pos), ValueStream(w_pos)
+    assert a._scorer is b._scorer and a._live_sets is b._live_sets
+    neg = ValueStream(w_neg)
+    assert neg._scorer is not a._scorer and neg._live_sets is not a._live_sets
+    a.step({"x": 7.0})
+    assert b._live_sets is a._live_sets and len(b._live_sets) > 1
+    assert ValueStream(w_pos)._live.members == b._live.members
+
+
+@pytest.mark.parametrize("text", MONITORED)
+def test_one_pair_serves_traces_in_any_order(text):
+    """Verdict series through one pair, whose program earlier traces have
+    filled, equal those from a fresh pair per trace."""
+    spec = _spec(text)
+    rng = random.Random(77)
+    traces = [random_trace(rng, ("x",), rng.randint(1, 12), lo=0, hi=8) for _ in range(4)]
+    for semiring in ALL:
+        fresh = [list(verdicts(t, *build_monitor_pair(spec, semiring))) for t in traces]
+        for order in (traces, traces[::-1]):
+            pair = build_monitor_pair(spec, semiring)
+            got = {id(t): list(verdicts(t, *pair)) for t in order}
+            assert [got[id(t)] for t in traces] == fresh
+            assert [trace_value(t, pair[0]) for t in traces] == [s[-1].d_phi for s in fresh]

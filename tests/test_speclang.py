@@ -353,6 +353,102 @@ def test_trace_csv_rejects_infinite_naming_row_and_column(tmp_path, cell):
         read_trace_csv(p)
 
 
+# each message as the row-at-a-time reader gave it: the first offending
+# row in file order, and in that row its first bad cell
+CSV_ERRORS = {
+    "x,y\n1,2\n3,abc\n4,5\n6\n": "non-numeric cell in trace row 3, column 'y'",
+    "x,y\n1,2\n3,4\n5,nan\n6,7\nq,8\n": "non-finite value 'nan' in trace row 4, column 'y'",
+    "x,y\n1\ninf,2\n": "trace row 2 has 1 cells, expected 2",
+    "x,y\n": "trace file has no samples",
+    "x,y\n\n \n": "trace file has no samples",
+    "x,y\n1,2,3\n4,5,6\n": "trace row 2 has 3 cells, expected 2",
+    "x,y\n1,2\n1,2,3\nnan,1\n": "trace row 3 has 3 cells, expected 2",
+    "x,y\n1,2\n1,nan\n1,2,3\n": "non-finite value 'nan' in trace row 3, column 'y'",
+    "x,y\n1,2\n-inf,zz\n": "non-finite value '-inf' in trace row 3, column 'x'",
+    "x,y\n1,2\nzz,nan\n": "non-numeric cell in trace row 3, column 'x'",
+    "x,y\n\n1,2\n\n3\n": "trace row 5 has 1 cells, expected 2",
+    "x,y\n 1 , 2 \n 3 , nan \n": "non-finite value 'nan' in trace row 3, column 'y'",
+    "x,y,z\n1,2\n1,a,3\n": "trace row 2 has 2 cells, expected 3",
+}
+
+
+@pytest.mark.parametrize("text", list(CSV_ERRORS))
+def test_trace_csv_reports_the_first_bad_row_in_file_order(tmp_path, text):
+    p = tmp_path / "bad.csv"
+    p.write_text(text)
+    with pytest.raises(ParseError) as err:
+        read_trace_csv(p)
+    assert str(err.value) == CSV_ERRORS[text]
+
+
+def _row_at_a_time_error(text):
+    """The error of reading the rows one at a time, each row's cell count
+    checked first and then its cells left to right."""
+    rows = S._csv_rows(io.StringIO(text, newline=""))
+    header = tuple(h.strip() for h in rows[0][1])
+    for lineno, row in rows[1:]:
+        if len(row) != len(header):
+            return f"trace row {lineno} has {len(row)} cells, expected {len(header)}"
+        for name, cell in zip(header, row):
+            try:
+                value = float(cell)
+            except ValueError:
+                return f"non-numeric cell in trace row {lineno}, column {name!r}"
+            if not math.isfinite(value):
+                return f"non-finite value {cell.strip()!r} in trace row {lineno}, column {name!r}"
+    return "trace file has no samples" if len(rows) == 1 else None
+
+
+def test_trace_csv_errors_match_a_row_at_a_time_read(tmp_path):
+    """Seeded files with several faults (wrong cell counts, text, nan,
+    inf) at random rows and columns: the columnar reader reports what a
+    row-at-a-time read reports, and a clean file reads back its values."""
+    rng = random.Random(2005)
+    p = tmp_path / "t.csv"
+    faults = ("", "abc", "nan", "inf", "-inf", "1e999", None, "extra")
+    clean = 0
+    for _ in range(400):
+        width = rng.randint(1, 3)
+        lines = [",".join("xyz"[:width])]
+        for _ in range(rng.randint(0, 6)):
+            cells = [str(rng.randint(-5, 5) / 2) for _ in range(width)]
+            if rng.random() < 0.15:
+                fault = rng.choice(faults)
+                if fault is None:
+                    cells.pop()
+                elif fault == "extra":
+                    cells.append("1")
+                else:
+                    cells[rng.randrange(width)] = fault
+            lines.append(",".join(cells) if cells else "")
+            if rng.random() < 0.1:
+                lines.append("")
+        text = "\n".join(lines) + "\n"
+        p.write_text(text)
+        expected = _row_at_a_time_error(text)
+        if expected is None:
+            clean += 1
+            rows = [row for _, row in S._csv_rows(io.StringIO(text, newline=""))[1:]]
+            assert read_trace_csv(p).samples == [
+                {v: float(c) for v, c in zip("xyz", row)} for row in rows
+            ]
+        else:
+            with pytest.raises(ParseError) as err:
+                read_trace_csv(p)
+            assert str(err.value) == expected
+    assert 50 < clean < 350
+
+
+def test_trace_stores_its_columns():
+    t = Trace(("x", "y"), [{"x": 1.0, "y": 2.0}, {"x": 3, "y": -1.5}])
+    assert t.columns == {"x": [1.0, 3], "y": [2.0, -1.5]}
+    assert len(t) == 2
+    assert t.samples == [{"x": 1.0, "y": 2.0}, {"x": 3, "y": -1.5}]
+    assert t.samples is t.samples
+    nothing = Trace((), [{}, {}, {}])
+    assert len(nothing) == 3 and nothing.samples == [{}, {}, {}]
+
+
 def test_trace_csv_rejects_duplicate_column(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("x,x\n1,2\n")

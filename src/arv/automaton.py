@@ -5,7 +5,8 @@ every automaton is epsilon-free: epsilon moves exist only inside the SRE
 builder (``translate``), which eliminates them before an automaton is
 made.  ``make_automaton`` is the one place a guard is normalized: every
 DNF, whether the predicate parser or a builder made it, becomes
-conjunction-minimal, and unsatisfiable guards drop.  ``product``
+``wedge_minimize``'s normal form, each clause its box's bound literals,
+and unsatisfiable guards, whose normal form is false, drop.  ``product``
 conjoins guards clause by clause and stops at ``MAX_SUBSETS``
 locations, ``determinize`` builds its minterms as DNFs of box covers,
 ``decorate`` only attaches the weight rule, and the printers write a
@@ -64,16 +65,17 @@ class SymbolicAutomaton:
 
 
 def make_automaton(variables, n_locations, initial, final, transitions) -> SymbolicAutomaton:
-    """Normalize and prune: each ``Dnf`` guard becomes conjunction-minimal
-    (one already flagged ``wedge_minimal`` is kept), and unsatisfiable
-    guards and duplicate edges (equal DNFs) go."""
+    """Normalize and prune: each ``Dnf`` guard becomes its normal form,
+    ``wedge_minimize``'s (one already flagged ``wedge_minimal`` is kept),
+    and unsatisfiable guards, whose normal form is false, and duplicate
+    edges (equal DNFs) go."""
     pruned = []
     seen = set()
-    normal: dict = {}  # guard -> its minimal DNF, or None when unsatisfiable
+    normal: dict = {}  # guard -> its normal form, or None when unsatisfiable
     for src, guard, dst in transitions:
         if guard not in normal:
             dnf = guard if guard.wedge_minimal else P.wedge_minimize(guard)
-            normal[guard] = dnf if P.is_sat(dnf) else None
+            normal[guard] = None if dnf.clauses == ((P.BOTTOM,),) else dnf
         edge = (src, normal[guard], dst)
         if edge[1] is None or edge in seen:
             continue

@@ -60,6 +60,16 @@ def _load_spec(path: str):
     return parse_spec_text(read_utf8(path, f"spec file {path}"))
 
 
+def _refuse_overwrite(out, taken: dict) -> None:
+    """Before anything is written: refuse an output path that resolves to
+    a file in ``taken``, which maps ``os.path.realpath`` paths to their
+    names.  (``Path.resolve`` raises on a symlink loop before Python 3.13;
+    ``realpath`` does not.)"""
+    hit = taken.get(os.path.realpath(out))
+    if hit is not None:
+        raise ParseError(f"output {out} would overwrite {hit}")
+
+
 def _out_path(base: str, trace_path: str, many: bool) -> Path:
     out = Path(base)
     if not many:
@@ -74,12 +84,11 @@ def cmd_monitor(args) -> int:
     many = len(args.trace) > 1
     base = args.prefix_series or args.out
     if base:
-        inputs = {Path(p).resolve(): p for p in (args.spec, *args.trace)}
+        inputs = {os.path.realpath(p): f"the input {p}" for p in (args.spec, *args.trace)}
         written: dict = {}  # output path -> the trace that writes it
         for trace_path in args.trace:
             path = _out_path(base, trace_path, many)
-            if path.resolve() in inputs:
-                raise ParseError(f"output {path} would overwrite the input {inputs[path.resolve()]}")
+            _refuse_overwrite(path, inputs)
             if path in written:
                 raise ParseError(
                     f"traces {written[path]} and {trace_path} would both write {path}; "
@@ -122,6 +131,11 @@ def _fmt_num(x: float) -> str:
 
 
 def cmd_translate(args) -> int:
+    taken = {os.path.realpath(args.spec): f"the input {args.spec}"}
+    for flag, out in (("--dot", args.dot), ("--json", args.json_out)):
+        if out:
+            _refuse_overwrite(out, taken)
+            taken[os.path.realpath(out)] = f"the {flag} output {out}"
     _, spec = _load_spec(args.spec)
     dfa = A.canonicalize(M.spec_dfa(spec))
     print(
@@ -320,7 +334,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:
-        # the parsers and the desugaring recurse once per nesting level
+        # the parsers and ``unfold_bounded`` recurse once per nesting level
         print(
             "error: specification too deeply nested (recursion limit reached)",
             file=sys.stderr,

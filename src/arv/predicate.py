@@ -7,10 +7,13 @@ conjunction over disjunction as it reads, so no predicate tree exists:
 propositions, guards and ``vpd`` arguments are all flat ``Dnf``s over
 the literals ``Top``, ``Bottom``, ``Cmp`` and ``Not`` of a ``Cmp``.
 ``evaluate`` is the one evaluator and ``print_predicate`` the one
-printer.  ``wedge_minimize`` strips redundant conjuncts so that distance
-computation stays exact for semirings whose multiplication is not
-idempotent, and ``dnf_boxes`` / ``boxes_to_dnf`` move between a DNF and
-its region as a cover of boxes, one per satisfiable clause.
+printer.  ``dnf_boxes`` / ``boxes_to_dnf`` move between a DNF and its
+region as a cover of boxes, one per satisfiable clause, and
+``wedge_minimize`` is their round trip, the one normal form: each
+clause becomes its box's bound literals (variables sorted, per variable
+the upper bound's literal before the lower bound's).  No literal left
+implies another, so distance computation stays exact for semirings
+whose multiplication is not idempotent.
 
 Concrete syntax (shared with the specification parsers):
 ``x <= 3 && !(y < 2) || z < 0`` with operators ``&&``, ``||``, ``!`` and
@@ -207,52 +210,7 @@ def is_sat(dnf: Dnf) -> bool:
     return any(_clause_sat(c, idx) for c in dnf.clauses)
 
 
-# --- conjunction minimization ---------------------------------------------
-
-
-def _minimize_clause(clause) -> tuple:
-    lits = []
-    for lit in clause:
-        if lit not in lits:
-            lits.append(lit)
-    if any(isinstance(l, Bottom) for l in lits):
-        return (BOTTOM,)
-    comparisons = [l for l in lits if not isinstance(l, Top)]
-    if not comparisons:
-        return (TOP,)
-    keep = []
-    for j, lj in enumerate(comparisons):
-        ij = literal_interval(lj)
-        implied = False
-        for i, li in enumerate(comparisons):
-            if i == j:
-                continue
-            if li.var == lj.var and literal_interval(li).subset_of(ij):
-                implied = True
-                break
-        if not implied:
-            keep.append(lj)
-    return tuple(keep)
-
-
-def wedge_minimize(dnf: Dnf) -> Dnf:
-    """Drop, per clause, every literal implied by another literal of the
-    same clause.  Implication between same-variable literals is interval
-    containment; literals over distinct variables never imply each other.
-    A clause reduced to false is dropped unless the whole predicate is
-    false."""
-    out = []
-    for clause in dnf.clauses:
-        reduced = _minimize_clause(clause)
-        if reduced == (BOTTOM,):
-            continue
-        out.append(reduced)
-    if not out:
-        out = [(BOTTOM,)]
-    return Dnf(tuple(out), wedge_minimal=True)
-
-
-# --- region form: clause boxes and back --------------------------------------
+# --- region form: clause boxes and back, and the normal form ------------------
 
 
 def dnf_boxes(dnf: Dnf, variables=None) -> list[Box]:
@@ -290,6 +248,15 @@ def boxes_to_dnf(boxes, variables) -> Dnf:
     if not clauses:
         clauses = [(BOTTOM,)]
     return Dnf(tuple(clauses), wedge_minimal=True)
+
+
+def wedge_minimize(dnf: Dnf) -> Dnf:
+    """The normal form: each clause becomes its box's bound literals over
+    the DNF's variables sorted, per variable the tightest upper literal
+    and then the tightest lower one, so no literal implies another.
+    Unsatisfiable clauses drop; the result is false only if none is left."""
+    variables = sorted(dnf_variables(dnf))
+    return boxes_to_dnf(dnf_boxes(dnf, variables), variables)
 
 
 # --- concrete syntax --------------------------------------------------------

@@ -47,7 +47,6 @@ class TimeWindow:
 
 
 FULL_WINDOW = TimeWindow(0, None)
-NEXT_WINDOW = TimeWindow(1, 1)
 
 
 _NODES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
@@ -114,9 +113,9 @@ class Atom(StlFormula):
     value: float
 
     def __new__(cls, var, op, value):
-        value = float(value)
-        # -0.0 == 0.0, but the two print and subtract differently
-        return _intern(cls, (var, op, value), (cls, var, op, value, math.copysign(1.0, value)))
+        # -0.0 + 0.0 is 0.0: the two compare, print and measure alike
+        value = float(value) + 0.0
+        return _intern(cls, (var, op, value), (cls, var, op, value))
 
 
 @_hashconsed
@@ -509,32 +508,15 @@ def sre_accepts(trace: Trace, expr: SreExpr) -> bool:
 
 
 def negate(f: StlFormula) -> StlFormula:
+    """The negation of ``f``: a double negation cancels, and ``true`` and
+    ``false`` swap."""
     if isinstance(f, Not):
         return f.arg
+    if isinstance(f, TrueFormula):
+        return FALSE
+    if isinstance(f, FalseFormula):
+        return TRUE
     return Not(f)
-
-
-def desugar(f: StlFormula) -> StlFormula:
-    """Rewrite to the core {atom, true, false, not, or, until}."""
-    if isinstance(f, (Atom, TrueFormula, FalseFormula)):
-        return f
-    if isinstance(f, Not):
-        return negate(desugar(f.arg))
-    if isinstance(f, Or):
-        return Or(desugar(f.left), desugar(f.right))
-    if isinstance(f, And):
-        return Not(Or(negate(desugar(f.left)), negate(desugar(f.right))))
-    if isinstance(f, Implies):
-        return Or(negate(desugar(f.left)), desugar(f.right))
-    if isinstance(f, Until):
-        return Until(desugar(f.left), desugar(f.right), f.window)
-    if isinstance(f, Eventually):
-        return Until(TRUE, desugar(f.arg), f.window)
-    if isinstance(f, Always):
-        return Not(Until(TRUE, negate(desugar(f.arg)), f.window))
-    if isinstance(f, Next):
-        return Until(FALSE, desugar(f.arg), NEXT_WINDOW)
-    raise TypeError(f"not an STL node: {f!r}")
 
 
 def _or(a, b):
@@ -580,7 +562,8 @@ def _unfold_nonstrict(left, right, lo, hi):
     return node
 
 
-def _unfold_strict(left, right, lo, hi):
+def _unfold_strict(left, right, window):
+    lo, hi = window.lo, window.hi
     if lo == 0:
         if hi == 0:
             return right
@@ -594,31 +577,33 @@ def _unfold_strict(left, right, lo, hi):
 
 
 def unfold_bounded(f: StlFormula) -> StlFormula:
-    """Expand bounded windows into nested next/or/and form.
-
-    Also desugars first, so the result uses only atoms, Boolean
-    connectives, strong next and the single residual until shape with
-    window [1, inf).
-    """
-    f = desugar(f)
+    """Rewrite a formula, in one walk, to the tableau's input: atoms,
+    ``true`` and ``false``, ``!``, ``||``, ``&&``, strong next and the
+    single residual until shape with window [1, inf).  ``&&`` and ``->``
+    become ``!`` and ``||``, ``F`` and ``G`` untils with a ``true`` left
+    side, and bounded windows nested next/or/and form; double negations
+    and negated constants go."""
 
     def walk(node):
         if isinstance(node, (Atom, TrueFormula, FalseFormula)):
             return node
         if isinstance(node, Not):
-            inner = walk(node.arg)
-            if isinstance(inner, Not):
-                return inner.arg
-            if isinstance(inner, TrueFormula):
-                return FALSE
-            if isinstance(inner, FalseFormula):
-                return TRUE
-            return Not(inner)
+            return negate(walk(node.arg))
         if isinstance(node, Or):
             return _or(walk(node.left), walk(node.right))
+        if isinstance(node, And):
+            return negate(_or(negate(walk(node.left)), negate(walk(node.right))))
+        if isinstance(node, Implies):
+            return _or(negate(walk(node.left)), walk(node.right))
+        if isinstance(node, Next):
+            return _next(walk(node.arg))
         if isinstance(node, Until):
-            return _unfold_strict(walk(node.left), walk(node.right), node.window.lo, node.window.hi)
-        raise TypeError(f"unexpected node after desugaring: {node!r}")
+            return _unfold_strict(walk(node.left), walk(node.right), node.window)
+        if isinstance(node, Eventually):
+            return _unfold_strict(TRUE, walk(node.arg), node.window)
+        if isinstance(node, Always):
+            return negate(_unfold_strict(TRUE, negate(walk(node.arg)), node.window))
+        raise TypeError(f"not an STL node: {node!r}")
 
     return walk(f)
 

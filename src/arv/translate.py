@@ -1,14 +1,13 @@
 """Compiling specifications into symbolic automata.
 
-STL goes through a finite-trace tableau: after desugaring and window
-unfolding, every formula is a Boolean combination of comparison atoms,
-strong next, and one residual until shape.  An automaton location is a
-set of pending obligations, each tagged with the polarity under which it
-must hold; consuming a sample discharges the atomic part as a transition
-guard (a one-clause DNF) and defers the rest.  A location accepts when
-everything pending is negative, since negated next-obligations hold
-vacuously once the trace ends while positive ones still demand a
-successor.
+STL goes through a finite-trace tableau: after ``unfold_bounded``, every
+formula is a Boolean combination of comparison atoms, strong next, and
+one residual until shape.  An automaton location is a set of pending
+obligations, each tagged with the polarity under which it must hold;
+consuming a sample discharges the atomic part as a transition guard (a
+one-clause DNF) and defers the rest.  A location accepts when everything
+pending is negative, since negated next-obligations hold vacuously once
+the trace ends while positive ones still demand a successor.
 
 The cost is linear in the window bounds.  Formulas are hash-consed, so
 obligations hash and compare in constant time; a location's obligations
@@ -125,23 +124,17 @@ class _Tableau:
             seen.add(alt)
             nows, nexts = alt
             if nows not in self.guards:
-                self.guards[nows] = _guard(tuple(sorted(nows, key=_literal_key)))
+                self.guards[nows] = _guard(nows)
             guard = self.guards[nows]
             if guard is not None:
                 pruned.append((guard, nexts))
         return pruned
 
 
-def _literal_key(lit: P.Literal):
-    if isinstance(lit, P.Cmp):
-        return (lit.var, 0, lit.op, lit.k)
-    return (lit.arg.var, 1, lit.arg.op, lit.arg.k)
-
-
-def _guard(clause):
-    """The one-clause DNF of a conjunction of literals, or None when
-    unsatisfiable; ``make_automaton`` minimizes it."""
-    guard = P.Dnf((clause or (P.TOP,),))
+def _guard(nows):
+    """The one-clause DNF of a set of literals, or None when unsatisfiable;
+    ``make_automaton`` normalizes it, so the literals' order is free."""
+    guard = P.Dnf((tuple(nows) or (P.TOP,),))
     return guard if P.is_sat(guard) else None
 
 

@@ -1,5 +1,6 @@
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -387,6 +388,47 @@ def test_translate_outputs(tmp_path, capsys):
     assert len(doc["locations"]) == 4
     assert len(doc["transitions"]) == 8
     assert "4 locations, 8 transitions, 3 accepting" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "outputs, hit",
+    [
+        (["--json", "spec.stl"], "the input spec.stl"),
+        (["--dot", "sub/../spec.stl"], "the input spec.stl"),
+        (["--dot", "o.txt", "--json", "o.txt"], "the --dot output o.txt"),
+        (["--dot", "o.txt", "--json", "sub/../o.txt"], "the --dot output o.txt"),
+    ],
+    ids=["json-is-spec", "dot-is-spec", "json-is-dot", "json-resolves-to-dot"],
+)
+def test_translate_refuses_to_overwrite(spec_file, tmp_path, monkeypatch, capsys, outputs, hit):
+    """An output that resolves to the spec or to the other output is
+    refused before anything is written: exit 2, the spec unchanged and
+    no output file left."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    before = Path(spec_file).read_bytes()
+    assert main(["translate", "--spec", "spec.stl", *outputs]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: output {outputs[-1]} would overwrite {hit}\n"
+    assert Path(spec_file).read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.stl", "sub"]
+
+
+def test_outputs_through_a_symlink_loop_are_written(spec_file, tmp_path, monkeypatch, capsys):
+    """The overwrite check resolves an output that is a symlink loop
+    without a traceback; the atomic write then replaces the link."""
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path / "t.csv", "x\n1\n")
+    for argv in (
+        ["translate", "--spec", "spec.stl", "--json", "loop"],
+        ["monitor", "--spec", "spec.stl", "--trace", "t.csv", "--out", "loop"],
+    ):
+        (tmp_path / "loop").unlink(missing_ok=True)
+        (tmp_path / "loop").symlink_to("loop")
+        assert main(argv) == 0
+        assert json.loads((tmp_path / "loop").read_text())
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def _translated(tmp_path, text):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -5,7 +6,7 @@ import pytest
 
 from arv import predicate as P
 from arv.errors import ParseError, UnboundVariableError
-from arv.generators import random_predicate
+from arv.generators import ALL_OPS, random_dnf, random_predicate
 from arv.intervals import Box, Interval, complement_boxes, complement_cover, meet
 from conftest import grid_points, in_boxes
 
@@ -104,6 +105,47 @@ def test_wedge_minimize_top_literals():
     dnf = P.Dnf(((P.TOP, lit("x <= 3")),))
     assert clause_set(P.wedge_minimize(dnf)) == [{lit("x <= 3")}]
     assert clause_set(P.wedge_minimize(P.Dnf(((P.TOP,),)))) == [{P.TOP}]
+
+
+def test_wedge_minimize_normal_form_on_random_dnfs():
+    """The normal form ignores literal order, keeps per clause and
+    variable at most one upper and one lower bound literal, drops every
+    unsatisfiable clause, and keeps the predicate's truth on a grid that
+    holds every threshold and the points between and beyond them."""
+    rng = random.Random(2113)
+    grid = [-0.5, 0.0, 0.5, 1.0, 1.5]
+    for _ in range(2000):
+        variables = ["x", "y", "z"][: rng.choice([2, 3])]
+        dnf = random_dnf(rng, variables, max_clauses=3, max_literals=6, lo=0, hi=1, ops=ALL_OPS)
+        if rng.random() < 0.2:  # now and then a true or false literal
+            first, *rest = dnf.clauses
+            dnf = P.Dnf((first + (rng.choice([P.TOP, P.BOTTOM]),), *rest))
+        normal = P.wedge_minimize(dnf)
+        shuffled = P.Dnf(tuple(tuple(rng.sample(c, len(c))) for c in dnf.clauses))
+        assert P.wedge_minimize(shuffled) == normal
+        assert normal.wedge_minimal
+        if normal.clauses == ((P.BOTTOM,),):
+            assert not P.is_sat(dnf)
+        for clause in normal.clauses:
+            assert P.is_sat(P.Dnf((clause,))) or normal.clauses == ((P.BOTTOM,),)
+            bounds = [(l.var, type(l)) for l in clause if isinstance(l, (P.Cmp, P.Not))]
+            assert len(bounds) == len(set(bounds)), clause
+        for combo in itertools.product(grid, repeat=len(variables)):
+            point = dict(zip(variables, combo))
+            assert P.evaluate(point, normal) == P.evaluate(point, dnf), (dnf, point)
+
+
+def test_wedge_minimize_long_clause():
+    """A 1600-literal clause over two variables keeps its four bound
+    literals: per variable the tightest upper, then the tightest lower."""
+    clause = [
+        P.comparison(var, op, sign * k)
+        for k in range(1, 401)
+        for var, op, sign in (("x", "<=", 1), ("x", ">", -1), ("y", "<", 1), ("y", ">=", -1))
+    ]
+    random.Random(1600).shuffle(clause)
+    out = P.wedge_minimize(P.Dnf((tuple(clause),)))
+    assert out.clauses == ((lit("x <= 1"), lit("x > -1"), lit("y < 1"), lit("y >= -1")),)
 
 
 def test_dnf_unpickled_under_another_hash_seed_finds_its_equal():
@@ -376,10 +418,11 @@ def test_parse_errors_carry_position():
         P.parse_predicate("x <= 1e999")
 
 
-@pytest.mark.parametrize("text", ["0.00001", "10000000000000000", "123456789012345678901"])
+@pytest.mark.parametrize("text", ["0.00001", "10000000000000000", "123456789012345678901", "-0"])
 def test_exponent_constants_round_trip(text):
-    """Constants that print as 1e-05, 1e+16 and 1.2345678901234568e+20
-    reparse through the predicate, STL and automaton JSON syntaxes."""
+    """Constants that print as 1e-05, 1e+16, 1.2345678901234568e+20 and
+    0 (from -0) reparse through the predicate, STL and automaton JSON
+    syntaxes."""
     from arv.automaton import from_json, to_json
     from arv.speclang import parse_stl, print_stl
     from arv.translate import translate_stl

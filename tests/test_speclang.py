@@ -16,7 +16,6 @@ from arv.speclang import (
     TimeWindow,
     Trace,
     Until,
-    desugar,
     eval_sre,
     eval_stl,
     negate,
@@ -126,21 +125,11 @@ def test_spec_text_directive():
 # --- rewriting ---------------------------------------------------------------
 
 
-def test_desugar_core_shapes():
-    f = desugar(Eventually(Atom("x", "<", 1.0)))
-    assert f == Until(S.TRUE, Atom("x", "<", 1.0), TimeWindow(0, None))
-    f = desugar(Next(Atom("x", "<", 1.0)))
-    assert f == Until(S.FALSE, Atom("x", "<", 1.0), TimeWindow(1, 1))
-    g = desugar(parse_stl("G[0,1] x <= 3"))
-    assert g == S.Not(
-        Until(S.TRUE, S.Not(Atom("x", "<=", 3.0)), TimeWindow(0, 1))
-    )
-
-
 def test_negate():
     f = parse_stl("G x <= 3")
     assert negate(f) == S.Not(f)
     assert negate(negate(f)) == f
+    assert negate(S.TRUE) is S.FALSE and negate(S.FALSE) is S.TRUE
 
 
 def test_unfold_examples():
@@ -165,7 +154,9 @@ def test_stl_nodes_are_hash_consed():
     assert copy.deepcopy(f) is f
     assert pickle.loads(pickle.dumps(f)) is f
     assert Atom("x", "<=", 5) is Atom("x", "<=", 5.0)
-    assert Atom("x", "<", -0.0) is not Atom("x", "<", 0.0)
+    # -0.0 is stored as 0.0, so the two constants build one node
+    assert Atom("x", "<", -0.0) is Atom("x", "<", 0.0)
+    assert math.copysign(1.0, Atom("x", "<", -0.0).value) == 1.0
     assert Eventually(Atom("x", "<", 1.0)) is Eventually(Atom("x", "<", 1.0), S.FULL_WINDOW)
     # chains far deeper than the recursion limit hash and compare in O(1)
     depth = 3 * sys.getrecursionlimit()
@@ -205,13 +196,10 @@ def test_desugar_and_unfold_preserve_semantics():
     traces = traces_upto(("x",), range(3), 4)
     for _ in range(60):
         f = random_stl(rng, ["x"], depth=3, const_lo=0, const_hi=2)
-        cored = desugar(f)
         unfolded = unfold_bounded(f)
         for t in traces:
             for i in range(len(t)):
-                expected = eval_stl(t, i, f)
-                assert eval_stl(t, i, cored) == expected
-                assert eval_stl(t, i, unfolded) == expected
+                assert eval_stl(t, i, unfolded) == eval_stl(t, i, f)
 
 
 # --- qualitative STL ------------------------------------------------------------

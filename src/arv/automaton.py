@@ -175,27 +175,33 @@ def _subsets(a: SymbolicAutomaton, joined, inside, n_minterms):
 
     Subsets are bitmasks of ``a``'s locations, ``joined`` maps its
     (source, destination) pairs to their guards' union, and
-    ``inside[guard]`` lists the minterms inside that guard.  Returns the
-    subsets in discovery order (the initial one first) and, per subset,
-    the index of its successor on each minterm.
+    ``inside[guard]`` lists the minterms inside that guard.  A location's
+    successors on all minterms pack into one integer, ``n`` bits each, so
+    a subset's cost one OR per member.  Returns the subsets in discovery
+    order (the initial one first) and, per subset, the index of its
+    successor on each minterm.
     """
-    succ = [[0] * n_minterms for _ in range(a.n_locations)]
+    n = a.n_locations
+    mask = (1 << n) - 1
+    spread = {g: sum(1 << (j * n) for j in js) for g, js in inside.items()}
+    succ = [0] * n
     for (src, dst), guard in joined.items():
-        for j in inside[guard]:
-            succ[src][j] |= 1 << dst
+        succ[src] |= spread[guard] << dst
     start = sum(1 << q for q in a.initial)
     index = {start: 0}
     order = [start]
     delta = []
     for subset in order:
-        targets = [0] * n_minterms
+        packed = 0
         bits = subset
         while bits:
             low = bits & -bits
             bits ^= low
-            targets = [t | s for t, s in zip(targets, succ[low.bit_length() - 1])]
+            packed |= succ[low.bit_length() - 1]
         row = []
-        for target in targets:
+        for _ in range(n_minterms):
+            target = packed & mask
+            packed >>= n
             k = index.get(target)
             if k is None:
                 if len(order) >= MAX_SUBSETS:

@@ -101,14 +101,15 @@ def cmd_monitor(args) -> int:
         trace = read_trace_csv(trace_path)
         if args.prefix_series:
             lines = ["t,rho,satisfied"]
-            for t, verdict in enumerate(M.verdicts(trace, w_pos, w_neg), start=1):
-                lines.append(f"{t},{_fmt_num(verdict.rho)},{'true' if verdict.satisfied else 'false'}")
+            cells: dict = {}  # (rho, satisfied) -> its two cells, formatted once
+            for t, (rho, satisfied, _, _) in enumerate(M.verdict_rows(trace, w_pos, w_neg), start=1):
+                cell = cells.get((rho, satisfied))
+                if cell is None:
+                    cell = cells[rho, satisfied] = f"{_fmt_num(rho)},{'true' if satisfied else 'false'}"
+                lines.append(f"{t},{cell}")
             _atomic_write(_out_path(args.prefix_series, trace_path, many), "\n".join(lines) + "\n")
-            status = "satisfied" if verdict.satisfied else "violated"
-            print(
-                f"{trace_path}: prefix series of {t} rows, "
-                f"final rho = {_fmt_num(verdict.rho)} ({status})"
-            )
+            status = "satisfied" if satisfied else "violated"
+            print(f"{trace_path}: prefix series of {t} rows, final rho = {_fmt_num(rho)} ({status})")
         else:
             verdict = M.verdict(trace, w_pos, w_neg)
             status = "satisfied" if verdict.satisfied else "violated"

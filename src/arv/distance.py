@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import enum
 
-from .errors import UnboundVariableError
+from .errors import ParseError, UnboundVariableError
 from .predicate import Cmp, Dnf, Top, _clause_sat, _index, dnf_variables
 from .semiring import INF, Semiring, SemiringValue
 
@@ -69,7 +69,8 @@ def vpd(
     Without multiplicative idempotence the result is only exact on
     conjunction-minimal input, so non-minimal input is rejected for such
     semirings unless ``demonstration`` explicitly allows it; ``check_fits``
-    rejects a distance that does not fit the carrier.
+    rejects a distance that does not fit the carrier, and ``ParseError`` a
+    value that is not a finite number.
     """
     check_fits(semiring, dist)
     if (
@@ -227,16 +228,24 @@ class Scorer:
 
 
 def _table(atoms, dist: PointwiseDistance):
-    """``valuation -> (atom truths, atom distances)``."""
+    """``valuation -> (atom truths, atom distances)``; ``ParseError`` naming
+    the variable of a value that is not a finite number, which would
+    otherwise score silently (a NaN compares false)."""
     discrete = dist is PointwiseDistance.DISCRETE01
+    lo, hi = -INF, INF  # a finite number lies strictly between
 
     def table(valuation):
         truth = []
         dists = []
-        for var, strict, k in atoms:
-            v = valuation[var]
-            truth.append(v < k if strict else v <= k)
-            dists.append((0.0 if v == k else 1.0) if discrete else abs(v - k))
+        try:
+            for var, strict, k in atoms:
+                v = valuation[var]
+                if not lo < v < hi:
+                    raise ParseError(f"non-finite value {v!r} for variable {var!r}")
+                truth.append(v < k if strict else v <= k)
+                dists.append((0.0 if v == k else 1.0) if discrete else abs(v - k))
+        except TypeError:
+            raise ParseError(f"non-numeric value {v!r} for variable {var!r}") from None
         return tuple(truth), dists
 
     return table

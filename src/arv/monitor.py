@@ -28,14 +28,15 @@ robustness verdict combines the two into a signed degree; the
 qualitative verdict, which resolves the sign when the degree is zero,
 is the DFA's own run in the same pass: exactly one minterm holds, so
 the run moves to its location's one free destination in the step's
-plan.  ``verdicts`` reads a verdict after every sample, ``verdict``
-only after the last.
+plan.  ``verdict_rows`` reads each prefix's verdict inside its loop, as
+a plain tuple; ``verdict`` reads once, after the last sample.
 """
 
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import replace
 from typing import NamedTuple
 
@@ -79,6 +80,7 @@ class _Program:
         for (src, _, dst), j in zip(base.transitions, index):
             self.out[src].append((dst, j))
         self.final = base.final
+        self.add = w.semiring.otimes is operator.add  # else ⊗ is max
         self.live_sets: dict = {}
 
     def live_set(self, members) -> _LiveSet:
@@ -163,19 +165,12 @@ class ValueStream:
     def _split(self) -> tuple[SemiringValue, bool, SemiringValue, bool]:
         """The ⊕ (min) of the live costs inside the final set and whether
         any live location lies there; then the same outside it."""
-        costs = self._costs
-        k = self._live.n_final
-        e_plus = self._semiring.e_plus
-        outside = k < len(costs)
-        return (
-            min(costs[:k]) if k else e_plus,
-            k > 0,
-            min(costs[k:]) if outside else e_plus,
-            outside,
-        )
+        costs, k, e_plus = self._costs, self._live.n_final, self._semiring.e_plus
+        return min(costs[:k], default=e_plus), k > 0, min(costs[k:], default=e_plus), k < len(costs)
 
     def step(self, valuation: Valuation) -> None:
-        """One sample: its atom table (``Scorer.table``), then ``advance``."""
+        """One sample: its atom table (``Scorer.table``; ``ParseError`` for a
+        value that is not a finite number), then ``advance``."""
         try:
             truths, distances = self._scorer.table(valuation)
         except KeyError as exc:
@@ -186,16 +181,16 @@ class ValueStream:
         """Consume one sample given its atom table: look up the recipe of
         its truths and the live set's plan for its shape, then relax: a
         free edge passes its source's cost on, a priced one ⊗s it with its
-        slot's weight (⊕ is min, so relaxing is one comparison)."""
+        slot's weight, written out as ``+`` or max (⊕ is min, so relaxing
+        is one comparison)."""
         scorer = self._scorer
         shape, compounds = scorer.recipes.get(truths) or scorer.recipe(truths)
         if compounds:
             scorer.compound(distances, compounds)
         live = self._live
         self._plan = nxt, rows = live.plans.get(shape) or self._prog.make_plan(live, shape)
-        sr = self._semiring
-        e_plus = sr.e_plus
-        otimes = sr.otimes
+        e_plus = self._semiring.e_plus
+        add = self._prog.add
         new_costs = [e_plus] * len(nxt.members)
         for c, (free, priced) in zip(self._costs, rows):
             if c == e_plus:
@@ -204,7 +199,8 @@ class ValueStream:
                 if c < new_costs[d]:
                     new_costs[d] = c
             for d, s in priced:
-                v = otimes(c, distances[s])
+                w = distances[s]
+                v = c + w if add else w if w > c else c
                 if v < new_costs[d]:
                     new_costs[d] = v
         self._costs = new_costs
@@ -273,12 +269,9 @@ def build_monitor_pair(spec, semiring: Semiring, dist: PointwiseDistance | None 
     return w, replace(w, base=A.flip(w.base))
 
 
-def _pass(trace: Trace, w_pos: A.WeightedAutomaton, w_neg: A.WeightedAutomaton):
-    """The one pass behind ``verdicts`` and ``verdict``: yields, after
-    each sample, the pair's stream and the DFA's own run, as an index
-    into the stream's live members.  Exactly one minterm holds, so the
-    run moves to its location's one free destination in the step's
-    plan."""
+def _stream(trace: Trace, w_pos: A.WeightedAutomaton, w_neg: A.WeightedAutomaton):
+    """A fresh stream over ``w_pos``, once the pair (``ValueError``) and
+    the trace's variables (``UnboundVariableError``) are checked."""
     base = w_pos.base
     if (
         w_neg.base.transitions is not base.transitions
@@ -286,25 +279,39 @@ def _pass(trace: Trace, w_pos: A.WeightedAutomaton, w_neg: A.WeightedAutomaton):
     ):
         raise ValueError("verdicts needs the two sides of one build_monitor_pair")
     _check_variables(w_pos, trace)
-    stream = ValueStream(w_pos)
+    return ValueStream(w_pos)
+
+
+def verdict_rows(trace: Trace, w_pos: A.WeightedAutomaton, w_neg: A.WeightedAutomaton):
+    """The pass behind ``verdicts``: one plain ``(rho, satisfied, d_phi,
+    d_not_phi)`` tuple per prefix, read in the loop as the min over the
+    first ``k`` (final) live costs, the min over the rest, and ``_rho``'s
+    sign rule written out."""
+    stream = _stream(trace, w_pos, w_neg)
     advance = stream.advance
-    run = 0  # the one initial location
+    e_plus, e_times = stream._semiring.e_plus, stream._semiring.e_times
+    run = 0  # the DFA's own run, from its one initial location
     for truths, distances in stream._scorer.tables(trace):
         advance(truths, distances)
-        run = stream._plan[1][run][0][0]
-        yield stream, run
-
-
-def _verdict(stream: ValueStream, run: int) -> RobustnessVerdict:
-    """The verdict of the stream's consumed prefix, its run at member
-    ``run`` of the live set (final members come first)."""
-    d_phi, phi_exists, d_not_phi, not_phi_exists = stream._split()
-    rho = _rho(d_phi, phi_exists, d_not_phi, not_phi_exists, stream._semiring)
-    return RobustnessVerdict(rho, run < stream._live.n_final, d_phi, d_not_phi)
+        run = stream._plan[1][run][0][0]  # one minterm holds: its one free edge
+        costs = stream._costs
+        k = stream._live.n_final
+        d_phi = costs[0] if k == 1 else min(costs[:k]) if k else e_plus
+        d_not_phi = min(costs[k:]) if k < len(costs) else e_plus
+        if not k:
+            rho = -math.inf
+        elif d_phi != e_times:
+            rho = -d_phi if d_phi else 0.0
+        elif k == len(costs):
+            rho = math.inf
+        else:
+            rho = d_not_phi if d_not_phi else 0.0
+        yield rho, run < k, d_phi, d_not_phi
 
 
 def verdicts(trace: Trace, w_pos: A.WeightedAutomaton, w_neg: A.WeightedAutomaton):
-    """One ``RobustnessVerdict`` per prefix of the trace, in one pass.
+    """One ``RobustnessVerdict`` per prefix of the trace, in one pass
+    (``verdict_rows``), yielded as each sample is consumed.
 
     ``w_pos``/``w_neg`` are a pair from ``build_monitor_pair``: one DFA
     and its flipped copy, so a single value stream serves both sides.
@@ -314,21 +321,26 @@ def verdicts(trace: Trace, w_pos: A.WeightedAutomaton, w_neg: A.WeightedAutomato
     positive final location.  ``ValueError`` if the two sides are not
     one such pair.
     """
-    for stream, run in _pass(trace, w_pos, w_neg):
-        yield _verdict(stream, run)
+    yield from map(RobustnessVerdict._make, verdict_rows(trace, w_pos, w_neg))
 
 
 def verdict(
     trace: Trace, w_pos: A.WeightedAutomaton, w_neg: A.WeightedAutomaton
 ) -> RobustnessVerdict:
-    """The last of ``verdicts``: the same pass, read once after the last
-    sample.  ``ValueError`` for a trace without samples (the stream is
-    never read before the first step)."""
+    """The last of ``verdicts``: the same relax and run, read once after
+    the last sample.  ``ValueError`` for a trace without samples (the
+    stream is never read before the first step)."""
     if not len(trace):
         raise ValueError("traces must contain at least one sample")
-    for stream, run in _pass(trace, w_pos, w_neg):
-        pass
-    return _verdict(stream, run)
+    stream = _stream(trace, w_pos, w_neg)
+    advance = stream.advance
+    run = 0
+    for truths, distances in stream._scorer.tables(trace):
+        advance(truths, distances)
+        run = stream._plan[1][run][0][0]
+    d_phi, phi_exists, d_not_phi, not_phi_exists = stream._split()
+    rho = _rho(d_phi, phi_exists, d_not_phi, not_phi_exists, stream._semiring)
+    return RobustnessVerdict(rho, run < stream._live.n_final, d_phi, d_not_phi)
 
 
 def robustness(
@@ -349,6 +361,5 @@ def robustness_prefix_series(
 ) -> list[tuple[int, float, bool]]:
     """(t, rho, satisfied) for every prefix, in one pass."""
     pair = build_monitor_pair(spec, semiring, dist)
-    return [
-        (t, v.rho, v.satisfied) for t, v in enumerate(verdicts(trace, *pair), start=1)
-    ]
+    rows = verdict_rows(trace, *pair)
+    return [(t, rho, satisfied) for t, (rho, satisfied, _, _) in enumerate(rows, start=1)]

@@ -10,7 +10,8 @@ Invariant: in every shipped instance ⊕ is ``min``, so the natural order
 is the numeric one and a shortest-distance problem (Mohri, 2002) keeps
 the smaller value.  The monitor relies on it: it relaxes an edge with
 one ``<`` comparison and takes ``min`` over the live costs instead of
-calling ``oplus``.
+calling ``oplus``.  Likewise ⊗ is ``+`` (``operator.add``) or max in
+every shipped instance, and the monitor's relax writes it out inline.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ class Semiring:
 def _max(a: SemiringValue, b: SemiringValue) -> SemiringValue:
     """Builtin ``max`` of two values, by the same rule (``a`` unless
     ``b > a``, so ties and NaN come out the same) at a fraction of its
-    call cost: the monitor calls ⊗ once per live edge and sample."""
+    call cost; the monitor writes the same expression out inline."""
     return b if b > a else a
 
 

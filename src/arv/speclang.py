@@ -315,9 +315,18 @@ def read_trace_csv(path) -> Trace:
     source = f"trace file {path}"
     text = read_utf8(path, source)
     try:
-        rows = _csv_rows(io.StringIO(text, newline=""))
+        rows = [r for r in csv.reader(io.StringIO(text, newline="")) if r]
     except csv.Error as exc:
         raise ParseError(f"{source} is not valid CSV: {exc}") from None
+    # the happy path, a clean header over rows of finite numbers; any other
+    # file is read again with line numbers, less its blank rows
+    header = tuple(h.strip() for h in rows[0]) if rows else ("",)
+    if all(header) and len(set(header)) == len(header):
+        try:
+            return Trace.from_columns(header, dict(zip(header, _columns(rows[1:], len(header)))))
+        except ValueError:
+            pass
+    rows = _csv_rows(io.StringIO(text, newline=""))
     if not rows:
         raise ParseError("trace file has no header row")
     header = tuple(h.strip() for h in rows[0][1])
@@ -330,13 +339,19 @@ def read_trace_csv(path) -> Trace:
     if not body:
         raise ParseError("trace file has no samples")
     try:
-        # a row of another length ends ``zip`` with a ValueError
-        columns = [list(map(float, col)) for col in zip(*(row for _, row in body), strict=True)]
+        columns = _columns((row for _, row in body), len(header))
     except ValueError:
-        columns = []
-    if len(columns) != len(header) or not all(all(map(math.isfinite, col)) for col in columns):
-        raise _bad_row(header, body)
+        raise _bad_row(header, body) from None
     return Trace.from_columns(header, dict(zip(header, columns)))
+
+
+def _columns(rows, width: int) -> list[list[float]]:
+    """The rows as columns of floats; ``ValueError`` unless every row holds
+    ``width`` finite numbers (a row of another length ends ``zip``)."""
+    columns = [list(map(float, col)) for col in zip(*rows, strict=True)]
+    if len(columns) != width or not all(all(map(math.isfinite, col)) for col in columns):
+        raise ValueError("not a row of finite numbers per sample")
+    return columns
 
 
 def write_trace_csv(trace: Trace, path) -> None:

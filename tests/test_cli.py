@@ -1,10 +1,12 @@
 import json
+import random
 import time
 from pathlib import Path
 
 import pytest
 
 from arv.cli import _fmt_num, main
+from arv.generators import random_trace
 from arv.speclang import Trace, read_trace_csv, write_trace_csv
 from conftest import benchmark_entries
 
@@ -663,3 +665,34 @@ def test_vpd_bad_valuation_is_parse_error(valuation, message, capsys):
     code = main(["vpd", "--valuation", valuation, "--pred", "x <= 3", "--semiring", "minmax"])
     assert code == 2
     assert message in capsys.readouterr().err
+
+
+SERIES = Path(__file__).resolve().parent / "golden" / "series"
+SERIES_SPECS = {
+    e.name: e.spec_text
+    for e in benchmark_entries()
+    if e.name in ("response-k3", "bounded-recurrence", "intersect", "duration", "star")
+}
+# accepts every trace of 1 sample with x <= 5, none of 2 and all longer ones
+SERIES_SPECS["all-signs"] = "#lang sre\n<T>[3,inf] | <x <= 5>[1,1]\n"
+
+
+@pytest.mark.parametrize("semiring", ["boolean", "minmax", "tropical"])
+@pytest.mark.parametrize("name", list(SERIES_SPECS))
+def test_prefix_series_matches_golden_file(tmp_path, capsys, name, semiring):
+    """``--prefix-series`` bytes, pinned before its verdicts were read
+    inside the relax: two STL and three SRE benchmark specs, and one
+    whose series holds -inf and inf, each on a seeded 50-sample trace."""
+    spec = write(tmp_path / "spec.txt", SERIES_SPECS[name])
+    trace = tmp_path / "t.csv"
+    write_trace_csv(random_trace(random.Random(name), ("x", "y"), 50, lo=0, hi=10), trace)
+    out = tmp_path / "series.csv"
+    argv = ["monitor", "--spec", spec, "--trace", str(trace), "--semiring", semiring]
+    assert main(argv + ["--prefix-series", str(out)]) == 0
+    assert out.read_bytes() == (SERIES / f"{name}.{semiring}.csv").read_bytes()
+    assert capsys.readouterr().out.startswith(f"{trace}: prefix series of 50 rows, final rho = ")
+
+
+def test_golden_series_hold_every_kind_of_rho():
+    rhos = {line.split(",")[1] for f in SERIES.glob("*.csv") for line in f.read_text().splitlines()[1:]}
+    assert {"-inf", "inf", "0"} < rhos

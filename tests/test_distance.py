@@ -180,3 +180,14 @@ def test_scorer_slots_at_a_threshold():
     shape, compounds = scorer.recipes[truth]
     assert scorer.shapes[shape] == (0, HELD, scorer.n_atoms, NEVER)
     assert compounds == (((1, 2), (0, 3)),)
+
+
+def test_vpd_refuses_a_value_that_is_not_a_finite_number():
+    """A NaN compares false with every threshold, so ``x <= 3`` used to
+    score it as violated by 0 and the conjunction as 1."""
+    from arv.errors import ParseError
+
+    pred = dnf("x <= 3 && y >= 1")
+    with pytest.raises(ParseError, match=r"^non-finite value nan for variable 'x'$"):
+        vpd({"x": math.nan, "y": 0.0}, pred, MINMAX, ABS)
+    assert vpd({"x": 3.0, "y": 0.0}, pred, MINMAX, ABS) == 1.0

@@ -734,3 +734,77 @@ def test_one_pair_serves_traces_in_any_order(text):
             got = {id(t): list(verdicts(t, *pair)) for t in order}
             assert [got[id(t)] for t in traces] == fresh
             assert [trace_value(t, pair[0]) for t in traces] == [s[-1].d_phi for s in fresh]
+
+
+def _fresh_verdict(prefix, w_pos):
+    """The verdict of a prefix from a fresh stream stepped over it: its
+    ``costs`` split by the positive final set, ``_rho``'s sign rule over
+    the locations some path of the prefix's length reaches, and the DFA's
+    run taken one edge at a time by ``predicate.evaluate``."""
+    from arv.monitor import _rho
+
+    base, sr = w_pos.base, w_pos.semiring
+    stream = ValueStream(w_pos)
+    run, reached = 0, set(base.initial)
+    for sample in prefix.samples:
+        stream.step(sample)
+        (run,) = [d for s, g, d in base.transitions if s == run and P.evaluate(sample, g)]
+        reached = {d for s, _, d in base.transitions if s in reached}
+    costs = stream.costs
+    d_phi = min((c for q, c in costs.items() if q in base.final), default=sr.e_plus)
+    d_not_phi = min((c for q, c in costs.items() if q not in base.final), default=sr.e_plus)
+    rho = _rho(d_phi, bool(reached & base.final), d_not_phi, bool(reached - base.final), sr)
+    return RobustnessVerdict(rho, run in base.final, d_phi, d_not_phi)
+
+
+def test_fused_prefix_read_equals_a_fresh_stream_per_prefix():
+    """Each verdict that ``verdicts`` reads inside its one loop equals one
+    computed apart for its prefix, compared by ``repr`` so that ``-0.0``
+    and the infinities show; 300 seeded random STL and SRE specs, three
+    semirings, traces of 1 to 6 samples, and specs whose positive final
+    set is empty or total."""
+    import inspect
+
+    from arv.generators import random_sre
+
+    rng = random.Random(2218)
+    specs = [parse_stl("x <= 5 || x > 5"), parse_stl("x <= 1 && x > 1"),
+             parse_sre("<T>[3,inf] | <x <= 5>[1,1]")]
+    specs += [(random_stl if k % 2 else random_sre)(rng, ["x", "y"], depth=2) for k in range(300)]
+    finals = set()
+    rhos = set()
+    for spec in specs:
+        for sr in ALL:
+            w_pos, w_neg = build_monitor_pair(spec, sr)
+            finals.add(len(w_pos.base.final) / w_pos.base.n_locations)
+            trace = random_trace(rng, ("x", "y"), rng.randint(1, 6), lo=0, hi=6)
+            series = verdicts(trace, w_pos, w_neg)
+            assert inspect.isgenerator(series)
+            for n, got in enumerate(series, start=1):
+                prefix = Trace.from_columns(
+                    trace.variables, {v: col[:n] for v, col in trace.columns.items()}
+                )
+                assert repr(got) == repr(_fresh_verdict(prefix, w_pos))
+                rhos.add(got.rho if math.isinf(got.rho) or got.rho == 0 else 1.0)
+    assert {0.0, 1.0} <= finals
+    assert {-INF, INF, 0.0, 1.0} <= rhos
+
+
+@pytest.mark.parametrize(
+    "valuation, message",
+    [
+        ({"x": math.nan, "y": 1.0}, "non-finite value nan for variable 'x'"),
+        ({"x": 1.0, "y": -math.inf}, "non-finite value -inf for variable 'y'"),
+        ({"x": "3", "y": 1.0}, "non-numeric value '3' for variable 'x'"),
+    ],
+)
+def test_a_step_refuses_a_value_that_is_not_a_finite_number(valuation, message):
+    """A NaN used to leave the tropical value at 0 (it compares false) and
+    a string ended in a bare ``TypeError``."""
+    from arv.errors import ParseError
+
+    w_pos, _ = build_monitor_pair(parse_stl("G(x <= 5 -> F[0,2] y >= 2)"), TROPICAL)
+    stream = ValueStream(w_pos)
+    with pytest.raises(ParseError) as err:
+        stream.step(valuation)
+    assert str(err.value) == message

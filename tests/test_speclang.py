@@ -458,6 +458,20 @@ def test_trace_csv_skips_blank_lines(tmp_path):
     assert [s["x"] for s in t.samples] == [1.0, 2.0]
 
 
+def test_trace_csv_skips_a_whitespace_only_row_between_samples(tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_text("x,y\n1,2\n  \t \n3,4\n , \n5,6\n")
+    t = read_trace_csv(p)
+    assert t.columns == {"x": [1.0, 3.0, 5.0], "y": [2.0, 4.0, 6.0]}
+
+
+def test_trace_csv_names_the_file_line_of_a_bad_cell_after_a_blank_row(tmp_path):
+    p = tmp_path / "bad.csv"
+    p.write_text("x,y\n1,2\n\n \n3,abc\n")
+    with pytest.raises(ParseError, match=r"^non-numeric cell in trace row 5, column 'y'$"):
+        read_trace_csv(p)
+
+
 def test_csv_rows_skip_exactly_the_blank_rows():
     """Blank lines and rows of blank cells are dropped; a row with any
     non-blank cell is kept, also when its first cell is blank."""

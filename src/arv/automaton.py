@@ -3,12 +3,12 @@
 Transitions carry guards instead of letters, each a flat ``Dnf``, and
 every automaton is epsilon-free: epsilon moves exist only inside the SRE
 builder (``translate``), which eliminates them before an automaton is
-made.  ``make_automaton`` is the one place a guard is normalized: every
+made.  ``normal_guard`` is the one place a guard is normalized: every
 DNF, whether the predicate parser or a builder made it, becomes
 ``wedge_minimize``'s normal form, each clause its box's bound literals,
-and unsatisfiable guards, whose normal form is false, drop.  ``product``
-conjoins guards clause by clause and stops at ``MAX_SUBSETS``
-locations, ``determinize`` builds its minterms as DNFs of box covers,
+and guards whose normal form is false drop.  ``product`` conjoins
+guards clause by clause and stops at ``MAX_SUBSETS`` locations,
+``determinize`` builds its minterms as DNFs of box covers,
 ``decorate`` only attaches the weight rule, and the printers write a
 guard's clauses flat.  The algebra relies on interval reasoning for
 satisfiability, so no solver is needed.
@@ -65,17 +65,14 @@ class SymbolicAutomaton:
 
 
 def make_automaton(variables, n_locations, initial, final, transitions) -> SymbolicAutomaton:
-    """Normalize and prune: each ``Dnf`` guard becomes its normal form,
-    ``wedge_minimize``'s (one already flagged ``wedge_minimal`` is kept),
-    and unsatisfiable guards, whose normal form is false, and duplicate
-    edges (equal DNFs) go."""
+    """Normalize and prune: each ``Dnf`` guard becomes ``normal_guard``'s
+    form, and false guards and duplicate edges (equal DNFs) go."""
     pruned = []
     seen = set()
     normal: dict = {}  # guard -> its normal form, or None when unsatisfiable
     for src, guard, dst in transitions:
         if guard not in normal:
-            dnf = guard if guard.wedge_minimal else P.wedge_minimize(guard)
-            normal[guard] = None if dnf.clauses == ((P.BOTTOM,),) else dnf
+            normal[guard] = normal_guard(guard)
         edge = (src, normal[guard], dst)
         if edge[1] is None or edge in seen:
             continue
@@ -88,6 +85,13 @@ def make_automaton(variables, n_locations, initial, final, transitions) -> Symbo
         final=frozenset(final),
         transitions=tuple(pruned),
     )
+
+
+def normal_guard(guard: Dnf) -> Dnf | None:
+    """A guard's normal form, ``wedge_minimize``'s (one already flagged
+    ``wedge_minimal`` is kept), or None when the guard is unsatisfiable."""
+    dnf = guard if guard.wedge_minimal else P.wedge_minimize(guard)
+    return None if dnf.clauses == ((P.BOTTOM,),) else dnf
 
 
 def product(a: SymbolicAutomaton, b: SymbolicAutomaton) -> SymbolicAutomaton:
@@ -117,7 +121,7 @@ def product(a: SymbolicAutomaton, b: SymbolicAutomaton) -> SymbolicAutomaton:
         return index[pair]
 
     transitions = []
-    conjoined: dict = {}  # (guard of a, guard of b) -> their conjunction, None when unsatisfiable
+    conjoined: dict = {}  # (guard of a, guard of b) -> their conjunction's normal form, None when false
     frontier = [(qa, qb) for qa in sorted(a.initial) for qb in sorted(b.initial)]
     for pair in frontier:
         state_id(pair)
@@ -129,7 +133,7 @@ def product(a: SymbolicAutomaton, b: SymbolicAutomaton) -> SymbolicAutomaton:
             for g2, d2 in b_out.get(qb, ()):
                 if (g1, g2) not in conjoined:
                     guard = Dnf(tuple(c1 + c2 for c1 in g1.clauses for c2 in g2.clauses))
-                    conjoined[g1, g2] = guard if P.is_sat(guard) else None
+                    conjoined[g1, g2] = normal_guard(guard)
                 guard = conjoined[g1, g2]
                 if guard is None:
                     continue
@@ -146,8 +150,8 @@ def product(a: SymbolicAutomaton, b: SymbolicAutomaton) -> SymbolicAutomaton:
 
 def _minterms(guards, variables):
     """The non-empty cells the guards cut the valuation space into: per
-    cell, its DNF and whether it lies inside each guard.  A guard's
-    outside and inside are covered by their maximal boxes, the
+    cell, its maximal boxes and whether it lies inside each guard.  A
+    guard's outside and inside are covered by their maximal boxes, the
     ``complement_cover`` of its clause boxes and of that; a cell meets
     its cover with both, so its cover is maximal too."""
     cells = [([Box.full(len(variables))], ())]
@@ -161,7 +165,7 @@ def _minterms(guards, variables):
             for side, region in ((True, inside), (False, outside))
             if (part := meet(boxes, region))
         ]
-    return [(_region_dnf(boxes, variables), covers) for boxes, covers in cells]
+    return cells
 
 
 def _region_dnf(maximal, variables) -> Dnf:
@@ -301,11 +305,10 @@ def determinize(a: SymbolicAutomaton) -> SymbolicAutomaton:
     for j in range(len(cells)):
         columns.setdefault(tuple(block[delta[s][j]] for s in rep.values()), []).append(j)
     for column, group in columns.items():
-        if len(group) == 1:
-            columns[column] = cells[group[0]][0]
-            continue
-        union = [box for j in group for box in P.dnf_boxes(cells[j][0], variables)]
-        maximal = complement_cover(complement_cover(union, len(variables)), len(variables))
+        maximal = cells[group[0]][0]
+        if len(group) > 1:
+            union = [box for j in group for box in cells[j][0]]
+            maximal = complement_cover(complement_cover(union, len(variables)), len(variables))
         columns[column] = _region_dnf(maximal, variables)
     transitions = tuple((b, guard, column[b]) for b in rep for column, guard in columns.items())
     final = frozenset(b for b, s in rep.items() if subsets[s] & final_mask)

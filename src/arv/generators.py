@@ -162,13 +162,14 @@ def random_automaton(
 
 
 def all_traces(variables, values, length):
-    """Every trace of exactly ``length`` samples over the value grid."""
+    """Every trace of exactly ``length`` samples over the value grid, in
+    the order of their sample sequences."""
     from itertools import product
 
     variables = tuple(variables)
-    points = [
-        dict(zip(variables, (float(x) for x in pt)))
-        for pt in product(values, repeat=len(variables))
-    ]
+    if not variables:  # no column to hold the length
+        yield Trace((), [{}] * length)
+        return
+    points = list(product([float(x) for x in values], repeat=len(variables)))
     for combo in product(points, repeat=length):
-        yield Trace(variables, list(combo))
+        yield Trace.from_columns(variables, dict(zip(variables, map(list, zip(*combo)))))

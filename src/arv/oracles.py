@@ -20,6 +20,7 @@ from . import speclang as S
 from .distance import PointwiseDistance, Valuation, default_distance, point_dist, vpd
 from .generators import (
     CLOSED_OPS,
+    all_traces,
     random_automaton,
     random_dnf,
     random_sre,
@@ -140,21 +141,18 @@ def trace_distance_brute_force(
     """
     variables = trace.variables
     n = len(trace)
-    values = [float(g) for g in grid]
-    total = len(values) ** (len(variables) * n)
+    total = len(grid) ** (len(variables) * n)
     if total > max_candidates:
         raise ValueError(f"{total} candidate traces exceed the bound {max_candidates}")
 
     acc = semiring.e_plus
-    points = list(product(values, repeat=len(variables)))
-    for combo in product(points, repeat=n):
-        candidate = Trace(variables, [dict(zip(variables, pt)) for pt in combo])
+    for candidate in all_traces(variables, grid, n):
         if not _qualitative(candidate, spec):
             continue
         weight = semiring.e_times
-        for s_orig, s_cand in zip(trace.samples, candidate.samples):
-            for x in variables:
-                weight = semiring.otimes(weight, point_dist(s_orig[x], s_cand[x], dist))
+        for x in variables:
+            for orig, cand in zip(trace.columns[x], candidate.columns[x]):
+                weight = semiring.otimes(weight, point_dist(orig, cand, dist))
         acc = semiring.oplus(acc, weight)
     return acc
 

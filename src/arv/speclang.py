@@ -230,33 +230,44 @@ EPSILON = Epsilon()
 
 class Trace:
     """Finite sequence of valuations, one per time step, stored as one
-    column of values per variable (``columns``).  ``samples`` is the
-    row view, one dict per step, built on first use."""
+    column of values per variable (``columns``), which both constructors
+    check alike.  ``samples`` is the row view, one dict per step, built
+    on first use."""
 
     def __init__(self, variables, samples):
-        if not samples:
-            raise ValueError("traces must contain at least one sample")
-        for i, sample in enumerate(samples):
-            for v in variables:
-                if v not in sample:
-                    raise UnboundVariableError(f"sample missing variable {v!r}")
-                try:
-                    finite = math.isfinite(sample[v])
-                except TypeError:
-                    raise ParseError(
-                        f"non-numeric value {sample[v]!r} at sample {i}, variable {v!r}"
-                    ) from None
-                if not finite:
-                    raise ParseError(f"non-finite value {sample[v]!r} at sample {i}, variable {v!r}")
-        self.variables, self._length = variables, len(samples)
-        self.columns = {v: [sample[v] for sample in samples] for v in variables}
+        try:
+            columns = {v: [sample[v] for sample in samples] for v in variables}
+        except KeyError as exc:
+            raise UnboundVariableError(f"sample missing variable {exc.args[0]!r}") from None
+        self._check(variables, columns, len(samples))
 
     @classmethod
     def from_columns(cls, variables, columns: dict) -> Trace:
-        """A trace of checked columns, as ``read_trace_csv`` builds them."""
+        """A trace of one column of samples per variable."""
         trace = cls.__new__(cls)
-        trace.variables, trace.columns, trace._length = variables, columns, len(columns[variables[0]])
+        trace._check(variables, columns, len(columns.get(variables[0], ())) if variables else 0)
         return trace
+
+    def _check(self, variables, columns, length):
+        """``ValueError`` without samples or for ragged columns, and
+        ``ParseError`` for the first value in sample order that is not a
+        finite number."""
+        if not length or any(len(columns.get(v, ())) != length for v in variables):
+            raise ValueError("traces must contain at least one sample, and each column one value per sample")
+        try:
+            clean = all(all(map(math.isfinite, columns[v])) for v in variables)
+        except TypeError:
+            clean = False
+        for i, row in enumerate(() if clean else zip(*map(columns.get, variables))):
+            for v, x in zip(variables, row):
+                try:
+                    if math.isfinite(x):
+                        continue
+                    kind = "non-finite"
+                except TypeError:
+                    kind = "non-numeric"
+                raise ParseError(f"{kind} value {x!r} at sample {i}, variable {v!r}")
+        self.variables, self.columns, self._length = variables, columns, length
 
     @functools.cached_property
     def samples(self) -> list[dict]:
@@ -311,7 +322,7 @@ def read_trace_csv(path) -> Trace:
     """Header row of variable names, one numeric row per sample; blank
     lines skipped; a file may start with a UTF-8 byte-order mark.  Errors
     name the file line of the first offending row.  The cells are
-    converted and checked a column at a time."""
+    converted a column at a time and checked by ``Trace.from_columns``."""
     source = f"trace file {path}"
     text = read_utf8(path, source)
     try:
@@ -323,8 +334,8 @@ def read_trace_csv(path) -> Trace:
     header = tuple(h.strip() for h in rows[0]) if rows else ("",)
     if all(header) and len(set(header)) == len(header):
         try:
-            return Trace.from_columns(header, dict(zip(header, _columns(rows[1:], len(header)))))
-        except ValueError:
+            return Trace.from_columns(header, _columns(rows[1:], header))
+        except (ValueError, ParseError):
             pass
     rows = _csv_rows(io.StringIO(text, newline=""))
     if not rows:
@@ -339,40 +350,51 @@ def read_trace_csv(path) -> Trace:
     if not body:
         raise ParseError("trace file has no samples")
     try:
-        columns = _columns((row for _, row in body), len(header))
-    except ValueError:
+        return Trace.from_columns(header, _columns((row for _, row in body), header))
+    except (ValueError, ParseError):
         raise _bad_row(header, body) from None
-    return Trace.from_columns(header, dict(zip(header, columns)))
 
 
-def _columns(rows, width: int) -> list[list[float]]:
-    """The rows as columns of floats; ``ValueError`` unless every row holds
-    ``width`` finite numbers (a row of another length ends ``zip``)."""
-    columns = [list(map(float, col)) for col in zip(*rows, strict=True)]
-    if len(columns) != width or not all(all(map(math.isfinite, col)) for col in columns):
-        raise ValueError("not a row of finite numbers per sample")
-    return columns
+def _columns(rows, header) -> dict[str, list[float]]:
+    """The rows as columns of floats, keyed by the header; ``ValueError``
+    unless every row holds one number per column (``zip`` is strict)."""
+    columns = (list(map(float, col)) for col in zip(*rows, strict=True))
+    return dict(zip(header, columns, strict=True))
 
 
 def write_trace_csv(trace: Trace, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(trace.variables)
-        for sample in trace.samples:
-            writer.writerow([sample[v] for v in trace.variables])
+        writer.writerows(zip(*map(trace.columns.get, trace.variables)))
 
 
-# --- qualitative STL evaluation ---------------------------------------------
+# --- walking a spec -----------------------------------------------------------
+
+
+def nodes(root):
+    """Each node object of a formula or an expression once (STL nodes are
+    hash-consed, SRE nodes are not), walked with a stack, not recursion."""
+    seen = set()
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        yield node
+        stack += [getattr(node, attr) for attr in ("arg", "left", "right") if hasattr(node, attr)]
 
 
 def stl_variables(f: StlFormula) -> set[str]:
-    if isinstance(f, Atom):
-        return {f.var}
-    if isinstance(f, (Not, Next, Eventually, Always)):
-        return stl_variables(f.arg)
-    if isinstance(f, (Or, And, Implies, Until)):
-        return stl_variables(f.left) | stl_variables(f.right)
-    return set()
+    return {node.var for node in nodes(f) if isinstance(node, Atom)}
+
+
+def sre_variables(e: SreExpr) -> set[str]:
+    return {v for node in nodes(e) if isinstance(node, SreBasic) for v in P.dnf_variables(node.pred)}
+
+
+# --- qualitative STL evaluation ---------------------------------------------
 
 
 def _future_positions(i: int, w: TimeWindow, n: int):
@@ -386,7 +408,7 @@ def eval_stl(trace: Trace, i: int, formula: StlFormula) -> bool:
     n = len(trace)
     if not 0 <= i < n:
         raise ValueError(f"position {i} outside trace of length {n}")
-    samples = trace.samples
+    columns = trace.columns
     memo: dict = {}
 
     def ev(f, i):
@@ -396,7 +418,7 @@ def eval_stl(trace: Trace, i: int, formula: StlFormula) -> bool:
             return hit
         if isinstance(f, Atom):
             try:
-                v = samples[i][f.var]
+                v = columns[f.var][i]
             except KeyError:
                 raise UnboundVariableError(f"unbound variable {f.var!r}") from None
             if f.op == "<":
@@ -439,16 +461,6 @@ def eval_stl(trace: Trace, i: int, formula: StlFormula) -> bool:
 
 
 # --- qualitative SRE evaluation ---------------------------------------------
-
-
-def sre_variables(e: SreExpr) -> set[str]:
-    if isinstance(e, SreBasic):
-        return set(P.dnf_variables(e.pred))
-    if isinstance(e, (SreStar, SreDuration)):
-        return sre_variables(e.arg)
-    if isinstance(e, (SreConcat, SreUnion, SreIntersect)):
-        return sre_variables(e.left) | sre_variables(e.right)
-    return set()
 
 
 def _sre_matches(trace: Trace, expr: SreExpr, memo: dict) -> set:

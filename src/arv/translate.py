@@ -4,27 +4,29 @@ STL goes through a finite-trace tableau: after ``unfold_bounded``, every
 formula is a Boolean combination of comparison atoms, strong next, and
 one residual until shape.  An automaton location is a set of pending
 obligations, each tagged with the polarity under which it must hold;
-consuming a sample discharges the atomic part as a transition guard (a
-one-clause DNF) and defers the rest.  A location accepts when everything
-pending is negative, since negated next-obligations hold vacuously once
-the trace ends while positive ones still demand a successor.
+consuming a sample discharges the atomic part as a transition guard
+(one clause in normal form) and defers the rest.  A location accepts
+when everything pending is negative, since negated next-obligations
+hold vacuously once the trace ends while positive ones still demand a
+successor.
 
 The cost is linear in the window bounds.  Formulas are hash-consed, so
 obligations hash and compare in constant time; a location's obligations
 are ordered by the rank in which this translation first met them, never
 by their text; the window chains are unfolded by loops; and each
 distinct obligation and each distinct set of now-literals is expanded
-or checked once.  Window steps and tableau locations are both capped at
-``automaton.MAX_SUBSETS``.
+or normalized once.  Window steps and tableau locations are both
+capped at ``automaton.MAX_SUBSETS``.
 
 Regular expressions compile compositionally into fragments with epsilon
 transitions, each proposition the ``Dnf`` the parser built; epsilon moves
 exist only here and are eliminated whenever a fragment becomes an
-automaton.  A duration is the product of its argument's automaton with a
+automaton, whose normal form drops an unsatisfiable proposition's
+edges.  A duration is the product of its argument's automaton with a
 length counter, a chain of ``TRUE``-guarded steps, so ``product`` is the
 one synchronous product here and its location budget bounds what nested
-and starred durations build.  Duration windows are also budgeted like STL
-windows, before any fragment is built.
+and starred durations build.  Duration windows are also budgeted like
+STL windows, before any fragment is built.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ class _Tableau:
     def __init__(self, start):
         self.cache: dict = {}
         self.rank = {start: 0}
-        self.guards: dict = {}  # now-literals -> their guard, None when unsatisfiable
+        self.guards: dict = {}  # now-literals -> their conjunction's normal form, None when false
 
     def _defer(self, obligation, positive):
         self.rank.setdefault(obligation, len(self.rank))
@@ -117,25 +119,12 @@ class _Tableau:
             if not alts:
                 break
         pruned = []
-        seen = set()
-        for alt in alts:
-            if alt in seen:
-                continue
-            seen.add(alt)
-            nows, nexts = alt
+        for nows, nexts in dict.fromkeys(alts):
             if nows not in self.guards:
-                self.guards[nows] = _guard(nows)
-            guard = self.guards[nows]
-            if guard is not None:
-                pruned.append((guard, nexts))
+                self.guards[nows] = A.normal_guard(P.Dnf((tuple(nows) or (P.TOP,),)))
+            if self.guards[nows] is not None:
+                pruned.append((self.guards[nows], nexts))
         return pruned
-
-
-def _guard(nows):
-    """The one-clause DNF of a set of literals, or None when unsatisfiable;
-    ``make_automaton`` normalizes it, so the literals' order is free."""
-    guard = P.Dnf((tuple(nows) or (P.TOP,),))
-    return guard if P.is_sat(guard) else None
 
 
 def translate_stl(formula: S.StlFormula) -> SymbolicAutomaton:
@@ -175,26 +164,17 @@ def translate_stl(formula: S.StlFormula) -> SymbolicAutomaton:
 
 def _window_steps(root, what: str) -> int:
     """The steps unfolding a formula's or an expression's windows takes:
-    per node, one for a next and a window's ``hi``, or its ``lo`` when
-    unbounded.  The walk is iterative and counts each node object once;
-    STL nodes are hash-consed, so that is once per distinct subformula,
-    and a parsed SRE is a tree, so that is once per occurrence.  More
-    than ``automaton.MAX_SUBSETS`` steps raise
-    ``UnsupportedFragmentError``, saying ``what`` takes them."""
+    per node object of ``speclang.nodes``, one for a next and a window's
+    ``hi``, or its ``lo`` when unbounded.  More than
+    ``automaton.MAX_SUBSETS`` steps raise ``UnsupportedFragmentError``,
+    saying ``what`` takes them."""
     steps = 0
-    seen = set()
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
+    for node in S.nodes(root):
         w = getattr(node, "window", None)
         if w is not None:
             steps += w.lo if w.hi is None else w.hi
         elif isinstance(node, S.Next):
             steps += 1
-        stack += [getattr(node, attr) for attr in ("arg", "left", "right") if hasattr(node, attr)]
     if steps > A.MAX_SUBSETS:
         raise UnsupportedFragmentError(
             f"{what} {steps} steps, more than the budget of {A.MAX_SUBSETS}"
@@ -285,11 +265,7 @@ def _build(expr: S.SreExpr, variables) -> _Frag:
     if isinstance(expr, S.Epsilon):
         return _Frag(1, {0}, {0}, [], [])
     if isinstance(expr, S.SreBasic):
-        guard = expr.pred
-        if not P.is_sat(guard):
-            # an unsatisfiable proposition still matches the empty segment
-            return _Frag(1, {0}, {0}, [], [])
-        return _Frag(2, {0}, {0, 1}, [(0, guard, 1), (1, guard, 1)], [])
+        return _Frag(2, {0}, {0, 1}, [(0, expr.pred, 1), (1, expr.pred, 1)], [])
     if isinstance(expr, S.SreConcat):
         left = _build(expr.left, variables)
         right = _shift(_build(expr.right, variables), left.n)

@@ -7,6 +7,7 @@ import pytest
 from arv import predicate as P
 from arv.automaton import (
     _minterms,
+    _region_dnf,
     canonicalize,
     complement,
     decorate,
@@ -182,7 +183,7 @@ def test_minterms_partition_the_space_and_match_each_guard():
                 a, b = rng.choice(variables), rng.choice(variables)
                 text = rng.choice(GUARD_SHAPES).format(a=a, b=b)
             guards.append(g(text))
-        cells = _minterms(guards, variables)
+        cells = [(_region_dnf(boxes, variables), covers) for boxes, covers in _minterms(guards, variables)]
         assert len({covers for _, covers in cells}) == len(cells)
         for point in _arrangement_points(guards, variables):
             holding = [covers for dnf, covers in cells if P.evaluate(point, dnf)]

@@ -153,6 +153,9 @@ def test_trace_distance_brute_force_examples():
     t2 = tr(3, 4)
     sat = parse_stl("G x <= 4")
     assert trace_distance_brute_force(t2, sat, MINMAX, PointwiseDistance.ABS_DIFF, range(0, 5)) == 0.0
+    bare = Trace((), [{}, {}])
+    assert trace_distance_brute_force(bare, parse_stl("F true"), MINMAX, PointwiseDistance.ABS_DIFF, range(0, 5)) == 0.0
+    assert trace_distance_brute_force(bare, parse_stl("G false"), TROPICAL, PointwiseDistance.ABS_DIFF, range(0, 5)) == INF
 
 
 def test_trace_distance_brute_force_bound():

@@ -2,6 +2,7 @@ import csv
 import io
 import math
 import random
+import re
 
 import pytest
 
@@ -433,6 +434,8 @@ def test_trace_stores_its_columns():
     assert len(t) == 2
     assert t.samples == [{"x": 1.0, "y": 2.0}, {"x": 3, "y": -1.5}]
     assert t.samples is t.samples
+    u = Trace.from_columns(("x", "y"), {"x": [1.0, 3], "y": [2.0, -1.5]})
+    assert len(u) == 2 and u.samples == t.samples
     nothing = Trace((), [{}, {}, {}])
     assert len(nothing) == 3 and nothing.samples == [{}, {}, {}]
 
@@ -498,6 +501,55 @@ def test_trace_rejects_non_finite_sample_naming_index_and_variable(bad):
 def test_trace_rejects_non_numeric_sample_naming_index_and_variable(bad):
     with pytest.raises(ParseError, match=r"non-numeric value .* at sample 1, variable 'y'"):
         Trace(("x", "y"), [{"x": 1.0, "y": 2.0}, {"x": 1.0, "y": bad}])
+
+
+@pytest.mark.parametrize("bad, kind", [
+    (math.nan, "non-finite"), (math.inf, "non-finite"), (-math.inf, "non-finite"),
+    ("3", "non-numeric"), (None, "non-numeric"),
+])
+def test_from_columns_names_the_first_bad_value_in_sample_order(bad, kind):
+    with pytest.raises(ParseError, match=rf"^{kind} value {re.escape(repr(bad))} at sample 1, variable 'y'$"):
+        Trace.from_columns(("x", "y"), {"x": [1.0, 2.0, bad], "y": [2.0, bad, 3.0]})
+    with pytest.raises(ParseError, match=r"at sample 1, variable 'x'$"):
+        Trace.from_columns(("x", "y"), {"x": [1.0, bad], "y": [2.0, bad]})
+
+
+@pytest.mark.parametrize("variables, columns", [
+    (("x", "y"), {"x": [1.0, 2.0, 3.0], "y": [1.0]}),
+    (("x", "y"), {"x": [1.0]}),
+    (("x",), {"x": []}),
+    ((), {}),
+])
+def test_from_columns_rejects_ragged_or_empty_columns(variables, columns):
+    with pytest.raises(ValueError):
+        Trace.from_columns(variables, columns)
+
+
+def test_robustness_refuses_a_nan_column_trace():
+    from arv.monitor import robustness
+    from arv.semiring import TROPICAL
+
+    with pytest.raises(ParseError, match=r"^non-finite value nan at sample 0, variable 'x'$"):
+        robustness(
+            Trace.from_columns(("x", "y"), {"x": [math.nan, 1.0], "y": [1.0, 1.0]}),
+            parse_stl("G(x <= 5 -> F[0,2] y >= 2)"),
+            TROPICAL,
+        )
+
+
+def test_spec_walks_return_on_ten_thousand_parts():
+    """The variables functions and the window count share one iterative
+    walk, so a flat conjunction or sequence far deeper than the
+    recursion limit is scanned."""
+    from arv.translate import _window_steps
+
+    n = 10_000
+    flat = parse_stl(" && ".join(f"x{i % 7} >= {i}" for i in range(n)))
+    assert S.stl_variables(flat) == {f"x{k}" for k in range(7)}
+    assert _window_steps(flat, "unfolding takes") == 0
+    seq = parse_sre(" ; ".join(f"<y{i % 5} <= {i}>[0,2]" for i in range(n)))
+    assert S.sre_variables(seq) == {f"y{k}" for k in range(5)}
+    assert _window_steps(seq, "durations take") == 2 * n
 
 
 def test_trace_csv_rejects_malformed_csv(tmp_path):

@@ -221,3 +221,23 @@ def test_window_steps_walk_a_concatenation_deeper_than_the_recursion_limit():
     for i in range(depth):
         expr = SreConcat(expr, SreDuration(SreBasic(P.parse_predicate("y >= 0")), TimeWindow(i % 3, 2)))
     assert _window_steps(expr, "the expression's durations take") == 2 * depth
+
+
+def test_compiling_prunes_guards_on_their_normal_form(monkeypatch):
+    """The tableau, the SRE builder and ``product`` never ask ``is_sat``:
+    a guard is dropped when its normal form is false, and an
+    unsatisfiable proposition still matches only the empty segment."""
+    from arv.monitor import build_monitor_pair
+    from arv.semiring import MINMAX
+    from arv.speclang import parse_spec_text
+    from conftest import benchmark_entries
+
+    def refuse(dnf):
+        raise AssertionError("is_sat called while compiling")
+
+    monkeypatch.setattr(P, "is_sat", refuse)
+    for e in benchmark_entries():
+        build_monitor_pair(parse_spec_text(e.spec_text)[1], MINMAX)
+    a = translate_sre(parse_sre("x <= 1 ; (x >= 5 && x < 5) ; y >= 2"))
+    assert accepts(a, Trace(("x", "y"), [{"x": 0.0, "y": 3.0}]))
+    assert not accepts(translate_sre(parse_sre("(x >= 5 && x < 5)*")), Trace(("x",), [{"x": 5.0}]))

@@ -27,7 +27,8 @@ from . import predicate as P
 from .distance import PointwiseDistance, default_distance, vpd
 from .errors import ArvError, ParseError, UnsupportedFragmentError
 from .semiring import SEMIRINGS, TROPICAL, by_name
-from .speclang import parse_spec_text, read_trace_csv, read_utf8
+# ``read_trace_csv`` stays importable here: perfbench/spans.py wraps ``arv.cli.read_trace_csv``
+from .speclang import parse_spec_text, read_trace_csv, read_utf8, trace_blocks  # noqa: F401
 
 
 def _json_value(x: float):
@@ -45,12 +46,16 @@ def _verdict_doc(verdict: M.RobustnessVerdict) -> dict:
     }
 
 
-def _atomic_write(path: Path, text: str):
+@contextlib.contextmanager
+def _atomic_write(path: Path):
+    """A text file on ``PATH.tmp``, renamed to ``path`` once the block
+    ends; on any error it is removed and ``path`` is left as it was."""
     tmp = path.with_name(path.name + ".tmp")
     try:
-        tmp.write_text(text, encoding="utf-8")
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
         os.replace(tmp, path)
-    except OSError:
+    except BaseException:
         with contextlib.suppress(OSError):
             tmp.unlink()
         raise
@@ -98,20 +103,24 @@ def cmd_monitor(args) -> int:
     _, spec = _load_spec(args.spec)
     w_pos, w_neg = M.build_monitor_pair(spec, by_name(args.semiring))
     for trace_path in args.trace:
-        trace = read_trace_csv(trace_path)
+        blocks = trace_blocks(trace_path)
         if args.prefix_series:
-            lines = ["t,rho,satisfied"]
-            cells: dict = {}  # (rho, satisfied) -> its two cells, formatted once
-            for t, (rho, satisfied, _, _) in enumerate(M.verdict_rows(trace, w_pos, w_neg), start=1):
-                cell = cells.get((rho, satisfied))
-                if cell is None:
-                    cell = cells[rho, satisfied] = f"{_fmt_num(rho)},{'true' if satisfied else 'false'}"
-                lines.append(f"{t},{cell}")
-            _atomic_write(_out_path(args.prefix_series, trace_path, many), "\n".join(lines) + "\n")
+            t = 0
+            with _atomic_write(_out_path(args.prefix_series, trace_path, many)) as fh:
+                fh.write("t,rho,satisfied\n")
+                for rows in M.verdict_rows(blocks, w_pos, w_neg):
+                    lines = []
+                    cells: dict = {}  # (rho, satisfied) -> its two cells, formatted once a block
+                    for t, (rho, satisfied, _, _) in enumerate(rows, start=t + 1):
+                        cell = cells.get((rho, satisfied))
+                        if cell is None:
+                            cell = cells[rho, satisfied] = f"{_fmt_num(rho)},{'true' if satisfied else 'false'}"
+                        lines.append(f"{t},{cell}\n")
+                    fh.write("".join(lines))
             status = "satisfied" if satisfied else "violated"
             print(f"{trace_path}: prefix series of {t} rows, final rho = {_fmt_num(rho)} ({status})")
         else:
-            verdict = M.verdict(trace, w_pos, w_neg)
+            verdict = M.verdict(blocks, w_pos, w_neg)
             status = "satisfied" if verdict.satisfied else "violated"
             print(
                 f"{trace_path}: rho = {_fmt_num(verdict.rho)} ({status}), "
@@ -120,7 +129,8 @@ def cmd_monitor(args) -> int:
             if args.json or args.out:
                 text = json.dumps(_verdict_doc(verdict), indent=2) + "\n"
                 if args.out:
-                    _atomic_write(_out_path(args.out, trace_path, many), text)
+                    with _atomic_write(_out_path(args.out, trace_path, many)) as fh:
+                        fh.write(text)
                 else:
                     sys.stdout.write(text)
     return 0
@@ -144,9 +154,11 @@ def cmd_translate(args) -> int:
         f"{len(dfa.final)} accepting"
     )
     if args.dot:
-        _atomic_write(Path(args.dot), A.to_dot(dfa))
+        with _atomic_write(Path(args.dot)) as fh:
+            fh.write(A.to_dot(dfa))
     if args.json_out:
-        _atomic_write(Path(args.json_out), A.to_json(dfa))
+        with _atomic_write(Path(args.json_out)) as fh:
+            fh.write(A.to_json(dfa))
     return 0
 
 

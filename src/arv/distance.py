@@ -22,6 +22,7 @@ builds the tables of a whole trace an atom at a time, over its columns.
 from __future__ import annotations
 
 import enum
+import operator
 
 from .errors import ParseError, UnboundVariableError
 from .predicate import Cmp, Dnf, Top, _clause_sat, _index, dnf_variables
@@ -136,6 +137,7 @@ class Scorer:
         self._discrete = dist is PointwiseDistance.DISCRETE01
         self.table = _table(self.atoms, dist)
         self.semiring = semiring
+        self._compound_units = semiring.e_plus, semiring.e_times, semiring.otimes is operator.add
         self.recipes: dict = {}  # truth vector -> (shape id, compounds)
         self._shape_ids: dict = {}  # slots -> shape id
         self.shapes: list = []  # per shape id, its slots
@@ -198,16 +200,15 @@ class Scorer:
         return recipe
 
     def compound(self, dists: list, compounds) -> None:
-        """Append each compound weight to the atoms' distances (⊕ = min)."""
-        e_plus = self.semiring.e_plus
-        e_times = self.semiring.e_times
-        otimes = self.semiring.otimes
+        """Append each compound weight to the atoms' distances (⊕ = min, ⊗ as ``+`` or max)."""
+        e_plus, e_times, add = self._compound_units
         for clauses in compounds:
             best = e_plus
             for atoms in clauses:
                 acc = e_times
                 for a in atoms:
-                    acc = otimes(acc, dists[a])
+                    w = dists[a]
+                    acc = acc + w if add else w if w > acc else acc
                 if acc < best:
                     best = acc
             dists.append(best)

@@ -14,8 +14,8 @@ destinations its cost passes to unchanged (a guard that holds) and the
 ``(destination, slot)`` pairs it is ⊗-ed into.  A step allocates and
 touches only live entries, and its work is independent of trace length.
 These are built once per weighted automaton and shared by its streams.
-``step`` fills the table from one sample, ``Scorer.tables`` those of a
-whole trace a column at a time, and both feed one relax, ``advance``.
+``step`` fills the table from one sample, ``advance`` those of a block
+of samples a column at a time, and both feed one relax, ``_relax``.
 
 A specification compiles to one minimal complete DFA over the minterms
 of its automaton's guards, ``spec_dfa``, which ``arv translate``
@@ -28,23 +28,24 @@ robustness verdict combines the two into a signed degree; the
 qualitative verdict, which resolves the sign when the degree is zero,
 is the DFA's own run in the same pass: exactly one minterm holds, so
 the run moves to its location's one free destination in the step's
-plan.  ``verdict_rows`` reads each prefix's verdict inside its loop, as
-a plain tuple; ``verdict`` reads once, after the last sample.
+plan.  ``verdict_rows`` has the relax read each prefix's verdict as a
+plain tuple; ``verdict`` reads once, after the last sample.  Each
+whole-trace function takes a ``Trace`` or its ``speclang.trace_blocks``.
 """
 
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import replace
+from itertools import chain
 from typing import NamedTuple
 
 from . import automaton as A
 from . import speclang as S
 from .distance import HELD, PointwiseDistance, Valuation, default_distance
 from .errors import UnboundVariableError
-from .semiring import Semiring, SemiringValue, to_signed
+from .semiring import INF, Semiring, SemiringValue, to_signed
 from .speclang import SreExpr, StlFormula, Trace
 from .translate import translate_sre, translate_stl
 
@@ -71,7 +72,8 @@ class _LiveSet:
 class _Program:
     """What the streams over one weighted automaton share: its guards'
     ``Scorer``, per source location its ``(destination, guard index)``
-    edges, and the memo of live sets with their successors and plans."""
+    edges, the memo of live sets with their successors and plans, and
+    their relax."""
 
     def __init__(self, w: A.WeightedAutomaton):
         base = w.base
@@ -80,8 +82,8 @@ class _Program:
         for (src, _, dst), j in zip(base.transitions, index):
             self.out[src].append((dst, j))
         self.final = base.final
-        self.add = w.semiring.otimes is operator.add  # else ⊗ is max
         self.live_sets: dict = {}
+        self.relax = _relax(self, w.semiring)
 
     def live_set(self, members) -> _LiveSet:
         members = frozenset(members)
@@ -113,10 +115,62 @@ class _Program:
         return plan
 
 
-class ValueStream:
-    """Online evaluator: feed samples (``step``) or atom tables (``advance``).
+def _relax(prog: _Program, semiring: Semiring):
+    """The one relax, ``relax(stream, tables, rows)``: per atom table of a
+    block, the recipe of its truths and the live set's plan for their
+    shape, then a free edge passes its source's cost on and a priced one
+    ⊗s it with its slot's weight, written out as ``+`` or max (⊕ is min,
+    so relaxing is one comparison).  A monitor pair's stream (``_stream``)
+    also moves the DFA's run along its one free edge, so the run costs
+    ``e_times`` and, with a list ``rows``, each prefix's verdict is read
+    from a min over the other side alone, ``_rho``'s sign rule written
+    out.  The stream's live set, costs and run carry over to the next
+    block."""
+    recipes, recipe, compound = prog.scorer.recipes, prog.scorer.recipe, prog.scorer.compound
+    make_plan, add = prog.make_plan, semiring.otimes is operator.add  # else ⊗ is max
+    e_plus, e_times = semiring.e_plus, semiring.e_times
 
-    After ``k`` steps, ``value`` equals the batch computation on the
+    def relax(stream, tables, rows):
+        live, costs, run = stream._live, stream._costs, stream._run
+        for truths, distances in tables:
+            shape, compounds = recipes.get(truths) or recipe(truths)
+            if compounds:
+                compound(distances, compounds)
+            nxt, plan = live.plans.get(shape) or make_plan(live, shape)
+            new_costs = [e_plus] * len(nxt.members)
+            for c, (free, priced) in zip(costs, plan):
+                if c == e_plus:
+                    continue
+                for d in free:
+                    if c < new_costs[d]:
+                        new_costs[d] = c
+                for d, s in priced:
+                    w = distances[s]
+                    v = c + w if add else w if w > c else c
+                    if v < new_costs[d]:
+                        new_costs[d] = v
+            costs, live = new_costs, nxt
+            if run is None:
+                continue
+            run = plan[run][0][0]
+            if rows is None:
+                continue
+            k, n = live.n_final, len(costs)
+            if run < k:
+                d_not_phi = costs[k] if k + 1 == n else min(costs[k:]) if k < n else e_plus
+                rows.append(((d_not_phi or 0.0) if k < n else INF, True, e_times, d_not_phi))
+            else:
+                d_phi = costs[0] if k == 1 else min(costs[:k]) if k else e_plus
+                rows.append(((-d_phi if d_phi else 0.0) if k else -INF, False, d_phi, e_times))
+        stream._live, stream._costs, stream._run = live, costs, run
+
+    return relax
+
+
+class ValueStream:
+    """Online evaluator: feed samples (``step``) or blocks (``advance``).
+
+    After ``k`` samples, ``value`` equals the batch computation on the
     first ``k`` samples.  ``path_exists`` tells whether the automaton
     has any accepting transition sequence of the consumed length at all,
     which distinguishes "far from the language" from "the language has
@@ -140,13 +194,13 @@ class ValueStream:
         if prog is None:  # a flipped copy is a new automaton, with its own
             prog = _Program(w)
             object.__setattr__(w, "_program", prog)
-        self._prog = prog
         self._scorer = prog.scorer
         self._live_sets = prog.live_sets
         self._semiring = w.semiring
+        self._relax = prog.relax
         self._live = prog.live_set(w.base.initial)
         self._costs = [w.semiring.e_times] * len(self._live.members)
-        self._plan = None  # the plan of the last step
+        self._run = None  # a DFA's own location, as an index into the live set
 
     @property
     def costs(self) -> dict:
@@ -170,41 +224,20 @@ class ValueStream:
 
     def step(self, valuation: Valuation) -> None:
         """One sample: its atom table (``Scorer.table``; ``ParseError`` for a
-        value that is not a finite number), then ``advance``."""
+        value that is not a finite number), relaxed as a block of one."""
         try:
-            truths, distances = self._scorer.table(valuation)
+            table = self._scorer.table(valuation)
         except KeyError as exc:
             raise UnboundVariableError(f"unbound variable {exc.args[0]!r}") from None
-        self.advance(truths, distances)
+        self._relax(self, (table,), None)
 
-    def advance(self, truths, distances: list) -> None:
-        """Consume one sample given its atom table: look up the recipe of
-        its truths and the live set's plan for its shape, then relax: a
-        free edge passes its source's cost on, a priced one ⊗s it with its
-        slot's weight, written out as ``+`` or max (⊕ is min, so relaxing
-        is one comparison)."""
-        scorer = self._scorer
-        shape, compounds = scorer.recipes.get(truths) or scorer.recipe(truths)
-        if compounds:
-            scorer.compound(distances, compounds)
-        live = self._live
-        self._plan = nxt, rows = live.plans.get(shape) or self._prog.make_plan(live, shape)
-        e_plus = self._semiring.e_plus
-        add = self._prog.add
-        new_costs = [e_plus] * len(nxt.members)
-        for c, (free, priced) in zip(self._costs, rows):
-            if c == e_plus:
-                continue
-            for d in free:
-                if c < new_costs[d]:
-                    new_costs[d] = c
-            for d, s in priced:
-                w = distances[s]
-                v = c + w if add else w if w > c else c
-                if v < new_costs[d]:
-                    new_costs[d] = v
-        self._costs = new_costs
-        self._live = nxt
+    def advance(self, trace, rows: list | None = None) -> None:
+        """A ``Trace`` or its blocks (``speclang.trace_blocks``), block by
+        block: its atom tables (``Scorer.tables``), then the relax, which
+        for a monitor pair appends each prefix's verdict to a list ``rows``."""
+        for block in (trace,) if isinstance(trace, Trace) else trace:
+            _check_variables(self.w, block)
+            self._relax(self, self._scorer.tables(block), rows)
 
 
 def _check_variables(w: A.WeightedAutomaton, trace: Trace):
@@ -213,12 +246,10 @@ def _check_variables(w: A.WeightedAutomaton, trace: Trace):
         raise UnboundVariableError(f"trace lacks variables {sorted(missing)}")
 
 
-def trace_value(trace: Trace, w: A.WeightedAutomaton) -> SemiringValue:
+def trace_value(trace, w: A.WeightedAutomaton) -> SemiringValue:
     """Best accepting cost of the whole trace (batch form)."""
-    _check_variables(w, trace)
     stream = ValueStream(w)
-    for table in stream._scorer.tables(trace):
-        stream.advance(*table)
+    stream.advance(trace)
     return stream.value
 
 
@@ -239,10 +270,10 @@ class RobustnessVerdict(NamedTuple):
 
 def _rho(v1, exists1, v2, exists2, semiring: Semiring) -> float:
     if not exists1:
-        return -math.inf
+        return -INF
     if v1 == semiring.e_times:
         if not exists2:
-            return math.inf
+            return INF
         return to_signed(v2, negate=False)
     return to_signed(v1, negate=True)
 
@@ -269,49 +300,33 @@ def build_monitor_pair(spec, semiring: Semiring, dist: PointwiseDistance | None 
     return w, replace(w, base=A.flip(w.base))
 
 
-def _stream(trace: Trace, w_pos: A.WeightedAutomaton, w_neg: A.WeightedAutomaton):
-    """A fresh stream over ``w_pos``, once the pair (``ValueError``) and
-    the trace's variables (``UnboundVariableError``) are checked."""
+def _stream(w_pos: A.WeightedAutomaton, w_neg: A.WeightedAutomaton) -> ValueStream:
+    """A fresh stream over ``w_pos`` that moves the DFA's run, once the
+    pair is checked (``ValueError``)."""
     base = w_pos.base
     if (
         w_neg.base.transitions is not base.transitions
         or w_neg.base.final != frozenset(range(base.n_locations)) - base.final
     ):
         raise ValueError("verdicts needs the two sides of one build_monitor_pair")
-    _check_variables(w_pos, trace)
-    return ValueStream(w_pos)
+    stream = ValueStream(w_pos)
+    stream._run = 0  # from the DFA's one initial location
+    return stream
 
 
-def verdict_rows(trace: Trace, w_pos: A.WeightedAutomaton, w_neg: A.WeightedAutomaton):
-    """The pass behind ``verdicts``: one plain ``(rho, satisfied, d_phi,
-    d_not_phi)`` tuple per prefix, read in the loop as the min over the
-    first ``k`` (final) live costs, the min over the rest, and ``_rho``'s
-    sign rule written out."""
-    stream = _stream(trace, w_pos, w_neg)
-    advance = stream.advance
-    e_plus, e_times = stream._semiring.e_plus, stream._semiring.e_times
-    run = 0  # the DFA's own run, from its one initial location
-    for truths, distances in stream._scorer.tables(trace):
-        advance(truths, distances)
-        run = stream._plan[1][run][0][0]  # one minterm holds: its one free edge
-        costs = stream._costs
-        k = stream._live.n_final
-        d_phi = costs[0] if k == 1 else min(costs[:k]) if k else e_plus
-        d_not_phi = min(costs[k:]) if k < len(costs) else e_plus
-        if not k:
-            rho = -math.inf
-        elif d_phi != e_times:
-            rho = -d_phi if d_phi else 0.0
-        elif k == len(costs):
-            rho = math.inf
-        else:
-            rho = d_not_phi if d_not_phi else 0.0
-        yield rho, run < k, d_phi, d_not_phi
+def verdict_rows(trace, w_pos: A.WeightedAutomaton, w_neg: A.WeightedAutomaton):
+    """The pass behind ``verdicts``: per block of the trace, the list of
+    its prefixes' plain ``(rho, satisfied, d_phi, d_not_phi)`` tuples."""
+    stream = _stream(w_pos, w_neg)
+    for block in (trace,) if isinstance(trace, Trace) else trace:
+        rows: list = []
+        stream.advance(block, rows)
+        yield rows
 
 
-def verdicts(trace: Trace, w_pos: A.WeightedAutomaton, w_neg: A.WeightedAutomaton):
+def verdicts(trace, w_pos: A.WeightedAutomaton, w_neg: A.WeightedAutomaton):
     """One ``RobustnessVerdict`` per prefix of the trace, in one pass
-    (``verdict_rows``), yielded as each sample is consumed.
+    (``verdict_rows``), yielded block by block as it is consumed.
 
     ``w_pos``/``w_neg`` are a pair from ``build_monitor_pair``: one DFA
     and its flipped copy, so a single value stream serves both sides.
@@ -321,26 +336,17 @@ def verdicts(trace: Trace, w_pos: A.WeightedAutomaton, w_neg: A.WeightedAutomato
     positive final location.  ``ValueError`` if the two sides are not
     one such pair.
     """
-    yield from map(RobustnessVerdict._make, verdict_rows(trace, w_pos, w_neg))
+    yield from map(RobustnessVerdict._make, chain.from_iterable(verdict_rows(trace, w_pos, w_neg)))
 
 
-def verdict(
-    trace: Trace, w_pos: A.WeightedAutomaton, w_neg: A.WeightedAutomaton
-) -> RobustnessVerdict:
+def verdict(trace, w_pos: A.WeightedAutomaton, w_neg: A.WeightedAutomaton) -> RobustnessVerdict:
     """The last of ``verdicts``: the same relax and run, read once after
-    the last sample.  ``ValueError`` for a trace without samples (the
-    stream is never read before the first step)."""
-    if not len(trace):
-        raise ValueError("traces must contain at least one sample")
-    stream = _stream(trace, w_pos, w_neg)
-    advance = stream.advance
-    run = 0
-    for truths, distances in stream._scorer.tables(trace):
-        advance(truths, distances)
-        run = stream._plan[1][run][0][0]
+    the last sample."""
+    stream = _stream(w_pos, w_neg)
+    stream.advance(trace)
     d_phi, phi_exists, d_not_phi, not_phi_exists = stream._split()
     rho = _rho(d_phi, phi_exists, d_not_phi, not_phi_exists, stream._semiring)
-    return RobustnessVerdict(rho, run < stream._live.n_final, d_phi, d_not_phi)
+    return RobustnessVerdict(rho, stream._run < stream._live.n_final, d_phi, d_not_phi)
 
 
 def robustness(
@@ -360,6 +366,5 @@ def robustness_prefix_series(
     dist: PointwiseDistance | None = None,
 ) -> list[tuple[int, float, bool]]:
     """(t, rho, satisfied) for every prefix, in one pass."""
-    pair = build_monitor_pair(spec, semiring, dist)
-    rows = verdict_rows(trace, *pair)
+    rows = chain.from_iterable(verdict_rows(trace, *build_monitor_pair(spec, semiring, dist)))
     return [(t, rho, satisfied) for t, (rho, satisfied, _, _) in enumerate(rows, start=1)]

@@ -10,11 +10,14 @@ matches the full segment from position 0 to the trace length.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import inspect
 import io
+import itertools
 import math
+import re
 import threading
 import weakref
 from dataclasses import MISSING, dataclass, fields
@@ -278,15 +281,16 @@ class Trace:
         return self._length
 
 
-def _csv_rows(fh) -> list[tuple[int, list[str]]]:
-    """Non-blank CSV rows, each with the line number it ends on."""
+def _csv_rows(fh, offset: int = 0):
+    """Non-blank CSV rows, as they are parsed, each with the line number it
+    ends on plus ``offset``."""
     reader = csv.reader(fh)
     # the generator runs only for a row whose first cell is blank
-    return [
-        (reader.line_num, r)
+    return (
+        (offset + reader.line_num, r)
         for r in reader
         if r and (r[0].strip() or any(cell.strip() for cell in r))
-    ]
+    )
 
 
 def _bad_row(header, body) -> ParseError:
@@ -318,41 +322,99 @@ def read_utf8(path, source: str) -> str:
         raise ParseError(f"{source} is not UTF-8 text (byte {exc.start})") from None
 
 
+# the samples a trace is read, checked, scored and relaxed in at a time
+CHUNK_ROWS = 4096
+
+
 def read_trace_csv(path) -> Trace:
     """Header row of variable names, one numeric row per sample; blank
     lines skipped; a file may start with a UTF-8 byte-order mark.  Errors
-    name the file line of the first offending row.  The cells are
-    converted a column at a time and checked by ``Trace.from_columns``."""
+    name the file line of the first offending row.  This is
+    ``trace_blocks`` read to the end, as one trace."""
+    blocks = list(trace_blocks(path))
+    columns = {v: list(itertools.chain.from_iterable(b.columns[v] for b in blocks)) for v in blocks[0].variables}
+    return Trace.from_columns(blocks[0].variables, columns)
+
+
+def trace_blocks(path):
+    """A trace CSV file (see ``read_trace_csv``), decoded at once, as
+    ``Trace`` blocks of at most ``CHUNK_ROWS`` samples, each read when
+    asked for: in bulk (``_bulk_block``) if the file has no quote,
+    carriage return or NUL and starts with its header, else through
+    ``csv.reader``.  A block that does not convert is re-read row by row,
+    at its offset in the file, for ``_bad_row`` to name its first bad row."""
     source = f"trace file {path}"
     text = read_utf8(path, source)
     try:
-        rows = [r for r in csv.reader(io.StringIO(text, newline="")) if r]
+        try:
+            blocks = 0
+            for blocks, block in enumerate(filter(None, _blocks(text)), start=1):
+                yield block
+            if not blocks:
+                raise ParseError("trace file has no samples")
+        except ParseError:  # a CSV error anywhere in the file comes first
+            for _ in csv.reader(io.StringIO(text, newline="")):
+                pass
+            raise
     except csv.Error as exc:
         raise ParseError(f"{source} is not valid CSV: {exc}") from None
-    # the happy path, a clean header over rows of finite numbers; any other
-    # file is read again with line numbers, less its blank rows
-    header = tuple(h.strip() for h in rows[0]) if rows else ("",)
-    if all(header) and len(set(header)) == len(header):
-        try:
-            return Trace.from_columns(header, _columns(rows[1:], header))
-        except (ValueError, ParseError):
-            pass
-    rows = _csv_rows(io.StringIO(text, newline=""))
-    if not rows:
+
+
+def _blocks(text: str):
+    """``trace_blocks`` of a file's text, with None for a block of blank rows."""
+    end = text.find("\n") + 1 or len(text)
+    first, limit = text[:end].split(","), csv.field_size_limit()
+    if not any(map(str.strip, first)) or max(map(len, first)) > limit or any(c in text for c in '"\r\0'):
+        rows = _csv_rows(io.StringIO(text, newline=""))
+        header = _header(next(rows, (0, None))[1])
+        while batch := list(itertools.islice(rows, CHUNK_ROWS)):
+            yield _rows_block(header, batch)
+        return
+    header, line = _header(first), 1  # the lines before the block
+    for match in re.compile(r"(?:.*\n){1,%d}|.+" % CHUNK_ROWS).finditer(text, end):
+        block = match.group().removesuffix("\n") + "\n"
+        yield _bulk_block(header, block, limit) or _rows_block(
+            header, list(_csv_rows(io.StringIO(block, newline=""), line))
+        )
+        line += block.count("\n")
+
+
+def _header(cells) -> tuple:
+    """The names of a header row's cells (None: no header row)."""
+    if cells is None:
         raise ParseError("trace file has no header row")
-    header = tuple(h.strip() for h in rows[0][1])
+    header = tuple(h.strip() for h in cells)
     for col, name in enumerate(header, start=1):
         if not name:
             raise ParseError(f"trace header column {col} has no name")
         if name in header[: col - 1]:
             raise ParseError(f"trace header names column {name!r} twice")
-    body = rows[1:]
-    if not body:
-        raise ParseError("trace file has no samples")
+    return header
+
+
+def _bulk_block(header, block: str, limit: int):
+    """Lines free of quotes, each ending in a newline, as a ``Trace``: one
+    split, one ``float`` per cell, a slice per column.  Each newline is a
+    cell of its own; with the right count of cells, one off its place
+    lands in a column, where ``float`` refuses it.  None for any other
+    block, or a cell that is not a finite number or over the field limit."""
+    width, rows = len(header) + 1, block.count("\n")
+    cells = block[:-1].replace("\n", ",\n,").split(",")
+    if len(cells) != rows * width - 1:
+        return None
+    with contextlib.suppress(ValueError, ParseError):
+        if len(block) <= limit or max(map(len, cells)) <= limit:
+            return Trace.from_columns(header, {v: list(map(float, cells[j::width])) for j, v in enumerate(header)})
+    return None
+
+
+def _rows_block(header, rows):
+    """Parsed rows with their line numbers as a ``Trace`` (None for no
+    rows), or the error of ``_bad_row``."""
     try:
-        return Trace.from_columns(header, _columns((row for _, row in body), header))
+        return Trace.from_columns(header, _columns((row for _, row in rows), header)) if rows else None
     except (ValueError, ParseError):
-        raise _bad_row(header, body) from None
+        raise _bad_row(header, rows) from None
 
 
 def _columns(rows, header) -> dict[str, list[float]]:

@@ -696,3 +696,74 @@ def test_prefix_series_matches_golden_file(tmp_path, capsys, name, semiring):
 def test_golden_series_hold_every_kind_of_rho():
     rhos = {line.split(",")[1] for f in SERIES.glob("*.csv") for line in f.read_text().splitlines()[1:]}
     assert {"-inf", "inf", "0"} < rhos
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_prefix_series_is_the_same_at_any_block_size(tmp_path, monkeypatch, rows):
+    """The golden series, written a block of 1 or 3 samples at a time."""
+    import arv.speclang
+
+    monkeypatch.setattr(arv.speclang, "CHUNK_ROWS", rows)
+    for name, text in SERIES_SPECS.items():
+        spec = write(tmp_path / "spec.txt", text)
+        trace = tmp_path / "t.csv"
+        write_trace_csv(random_trace(random.Random(name), ("x", "y"), 50, lo=0, hi=10), trace)
+        for semiring in ("boolean", "minmax", "tropical"):
+            out = tmp_path / "series.csv"
+            argv = ["monitor", "--spec", spec, "--trace", str(trace), "--semiring", semiring]
+            assert main(argv + ["--prefix-series", str(out)]) == 0
+            assert out.read_bytes() == (SERIES / f"{name}.{semiring}.csv").read_bytes()
+
+
+@pytest.mark.parametrize("mode", [["--prefix-series"], ["--out"], []])
+def test_a_bad_row_in_a_later_block_writes_and_prints_nothing(tmp_path, monkeypatch, capsys, mode):
+    """The first block is read and relaxed before the second one fails:
+    no output, no ``PATH.tmp`` and no verdict line are left behind, and
+    an output from an earlier run stays as it was."""
+    import arv.speclang
+
+    monkeypatch.setattr(arv.speclang, "CHUNK_ROWS", 2)
+    spec = write(tmp_path / "spec.stl", "G(x <= 10)\n")
+    trace = write(tmp_path / "t.csv", "x\n1\n2\n3\nabc\n5\n")
+    out = tmp_path / "out.csv"
+    argv = ["monitor", "--spec", spec, "--trace", trace, *mode, *([str(out)] if mode else [])]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: non-numeric cell in trace row 5, column 'x'\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.stl", "t.csv"]
+    if mode:
+        out.write_text("earlier\n")
+        assert main(argv) == 2
+        assert out.read_text() == "earlier\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "spec.stl", "t.csv"]
+
+
+@pytest.mark.parametrize("series", [False, True])
+def test_many_traces_keep_their_order_across_blocks(tmp_path, monkeypatch, capsys, series):
+    """With several ``--trace`` files read a block of 2 samples at a time,
+    each verdict line comes in argument order and reads as when that
+    trace is monitored alone."""
+    import arv.speclang
+
+    monkeypatch.setattr(arv.speclang, "CHUNK_ROWS", 2)
+    spec = write(tmp_path / "spec.stl", "G(x <= 5 -> F[0,2] x >= 2)\n")
+    rng = random.Random(5)
+    traces = []
+    for name in ("c", "a", "b"):
+        path = tmp_path / f"{name}.csv"
+        write_trace_csv(random_trace(rng, ("x",), rng.randint(3, 9), lo=0, hi=8), path)
+        traces.append(str(path))
+
+    def run(paths):
+        argv = ["monitor", "--spec", spec]
+        for p in paths:
+            argv += ["--trace", p]
+        if series:
+            argv += ["--prefix-series", str(tmp_path / "s.csv")]
+        assert main(argv) == 0
+        return capsys.readouterr().out.splitlines()
+
+    alone = [run([p])[0] for p in traces]
+    assert run(traces) == alone
+    assert run(traces[::-1]) == alone[::-1]

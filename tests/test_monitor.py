@@ -605,24 +605,6 @@ def test_costs_match_path_enumeration_where_guards_overlap(semiring, compiled):
         assert max(free) >= 2
 
 
-def test_verdict_refuses_an_empty_trace_before_reading_the_stream(monkeypatch):
-    """``w_pos`` of an STL pair accepts the empty trace, so the verdict of
-    zero samples would read a stream that never stepped."""
-    pair = build_monitor_pair(parse_stl(MONITORED[0]), MINMAX)
-    assert ValueStream(pair[0]).path_exists
-
-    def forbidden(*_args):
-        raise AssertionError("stream built for an empty trace")
-
-    monkeypatch.setattr(ValueStream, "__init__", forbidden)
-    empty = object.__new__(Trace)
-    empty.variables = ("x",)
-    empty.columns = {"x": []}
-    empty._length = 0
-    with pytest.raises(ValueError, match="traces must contain at least one sample"):
-        verdict(empty, *pair)
-
-
 def test_verdict_is_the_last_of_verdicts():
     from arv.generators import random_sre
 
@@ -811,3 +793,34 @@ def test_a_step_refuses_a_value_that_is_not_a_finite_number(valuation, message):
     with pytest.raises(ParseError) as err:
         stream.step(valuation)
     assert str(err.value) == message
+
+
+def test_a_trace_in_blocks_reads_as_the_whole_trace():
+    """The live set, the costs and the DFA's run carry from one block to
+    the next: ``verdicts``, ``verdict`` and ``trace_value`` over a trace
+    cut into blocks of random sizes equal those over the whole trace
+    (compared by ``repr``), and so do ``step`` and ``advance`` fed the
+    samples of one stream in turn."""
+    from arv.generators import random_sre
+
+    rng = random.Random(3003)
+    for k in range(80):
+        spec = (random_stl if k % 2 else random_sre)(rng, ["x", "y"], depth=2)
+        trace = random_trace(rng, ("x", "y"), rng.randint(1, 12), lo=0, hi=6)
+        cuts = sorted(rng.sample(range(1, len(trace)), rng.randint(0, len(trace) - 1)))
+        blocks = [
+            Trace.from_columns(trace.variables, {v: col[a:b] for v, col in trace.columns.items()})
+            for a, b in zip([0, *cuts], [*cuts, len(trace)])
+        ]
+        for sr in ALL:
+            pair = build_monitor_pair(spec, sr)
+            assert repr(list(verdicts(iter(blocks), *pair))) == repr(list(verdicts(trace, *pair)))
+            assert repr(verdict(iter(blocks), *pair)) == repr(verdict(trace, *pair))
+            assert trace_value(iter(blocks), pair[0]) == trace_value(trace, pair[0])
+            stream = ValueStream(pair[0])
+            for i, sample in enumerate(trace.samples):
+                if i % 2:
+                    stream.step(sample)
+                else:
+                    stream.advance(Trace(trace.variables, [sample]))
+            assert stream.value == trace_value(trace, pair[0])

@@ -373,7 +373,7 @@ def test_trace_csv_reports_the_first_bad_row_in_file_order(tmp_path, text):
 def _row_at_a_time_error(text):
     """The error of reading the rows one at a time, each row's cell count
     checked first and then its cells left to right."""
-    rows = S._csv_rows(io.StringIO(text, newline=""))
+    rows = list(S._csv_rows(io.StringIO(text, newline="")))
     header = tuple(h.strip() for h in rows[0][1])
     for lineno, row in rows[1:]:
         if len(row) != len(header):
@@ -388,14 +388,11 @@ def _row_at_a_time_error(text):
     return "trace file has no samples" if len(rows) == 1 else None
 
 
-def test_trace_csv_errors_match_a_row_at_a_time_read(tmp_path):
-    """Seeded files with several faults (wrong cell counts, text, nan,
-    inf) at random rows and columns: the columnar reader reports what a
-    row-at-a-time read reports, and a clean file reads back its values."""
+def _seeded_csv_texts():
+    """400 seeded files with several faults (wrong cell counts, text, nan,
+    inf) at random rows and columns, and blank rows."""
     rng = random.Random(2005)
-    p = tmp_path / "t.csv"
     faults = ("", "abc", "nan", "inf", "-inf", "1e999", None, "extra")
-    clean = 0
     for _ in range(400):
         width = rng.randint(1, 3)
         lines = [",".join("xyz"[:width])]
@@ -412,12 +409,20 @@ def test_trace_csv_errors_match_a_row_at_a_time_read(tmp_path):
             lines.append(",".join(cells) if cells else "")
             if rng.random() < 0.1:
                 lines.append("")
-        text = "\n".join(lines) + "\n"
+        yield "\n".join(lines) + "\n"
+
+
+def test_trace_csv_errors_match_a_row_at_a_time_read(tmp_path):
+    """On the seeded files, the reader reports what a row-at-a-time read
+    reports, and a clean file reads back its values."""
+    p = tmp_path / "t.csv"
+    clean = 0
+    for text in _seeded_csv_texts():
         p.write_text(text)
         expected = _row_at_a_time_error(text)
         if expected is None:
             clean += 1
-            rows = [row for _, row in S._csv_rows(io.StringIO(text, newline=""))[1:]]
+            rows = [row for _, row in list(S._csv_rows(io.StringIO(text, newline="")))[1:]]
             assert read_trace_csv(p).samples == [
                 {v: float(c) for v, c in zip("xyz", row)} for row in rows
             ]
@@ -426,6 +431,100 @@ def test_trace_csv_errors_match_a_row_at_a_time_read(tmp_path):
                 read_trace_csv(p)
             assert str(err.value) == expected
     assert 50 < clean < 350
+
+
+def _read_outcome(path):
+    """A trace file read to its ``(variables, columns)``, or to its error text."""
+    try:
+        trace = read_trace_csv(path)
+    except ParseError as err:
+        return str(err)
+    return trace.variables, trace.columns
+
+
+# files whose quoted cells, blank rows, line ends and faults fall on the
+# edges of small blocks
+BLOCK_EDGE_FILES = [
+    b'x,y\n1,2\n"3\n",4\n5,6\n7,8\n',  # a quoted cell over two lines
+    b'x,y\n1,2\n3,"4\n\n"\n5,abc\n',
+    b"x,y\r\n1,2\r\n3,4\r\n\r\n5,6\r\n7,8",  # CRLF, no final line end
+    b"x,y\r\n1,2\r\n3,nan\r\n",
+    b"\xef\xbb\xbfx,y\n1,2\n3,4\n5,6\n",  # a byte-order mark
+    b"\xef\xbb\xbfx,y\n1,2\n3,4\n5,zz\n",
+    b"x,y\n1,2\n\n \n3,4\n , \n\t\n5,6\n\n",  # blank and whitespace-only rows
+    b"x,y\n1,2\n\n \n3,4\n , \n5,\n",
+    b"\nx,y\n\n1,2\n3,4\n",  # blank lines before the header
+    b"x\n" + b"1\n" * 20 + b"\xff\n",  # a bad byte after the first block
+    b"x,y\n" + b"1,2\n" * 9 + b"3,nan\n",  # a NaN in the last row
+    b"x,y\n" + b"1,2\n" * 9 + b"3,4",
+    b"x,y\n" + b"1,2\n" * 9 + b"3,q",  # a bad last line, without its newline
+    b"x,y\n1,2,3\n4\n5,6\n",  # cell counts that add up to two rows' worth
+    b"x,x\n1,2\n",
+    b"x,y\n\n\n",
+]
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 7])
+def test_block_size_changes_no_trace_and_no_error(tmp_path, monkeypatch, rows):
+    """Read in blocks of 1, 2, 3 or 7 rows, every file gives the trace, or
+    the error text, that the default block size gives: the seeded files
+    above and files with quoted multi-line cells, CRLF line ends, a
+    byte-order mark, blank rows, a bad UTF-8 byte, a NaN or a bad last
+    line at a block edge."""
+    p = tmp_path / "t.csv"
+    files = [text.encode() for text in _seeded_csv_texts()] + BLOCK_EDGE_FILES
+    expected = []
+    for data in files:
+        p.write_bytes(data)
+        expected.append(_read_outcome(p))
+    monkeypatch.setattr(S, "CHUNK_ROWS", rows)
+    for data, want in zip(files, expected):
+        p.write_bytes(data)
+        assert _read_outcome(p) == want, data
+    assert expected[len(files) - len(BLOCK_EDGE_FILES) :][:4] == [
+        (("x", "y"), {"x": [1.0, 3.0, 5.0, 7.0], "y": [2.0, 4.0, 6.0, 8.0]}),
+        "non-numeric cell in trace row 6, column 'y'",
+        (("x", "y"), {"x": [1.0, 3.0, 5.0, 7.0], "y": [2.0, 4.0, 6.0, 8.0]}),
+        "non-finite value 'nan' in trace row 3, column 'y'",
+    ]
+    assert expected[-7] == f"trace file {p} is not UTF-8 text (byte 42)"
+    assert expected[-6] == "non-finite value 'nan' in trace row 11, column 'y'"
+    assert expected[-4:-2] == [
+        "non-numeric cell in trace row 11, column 'y'",
+        "trace row 2 has 3 cells, expected 2",
+    ]
+
+
+@pytest.mark.parametrize("rows", [1, 3, 4096])
+def test_a_csv_error_anywhere_comes_before_a_bad_row(tmp_path, monkeypatch, rows):
+    """As when the whole file was parsed before any row was checked: a
+    cell over the CSV field limit, alone or after a bad row or a bad
+    header, or in the header, is what the reader reports."""
+    monkeypatch.setattr(S, "CHUNK_ROWS", rows)
+    p = tmp_path / "t.csv"
+    texts = [
+        "x,y\n1,abc\n2,3\n4,1234567890123\n",
+        "x,x\n1,2\n2,3\n4,1234567890123\n",
+        "x,y\n1,2\n4,0000000000001\n",
+        "x,yyyyyyyyyyyyy\n1,2\n",
+    ]
+    limit = csv.field_size_limit(12)
+    try:
+        for text in texts:
+            p.write_text(text)
+            with pytest.raises(ParseError, match=r"is not valid CSV: field larger than field limit \(12\)$"):
+                read_trace_csv(p)
+    finally:
+        csv.field_size_limit(limit)
+
+
+def test_trace_blocks_hold_at_most_chunk_rows_samples(tmp_path, monkeypatch):
+    monkeypatch.setattr(S, "CHUNK_ROWS", 3)
+    p = tmp_path / "t.csv"
+    p.write_text("x\n" + "".join(f"{i}\n" for i in range(8)))
+    blocks = list(S.trace_blocks(p))
+    assert [b.columns["x"] for b in blocks] == [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0], [6.0, 7.0]]
+    assert read_trace_csv(p).columns == {"x": [float(i) for i in range(8)]}
 
 
 def test_trace_stores_its_columns():
@@ -479,7 +578,7 @@ def test_csv_rows_skip_exactly_the_blank_rows():
     """Blank lines and rows of blank cells are dropped; a row with any
     non-blank cell is kept, also when its first cell is blank."""
     text = "x,y\n\n , \n,5\n1,\n \t,\n3,4\n,\n"
-    rows = S._csv_rows(io.StringIO(text, newline=""))
+    rows = list(S._csv_rows(io.StringIO(text, newline="")))
     reference = csv.reader(io.StringIO(text, newline=""))
     expected = [(reference.line_num, r) for r in reference if any(cell.strip() for cell in r)]
     assert rows == expected

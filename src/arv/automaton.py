@@ -14,9 +14,10 @@ guard's clauses flat.  The algebra relies on interval reasoning for
 satisfiability, so no solver is needed.
 
 ``determinize`` splits the valuation space once into the minterms of an
-automaton's guards, runs the subset construction over minterm indices,
-minimizes by Hopcroft's partition refinement and merges the minterms no
-location tells apart (after D'Antoni & Veanes, *Minimization of Symbolic
+automaton's guards, runs the subset construction over minterm indices
+(pruned by simulation once it outgrows the automaton), minimizes by
+Hopcroft's partition refinement and merges the minterms no location
+tells apart (after D'Antoni & Veanes, *Minimization of Symbolic
 Automata*, POPL 2014).  The result is complete, with one transition per
 location and minterm, so ``flip`` (swapping its final set) complements it.
 """
@@ -158,6 +159,9 @@ def _minterms(guards, variables):
     for guard in guards:
         clauses = P.dnf_boxes(guard, variables)
         outside = complement_cover(clauses, len(variables))
+        if not outside:  # the guard always holds, so it splits no cell
+            cells = [(boxes, covers + (True,)) for boxes, covers in cells]
+            continue
         inside = clauses if len(clauses) == 1 else complement_cover(outside, len(variables))
         cells = [
             (part, covers + (side,))
@@ -181,17 +185,46 @@ def _subsets(a: SymbolicAutomaton, joined, inside, n_minterms):
     (source, destination) pairs to their guards' union, and
     ``inside[guard]`` lists the minterms inside that guard.  A location's
     successors on all minterms pack into one integer, ``n`` bits each, so
-    a subset's cost one OR per member.  Returns the subsets in discovery
-    order (the initial one first) and, per subset, the index of its
-    successor on each minterm.
+    a subset costs one OR per member.  Past ``4·n`` (or ``MAX_SUBSETS``)
+    subsets it restarts, pruned by ``_dominated`` (which keeps languages,
+    so the minimal DFA).  Returns the subsets in discovery order (the
+    initial one first) and, per subset, its successor on each minterm.
     """
     n = a.n_locations
-    mask = (1 << n) - 1
     spread = {g: sum(1 << (j * n) for j in js) for g, js in inside.items()}
     succ = [0] * n
     for (src, dst), guard in joined.items():
         succ[src] |= spread[guard] << dst
     start = sum(1 << q for q in a.initial)
+    found = _explore(start, succ, n, n_minterms, None, min(4 * n, MAX_SUBSETS))
+    if found is None:
+        pred = [0] * n
+        for (src, dst), guard in joined.items():
+            pred[dst] |= spread[guard] << src
+        kill = _dominated(pred, sum(1 << q for q in a.final), n_minterms)
+        found = _explore(start, succ, n, n_minterms, kill, MAX_SUBSETS)
+    if found is None:
+        raise UnsupportedFragmentError(
+            f"determinizing a {a.n_locations}-location automaton with "
+            f"{len(a.transitions)} transitions over {n_minterms} minterms "
+            f"exceeds {MAX_SUBSETS} subsets"
+        )
+    return found
+
+
+def _bits(mask):
+    """The indices of a bitmask's set bits, lowest first."""
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        yield low.bit_length() - 1
+
+
+def _explore(start, succ, n, n_minterms, kill, budget):
+    """The subsets reachable from ``start`` and their successor indices, or
+    None past ``budget`` subsets.  With ``kill``, a successor drops what its
+    members kill, and ``index`` maps it unpruned to its pruned index too."""
+    mask = (1 << n) - 1
     index = {start: 0}
     order = [start]
     delta = []
@@ -208,17 +241,51 @@ def _subsets(a: SymbolicAutomaton, joined, inside, n_minterms):
             packed >>= n
             k = index.get(target)
             if k is None:
-                if len(order) >= MAX_SUBSETS:
-                    raise UnsupportedFragmentError(
-                        f"determinizing a {a.n_locations}-location automaton with "
-                        f"{len(a.transitions)} transitions over {n_minterms} minterms "
-                        f"exceeds {MAX_SUBSETS} subsets"
-                    )
-                k = index[target] = len(order)
-                order.append(target)
+                pruned = target
+                for q in _bits(target if kill else 0):
+                    pruned &= ~kill[q]
+                k = index.get(pruned)
+                if k is None:
+                    if len(order) >= budget:
+                        return None
+                    k = index[pruned] = len(order)
+                    order.append(pruned)
+                index[target] = k
             row.append(k)
         delta.append(row)
     return order, delta
+
+
+def _dominated(pred, final, n_minterms):
+    """Per location, the locations it makes redundant in a subset: those
+    it simulates, bar one that simulates it back and has a lower index.
+    ``sim[p]``, the locations that simulate ``p``, is refined from "final
+    if ``p`` is" to the greatest simulation (Abdulla et al., TACAS 2010):
+    on each minterm a member matches each successor of ``p`` by one that
+    simulates it.  ``pred`` packs each location's predecessors per
+    minterm; a location whose ``sim`` shrank narrows its predecessors'."""
+    n = len(pred)
+    mask = (1 << n) - 1
+    width = range(0, n * n_minterms, n)
+    sim = [final if final >> p & 1 else mask for p in range(n)]
+    waiting = mask  # highest first: mostly successors before predecessors
+    while waiting:
+        q = waiting.bit_length() - 1
+        waiting ^= 1 << q
+        pre = 0  # per minterm, the locations with a successor in sim[q]
+        for s in _bits(sim[q]):
+            pre |= pred[s]
+        for shift in width:
+            for r in _bits((pred[q] >> shift) & mask):
+                if sim[r] & ~(pre >> shift):
+                    sim[r] &= pre >> shift
+                    waiting |= 1 << r
+    kill = [0] * n
+    for p in range(n):
+        for q in _bits(sim[p] & ~(1 << p)):
+            if not (p < q and sim[q] >> p & 1):
+                kill[q] |= 1 << p
+    return kill
 
 
 def _hopcroft(accepting, delta, n_minterms):
@@ -367,27 +434,22 @@ def canonicalize(a: SymbolicAutomaton) -> SymbolicAutomaton:
 def trim(a: SymbolicAutomaton) -> SymbolicAutomaton:
     """Drop locations that lie on no initial-to-final path.  Initial
     locations survive even when dead so the automaton stays runnable."""
-    fwd = set(a.initial)
-    frontier = list(a.initial)
     succ: dict = {}
     pred: dict = {}
     for src, _, dst in a.transitions:
         succ.setdefault(src, set()).add(dst)
         pred.setdefault(dst, set()).add(src)
-    while frontier:
-        q = frontier.pop()
-        for nxt in succ.get(q, ()):
-            if nxt not in fwd:
-                fwd.add(nxt)
+
+    def reach(seen, step):
+        frontier = list(seen)
+        while frontier:
+            for nxt in step.get(frontier.pop(), set()) - seen:
+                seen.add(nxt)
                 frontier.append(nxt)
-    bwd = set(q for q in a.final if q in fwd)
-    frontier = list(bwd)
-    while frontier:
-        q = frontier.pop()
-        for prv in pred.get(q, ()):
-            if prv in fwd and prv not in bwd:
-                bwd.add(prv)
-                frontier.append(prv)
+        return seen
+
+    fwd = reach(set(a.initial), succ)
+    bwd = reach(fwd & a.final, pred) & fwd
     keep = sorted(bwd | set(a.initial))
     renum = {old: new for new, old in enumerate(keep)}
     kept = set(keep)

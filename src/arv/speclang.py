@@ -341,10 +341,13 @@ def trace_blocks(path):
     ``Trace`` blocks of at most ``CHUNK_ROWS`` samples, each read when
     asked for: in bulk (``_bulk_block``) if the file has no quote,
     carriage return or NUL and starts with its header, else through
-    ``csv.reader``.  A block that does not convert is re-read row by row,
+    ``csv.reader``; CRLF becomes LF first if each CR ends a line and there
+    is no quote or NUL.  A block that does not convert is re-read row by row,
     at its offset in the file, for ``_bad_row`` to name its first bad row."""
     source = f"trace file {path}"
     text = read_utf8(path, source)
+    if "\r" in text and text.count("\r") == text.count("\r\n") and not any(c in text for c in '"\0'):
+        text = text.replace("\r\n", "\n")
     try:
         try:
             blocks = 0

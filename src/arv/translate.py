@@ -16,7 +16,8 @@ are ordered by the rank in which this translation first met them, never
 by their text; the window chains are unfolded by loops; and each
 distinct obligation and each distinct set of now-literals is expanded
 or normalized once.  Window steps and tableau locations are both
-capped at ``automaton.MAX_SUBSETS``.
+capped at ``automaton.MAX_SUBSETS``.  Translations are not trimmed:
+``determinize``'s minimal DFA is the one normal form.
 
 Regular expressions compile compositionally into fragments with epsilon
 transitions, each proposition the ``Dnf`` the parser built; epsilon moves
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 from . import automaton as A
 from . import predicate as P
 from . import speclang as S
-from .automaton import SymbolicAutomaton, canonicalize, make_automaton, product, trim
+from .automaton import SymbolicAutomaton, canonicalize, make_automaton, product, trim  # noqa: F401 (benchmark spans)
 from .errors import UnsupportedFragmentError
 from .predicate import comparison
 
@@ -158,8 +159,7 @@ def translate_stl(formula: S.StlFormula) -> SymbolicAutomaton:
     final = {
         index[s] for s in order if all(not positive for _, positive in s)
     }
-    a = make_automaton(variables, len(order), {0}, final, transitions)
-    return canonicalize(trim(a))
+    return make_automaton(variables, len(order), {0}, final, transitions)
 
 
 def _window_steps(root, what: str) -> int:
@@ -309,5 +309,4 @@ def translate_sre(expr: S.SreExpr) -> SymbolicAutomaton:
     ``UnsupportedFragmentError`` before anything is built."""
     _window_steps(expr, "the expression's durations take")
     variables = tuple(sorted(S.sre_variables(expr)))
-    a = eps_eliminate(_build(expr, variables), variables)
-    return canonicalize(trim(a))
+    return eps_eliminate(_build(expr, variables), variables)

@@ -205,6 +205,39 @@ def test_determinize_subset_budget(monkeypatch):
         determinize(a)
 
 
+def _recent_x_le_0(k, copies=1):
+    """x <= 0 at one of the last k steps: 2^k subsets, k + 1 after pruning.
+    With two copies of the chain, each location simulates its twin."""
+    n = copies * k + 1
+    chains = [(0, g("x <= 0"), c * k + 1) for c in range(copies)]
+    chains += [(q, P.TRUE, q + 1) for q in range(1, n - 1) if q % k]
+    return make_automaton(("x",), n, {0}, range(1, n), [(0, P.TRUE, 0)] + chains)
+
+
+def test_pruned_subsets_give_the_plain_dfa(monkeypatch):
+    """Pruning subsets by simulation changes no DFA: with ``_dominated``
+    marking nothing, the construction is the plain one, and its minimal
+    DFA prints byte for byte the same."""
+    import arv.automaton
+
+    rng = random.Random(2010)
+    automata = [random_automaton(rng, ("x", "y"), max_locations=9, max_transitions=24) for _ in range(150)]
+    automata += [_recent_x_le_0(k, copies) for k in range(1, 11) for copies in (1, 2)]
+    pruned = [to_json(determinize(a)) for a in automata]
+    assert pruned[-1] == pruned[-2] and determinize(automata[-1]).n_locations == 11
+    real, pruning = arv.automaton._dominated, []
+
+    def plain(*args):
+        kill = real(*args)
+        pruning.append(any(kill))
+        return [0] * len(kill)
+
+    monkeypatch.setattr(arv.automaton, "_dominated", plain)
+    assert [to_json(determinize(a)) for a in automata] == pruned
+    # the restart ran on 25 random automata and 6 + 5 of the family, and pruned in 21
+    assert (len(pruning), sum(pruning)) == (36, 21)
+
+
 def test_trim_keeps_language():
     a = make_automaton(
         ("x",),

@@ -305,13 +305,14 @@ def test_monitor_flat_disjunction_over_ten_variables(tmp_path):
 def test_monitor_subset_budget_is_clean_error(tmp_path, monkeypatch, capsys):
     import arv.automaton
 
-    monkeypatch.setattr(arv.automaton, "MAX_SUBSETS", 16)
-    spec = write(tmp_path / "resp.stl", "G(x <= 5 -> F[0,8] y >= 2)\n")
+    # 40 window steps and a 42-location tableau, but 233 pruned subsets
+    monkeypatch.setattr(arv.automaton, "MAX_SUBSETS", 64)
+    spec = write(tmp_path / "resp.stl", "G[0,20](x <= 5 -> F[0,20] y >= 2)\n")
     trace = write(tmp_path / "t.csv", "x,y\n1,3\n")
     assert main(["monitor", "--spec", spec, "--trace", trace]) == 4
     err = capsys.readouterr().err
-    assert err.startswith("error: determinizing a 10-location automaton")
-    assert "exceeds 16 subsets" in err
+    assert err.startswith("error: determinizing a 42-location automaton")
+    assert "exceeds 64 subsets" in err
     assert "Traceback" not in err
 
 
@@ -490,14 +491,14 @@ def test_translate_dot_and_json_number_locations_alike(tmp_path):
 def test_translate_and_monitor_refuse_alike(tmp_path, monkeypatch, capsys):
     import arv.automaton
 
-    monkeypatch.setattr(arv.automaton, "MAX_SUBSETS", 16)
-    spec = write(tmp_path / "resp.stl", "G(x <= 5 -> F[0,8] y >= 2)\n")
+    monkeypatch.setattr(arv.automaton, "MAX_SUBSETS", 64)
+    spec = write(tmp_path / "resp.stl", "G[0,20](x <= 5 -> F[0,20] y >= 2)\n")
     trace = write(tmp_path / "t.csv", "x,y\n1,3\n")
     assert main(["translate", "--spec", spec]) == 4
     translate_err = capsys.readouterr().err
     assert main(["monitor", "--spec", spec, "--trace", trace]) == 4
     assert capsys.readouterr().err == translate_err
-    assert translate_err.startswith("error: determinizing a 10-location automaton")
+    assert translate_err.startswith("error: determinizing a 42-location automaton")
 
 
 @pytest.mark.parametrize(

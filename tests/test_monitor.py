@@ -474,7 +474,37 @@ def test_monitor_pair_subset_budget(monkeypatch):
 
     monkeypatch.setattr(arv.automaton, "MAX_SUBSETS", 64)
     with pytest.raises(UnsupportedFragmentError, match="exceeds 64 subsets"):
-        build_monitor_pair(parse_stl(RESPONSE_K8), TROPICAL)
+        build_monitor_pair(parse_stl("G[0,20](x <= 5 -> F[0,20] y >= 2)"), TROPICAL)
+
+
+@pytest.mark.parametrize(
+    "text, size",
+    [
+        ("G(x <= 5 -> F[0,16] y >= 2)", 18),
+        ("G(x <= 5 -> F[0,30] y >= 2)", 32),
+        ("G(x <= 5 -> F[0,100] y >= 2)", 102),
+        ("G[0,20](x <= 5 -> F[0,20] y >= 2)", 233),
+    ],
+)
+def test_windowed_responses_compile_to_their_minimal_size(text, size):
+    """Simulation-pruned subsets keep these compiles polynomial in the
+    window; a plain subset construction needs 2^(k+1) subsets."""
+    import time
+
+    formula = parse_stl(text)
+    start = time.perf_counter()
+    pair = build_monitor_pair(formula, MINMAX)
+    assert time.perf_counter() - start < 5
+    assert pair[0].base.n_locations == size
+    rng = random.Random(size)
+    seen = set()
+    for _ in range(40):
+        trace = random_trace(rng, ("x", "y"), rng.randint(1, 8), lo=0, hi=8)
+        for t, v in enumerate(verdicts(trace, *pair), start=1):
+            expected = eval_stl(Trace(("x", "y"), trace.samples[:t]), 0, formula)
+            assert v.satisfied is expected
+            seen.add(expected)
+    assert seen == {True, False}
 
 
 def _raw_or_compiled(compiled):

@@ -495,6 +495,34 @@ def test_block_size_changes_no_trace_and_no_error(tmp_path, monkeypatch, rows):
     ]
 
 
+@pytest.mark.parametrize("rows", [2, 4096])
+def test_crlf_files_read_like_their_lf_twins_in_bulk(tmp_path, monkeypatch, rows):
+    """A CRLF file without quotes gives its LF twin's columns, or its error
+    text with the same line numbers, and takes the bulk path: it re-reads
+    rows through ``csv.reader`` only where the twin does.  A lone carriage
+    return keeps the ``csv.reader`` path."""
+    monkeypatch.setattr(S, "CHUNK_ROWS", rows)
+    row_reads = []
+    real = S._csv_rows
+    monkeypatch.setattr(S, "_csv_rows", lambda *args: row_reads.append(1) or real(*args))
+    p = tmp_path / "t.csv"
+    files = [text.encode() for text in _seeded_csv_texts()] + BLOCK_EDGE_FILES
+    twins = [data for data in files if b"\r" not in data and b'"' not in data and b"\xff" not in data]
+    errors = 0
+    for lf in twins:
+        outcomes = []
+        for data in (lf, lf.replace(b"\n", b"\r\n")):
+            p.write_bytes(data)
+            row_reads.clear()
+            outcomes.append((_read_outcome(p), len(row_reads)))
+        assert outcomes[1] == outcomes[0], lf
+        errors += isinstance(outcomes[0][0], str)
+    assert errors > 50
+    p.write_bytes(b"x,y\r\n1,2\r3,4\r\n")
+    assert _read_outcome(p) == (("x", "y"), {"x": [1.0, 3.0], "y": [2.0, 4.0]})
+    assert row_reads
+
+
 @pytest.mark.parametrize("rows", [1, 3, 4096])
 def test_a_csv_error_anywhere_comes_before_a_bad_row(tmp_path, monkeypatch, rows):
     """As when the whole file was parsed before any row was checked: a

@@ -181,27 +181,36 @@ def _region_dnf(maximal, variables) -> Dnf:
 def _subsets(a: SymbolicAutomaton, joined, inside, n_minterms):
     """Subset construction over minterm indices.
 
-    Subsets are bitmasks of ``a``'s locations, ``joined`` maps its
-    (source, destination) pairs to their guards' union, and
-    ``inside[guard]`` lists the minterms inside that guard.  A location's
-    successors on all minterms pack into one integer, ``n`` bits each, so
-    a subset costs one OR per member.  Past ``4·n`` (or ``MAX_SUBSETS``)
-    subsets it restarts, pruned by ``_dominated`` (which keeps languages,
-    so the minimal DFA).  Returns the subsets in discovery order (the
-    initial one first) and, per subset, its successor on each minterm.
+    Subsets are bitmasks over the locations of ``a`` that reach a final
+    one, numbered densely: the others accept nothing, so dropping them
+    keeps each subset's language.  ``joined`` maps ``a``'s (source,
+    destination) pairs to their guards' union, and ``inside[guard]``
+    lists the minterms inside that guard.  A location's successors on
+    all minterms pack into one integer, ``n`` bits each, so a subset
+    costs one OR per member.  Past ``4·n`` (or ``MAX_SUBSETS``) subsets
+    it restarts, pruned by ``_dominated`` (which keeps languages, so the
+    minimal DFA).  Returns, per subset in discovery order (the initial
+    one first), whether it is accepting and its successor on each
+    minterm.
     """
-    n = a.n_locations
+    into: dict = {}
+    for src, dst in joined:
+        into.setdefault(dst, set()).add(src)
+    at = {q: i for i, q in enumerate(sorted(_reach(set(a.final), into)))}
+    n = len(at)
+    edges = [(at[src], at[dst], g) for (src, dst), g in joined.items() if src in at and dst in at]
     spread = {g: sum(1 << (j * n) for j in js) for g, js in inside.items()}
     succ = [0] * n
-    for (src, dst), guard in joined.items():
+    for src, dst, guard in edges:
         succ[src] |= spread[guard] << dst
-    start = sum(1 << q for q in a.initial)
+    start = sum(1 << at[q] for q in a.initial if q in at)
     found = _explore(start, succ, n, n_minterms, None, min(4 * n, MAX_SUBSETS))
+    final = sum(1 << at[q] for q in a.final)
     if found is None:
         pred = [0] * n
-        for (src, dst), guard in joined.items():
+        for src, dst, guard in edges:
             pred[dst] |= spread[guard] << src
-        kill = _dominated(pred, sum(1 << q for q in a.final), n_minterms)
+        kill = _dominated(pred, final, n_minterms)
         found = _explore(start, succ, n, n_minterms, kill, MAX_SUBSETS)
     if found is None:
         raise UnsupportedFragmentError(
@@ -209,7 +218,19 @@ def _subsets(a: SymbolicAutomaton, joined, inside, n_minterms):
             f"{len(a.transitions)} transitions over {n_minterms} minterms "
             f"exceeds {MAX_SUBSETS} subsets"
         )
-    return found
+    subsets, delta = found
+    return [bool(s & final) for s in subsets], delta
+
+
+def _reach(seen: set, step: dict) -> set:
+    """``seen`` grown by every location ``step`` (location -> set of
+    locations) leads to from it, in any number of steps."""
+    frontier = list(seen)
+    while frontier:
+        for nxt in step.get(frontier.pop(), set()) - seen:
+            seen.add(nxt)
+            frontier.append(nxt)
+    return seen
 
 
 def _bits(mask):
@@ -360,9 +381,8 @@ def determinize(a: SymbolicAutomaton) -> SymbolicAutomaton:
     inside = {
         g: [j for j, (_, covers) in enumerate(cells) if covers[i]] for i, g in enumerate(guards)
     }
-    subsets, delta = _subsets(a, joined, inside, len(cells))
-    final_mask = sum(1 << q for q in a.final)
-    block = _hopcroft([bool(s & final_mask) for s in subsets], delta, len(cells))
+    accepting, delta = _subsets(a, joined, inside, len(cells))
+    block = _hopcroft(accepting, delta, len(cells))
     # blocks are numbered by their first subset in discovery order, so the
     # initial subset's block is 0
     rep: dict = {}
@@ -378,7 +398,7 @@ def determinize(a: SymbolicAutomaton) -> SymbolicAutomaton:
             maximal = complement_cover(complement_cover(union, len(variables)), len(variables))
         columns[column] = _region_dnf(maximal, variables)
     transitions = tuple((b, guard, column[b]) for b in rep for column, guard in columns.items())
-    final = frozenset(b for b, s in rep.items() if subsets[s] & final_mask)
+    final = frozenset(b for b, s in rep.items() if accepting[s])
     return SymbolicAutomaton(a.variables, len(rep), frozenset({0}), final, transitions)
 
 
@@ -439,17 +459,8 @@ def trim(a: SymbolicAutomaton) -> SymbolicAutomaton:
     for src, _, dst in a.transitions:
         succ.setdefault(src, set()).add(dst)
         pred.setdefault(dst, set()).add(src)
-
-    def reach(seen, step):
-        frontier = list(seen)
-        while frontier:
-            for nxt in step.get(frontier.pop(), set()) - seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-        return seen
-
-    fwd = reach(set(a.initial), succ)
-    bwd = reach(fwd & a.final, pred) & fwd
+    fwd = _reach(set(a.initial), succ)
+    bwd = _reach(fwd & a.final, pred) & fwd
     keep = sorted(bwd | set(a.initial))
     renum = {old: new for new, old in enumerate(keep)}
     kept = set(keep)

@@ -13,7 +13,9 @@ memoized, since each depends only on the one before, and each keeps one
 destinations its cost passes to unchanged (a guard that holds) and the
 ``(destination, slot)`` pairs it is ⊗-ed into.  A step allocates and
 touches only live entries, and its work is independent of trace length.
-These are built once per weighted automaton and shared by its streams.
+A plan used ``KERNEL_AFTER`` times gets a straight-line *kernel* of its
+loop, with the same arithmetic in the same order.  These are built once
+per weighted automaton and shared by its streams.
 ``step`` fills the table from one sample, ``advance`` those of a block
 of samples a column at a time, and both feed one relax, ``_relax``.
 
@@ -54,11 +56,7 @@ class _LiveSet:
     """One set of live locations, final ones first (``members[:n_final]``
     lie inside the final set); the live set after one more step
     (``next``, filled when first needed, the same for every sample); and
-    per weight shape the *plan* of a step from it: ``(next, rows)``
-    with one row ``(free, priced)`` per member, where ``free`` lists the
-    destinations (indices into ``next.members``) of its edges whose
-    guard holds and ``priced`` the ``(destination, slot)`` pairs of the
-    others."""
+    per weight shape the ``_Plan`` of a step from it."""
 
     __slots__ = ("members", "n_final", "next", "plans")
 
@@ -67,6 +65,20 @@ class _LiveSet:
         self.n_final = sum(q in final for q in members)
         self.next = None
         self.plans: dict = {}
+
+
+class _Plan:
+    """A step from one live set under one weight shape: the live set after
+    it (``next``) and one row ``(free, priced)`` per member, where ``free``
+    lists the destinations (indices into ``next.members``) of its edges
+    whose guard holds and ``priced`` the ``(destination, slot)`` pairs of
+    the others; how many steps have run its loop (``uses``); and, once
+    built, its ``kernel`` (``_kernel``), which later steps run instead."""
+
+    __slots__ = ("next", "rows", "uses", "kernel")
+
+    def __init__(self, nxt: _LiveSet, rows: list):
+        self.next, self.rows, self.uses, self.kernel = nxt, rows, 0, None
 
 
 class _Program:
@@ -111,8 +123,39 @@ class _Program:
                 if slots[j] >= 0 and at[dst] not in free
             }
             rows.append((tuple(free), tuple(priced)))
-        plan = live.plans[shape] = (live.next, rows)
+        plan = live.plans[shape] = _Plan(live.next, rows)
         return plan
+
+
+KERNEL_AFTER = 256  # interpreted uses of a plan before it gets a kernel
+
+
+def _kernel(rows, n: int, add: bool, e_plus):
+    """A plan's relax as one straight-line function ``(costs, distances) ->
+    new costs``, built with ``exec``: the loop of ``_relax`` unrolled over
+    the plan's rows, with the same members in the same order, the same
+    ``c + w`` or ``w if w > c else c`` and the same ``<``, so its costs
+    are the loop's.  It does not skip members that cost ``e_plus``: ⊗
+    never lowers a cost, so none of their candidates is below a
+    destination's cost, which starts at ``e_plus``.  The source holds only
+    integer indices and fixed names, never text from a spec or a trace."""
+    lines = [
+        "def kernel(costs, distances):",
+        "    [" + ", ".join(f"c{i}" for i in range(len(rows))) + "] = costs",
+        "    " + "".join(f"n{d} = " for d in range(n)) + "E",
+    ]
+    for s in sorted({s for _, priced in rows for _, s in priced}):
+        lines.append(f"    w{s} = distances[{s}]")
+    for i, (free, priced) in enumerate(rows):
+        for d in free:
+            lines.append(f"    if c{i} < n{d}: n{d} = c{i}")
+        for d, s in priced:
+            lines.append(f"    v = c{i} + w{s}" if add else f"    v = w{s} if w{s} > c{i} else c{i}")
+            lines.append(f"    if v < n{d}: n{d} = v")
+    lines.append("    return [" + ", ".join(f"n{d}" for d in range(n)) + "]")
+    namespace = {"E": e_plus}
+    exec("\n".join(lines), namespace)
+    return namespace["kernel"]
 
 
 def _relax(prog: _Program, semiring: Semiring):
@@ -120,12 +163,15 @@ def _relax(prog: _Program, semiring: Semiring):
     block, the recipe of its truths and the live set's plan for their
     shape, then a free edge passes its source's cost on and a priced one
     ⊗s it with its slot's weight, written out as ``+`` or max (⊕ is min,
-    so relaxing is one comparison).  A monitor pair's stream (``_stream``)
-    also moves the DFA's run along its one free edge, so the run costs
-    ``e_times`` and, with a list ``rows``, each prefix's verdict is read
-    from a min over the other side alone, ``_rho``'s sign rule written
-    out.  The stream's live set, costs and run carry over to the next
-    block."""
+    so relaxing is one comparison).  A plan's first ``KERNEL_AFTER`` uses
+    run that loop; at the next one it gets its ``_kernel``, unless more
+    than half of the costs it meets then are ``e_plus`` (members the loop
+    skips, as in Boolean plans), and it then runs interpreted for good.  A
+    monitor pair's stream (``_stream``) also moves the DFA's run along its
+    one free edge, so the run costs ``e_times`` and, with a list ``rows``,
+    each prefix's verdict is read from a min over the other side alone,
+    ``_rho``'s sign rule written out.  The stream's live set, costs and
+    run carry over to the next block."""
     recipes, recipe, compound = prog.scorer.recipes, prog.scorer.recipe, prog.scorer.compound
     make_plan, add = prog.make_plan, semiring.otimes is operator.add  # else ⊗ is max
     e_plus, e_times = semiring.e_plus, semiring.e_times
@@ -136,23 +182,30 @@ def _relax(prog: _Program, semiring: Semiring):
             shape, compounds = recipes.get(truths) or recipe(truths)
             if compounds:
                 compound(distances, compounds)
-            nxt, plan = live.plans.get(shape) or make_plan(live, shape)
-            new_costs = [e_plus] * len(nxt.members)
-            for c, (free, priced) in zip(costs, plan):
-                if c == e_plus:
-                    continue
-                for d in free:
-                    if c < new_costs[d]:
-                        new_costs[d] = c
-                for d, s in priced:
-                    w = distances[s]
-                    v = c + w if add else w if w > c else c
-                    if v < new_costs[d]:
-                        new_costs[d] = v
-            costs, live = new_costs, nxt
+            plan = live.plans.get(shape) or make_plan(live, shape)
+            live, kernel = plan.next, plan.kernel
+            if kernel is None and plan.uses == KERNEL_AFTER and costs.count(e_plus) * 2 <= len(costs):
+                kernel = plan.kernel = _kernel(plan.rows, len(live.members), add, e_plus)
+            if kernel:
+                costs = kernel(costs, distances)
+            else:
+                plan.uses += 1
+                new_costs = [e_plus] * len(live.members)
+                for c, (free, priced) in zip(costs, plan.rows):
+                    if c == e_plus:
+                        continue
+                    for d in free:
+                        if c < new_costs[d]:
+                            new_costs[d] = c
+                    for d, s in priced:
+                        w = distances[s]
+                        v = c + w if add else w if w > c else c
+                        if v < new_costs[d]:
+                            new_costs[d] = v
+                costs = new_costs
             if run is None:
                 continue
-            run = plan[run][0][0]
+            run = plan.rows[run][0][0]
             if rows is None:
                 continue
             k, n = live.n_final, len(costs)
@@ -182,8 +235,10 @@ class ValueStream:
     and memoized by its members, together with its successor.  What a
     step does with a sample beyond arithmetic depends only on the
     sample's weight shape (see ``Scorer``), so each live set memoizes one
-    plan per shape it has met.  These memos and the scorer are the
-    automaton's ``_Program``, built by its first stream and shared.  The
+    plan per shape it has met, and a plan run ``KERNEL_AFTER`` times
+    gets a generated kernel that gives the same costs.  These memos and
+    the scorer are the automaton's ``_Program``, built by its first
+    stream and shared.  The
     stream keeps one cost per member of the current live set, in its
     order; ``costs`` spells them out over every location.
     """

@@ -699,12 +699,7 @@ def test_golden_series_hold_every_kind_of_rho():
     assert {"-inf", "inf", "0"} < rhos
 
 
-@pytest.mark.parametrize("rows", [1, 3])
-def test_prefix_series_is_the_same_at_any_block_size(tmp_path, monkeypatch, rows):
-    """The golden series, written a block of 1 or 3 samples at a time."""
-    import arv.speclang
-
-    monkeypatch.setattr(arv.speclang, "CHUNK_ROWS", rows)
+def _check_golden_series(tmp_path):
     for name, text in SERIES_SPECS.items():
         spec = write(tmp_path / "spec.txt", text)
         trace = tmp_path / "t.csv"
@@ -714,6 +709,28 @@ def test_prefix_series_is_the_same_at_any_block_size(tmp_path, monkeypatch, rows
             argv = ["monitor", "--spec", spec, "--trace", str(trace), "--semiring", semiring]
             assert main(argv + ["--prefix-series", str(out)]) == 0
             assert out.read_bytes() == (SERIES / f"{name}.{semiring}.csv").read_bytes()
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_prefix_series_is_the_same_at_any_block_size(tmp_path, monkeypatch, rows):
+    """The golden series, written a block of 1 or 3 samples at a time."""
+    import arv.speclang
+
+    monkeypatch.setattr(arv.speclang, "CHUNK_ROWS", rows)
+    _check_golden_series(tmp_path)
+
+
+def test_prefix_series_is_the_same_with_kernels_from_the_first_use(tmp_path, monkeypatch):
+    """The golden series, with every dense plan run by its generated
+    kernel from its first step."""
+    import arv.monitor
+
+    built = []
+    real = arv.monitor._kernel
+    monkeypatch.setattr(arv.monitor, "KERNEL_AFTER", 0)
+    monkeypatch.setattr(arv.monitor, "_kernel", lambda *args: built.append(args) or real(*args))
+    _check_golden_series(tmp_path)
+    assert len(built) > 100
 
 
 @pytest.mark.parametrize("mode", [["--prefix-series"], ["--out"], []])

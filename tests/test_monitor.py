@@ -1,8 +1,10 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
+import arv.monitor
 from arv import fixtures as FX
 from arv.automaton import decorate, make_automaton
 from arv.distance import PointwiseDistance, default_distance
@@ -570,26 +572,43 @@ def test_step_reads_each_distinct_atom_once(compiled):
     ["G(x <= 5 -> F[0,6] y >= 2)", "G[0,20] F[0,5] x >= 8", "(<x <= 7>[1,5] ; <y >= 2>[1,3])*"],
     ids=["response-k6", "bounded-recurrence", "star"],
 )
-def test_live_set_memo_does_not_grow_with_trace_length(text):
+def test_live_set_memo_does_not_grow_with_trace_length(monkeypatch, text):
+    """Live sets, plans and kernels, with kernels after ``KERNEL_AFTER``
+    uses and with kernels from the first use."""
     spec = parse_stl(text) if text.startswith("G") else parse_sre(text)
-    w_pos, _ = build_monitor_pair(spec, TROPICAL)
     rng = random.Random(31)
     samples = [{"x": rng.randint(0, 40) / 4, "y": rng.randint(0, 16) / 4} for _ in range(20_000)]
-    counts, plans = [], []
-    for n in (1_000, 20_000):
-        stream = ValueStream(w_pos)
-        for sample in samples[:n]:
-            stream.step(sample)
-        counts.append(len(stream._live_sets))
-        plans.append(plan_count(stream))
-    assert counts[0] == counts[1]
-    assert plans[0] == plans[1]
-    # keyed by members, not by the order a step visits them in
-    assert counts[0] <= w_pos.base.n_locations + 1
+    for kernel_after in (arv.monitor.KERNEL_AFTER, 0):
+        monkeypatch.setattr(arv.monitor, "KERNEL_AFTER", kernel_after)
+        w_pos, _ = build_monitor_pair(spec, TROPICAL)
+        counts, plans, kernels = [], [], []
+        for n in (1_000, 20_000):
+            stream = ValueStream(w_pos)
+            for sample in samples[:n]:
+                stream.step(sample)
+            counts.append(len(stream._live_sets))
+            plans.append(plan_count(stream))
+            kernels.append(kernel_count(stream))
+        assert counts[0] == counts[1]
+        assert plans[0] == plans[1]
+        # kernels are kept per plan, so they are bounded like plans
+        assert 0 < kernels[0] <= kernels[1] <= plans[1]
+        if kernel_after == 0:
+            assert kernels[0] == kernels[1]
+        # keyed by members, not by the order a step visits them in
+        assert counts[0] <= w_pos.base.n_locations + 1
+
+
+def plans_of(stream):
+    return [plan for live in stream._live_sets.values() for plan in live.plans.values()]
 
 
 def plan_count(stream):
-    return sum(len(live.plans) for live in stream._live_sets.values())
+    return len(plans_of(stream))
+
+
+def kernel_count(stream):
+    return sum(plan.kernel is not None for plan in plans_of(stream))
 
 
 def test_plans_are_keyed_by_weight_shape_not_by_truths():
@@ -628,11 +647,100 @@ def test_costs_match_path_enumeration_where_guards_overlap(semiring, compiled):
             stream.step(sample)
             assert stream.costs == path_costs(trace, w, steps)
         for live in stream._live_sets.values():
-            free.update(len(row[0]) for _, rows in live.plans.values() for row in rows)
+            free.update(len(dsts) for plan in live.plans.values() for dsts, _ in plan.rows)
     if compiled:
         assert free == {1}
     else:
         assert max(free) >= 2
+
+
+INTERPRETED = 10**9  # a KERNEL_AFTER no test trace reaches
+
+
+def _kernels_built(sides):
+    return sum(kernel_count(ValueStream(w)) for w in sides)
+
+
+@pytest.mark.parametrize("semiring", ALL, ids=lambda s: s.name)
+def test_kernels_equal_the_interpreted_loop(monkeypatch, semiring):
+    """With every dense plan compiled before its first step, the verdict
+    series of random STL and SRE pairs, read from either side, print the
+    same as with the loop alone."""
+    from arv.generators import random_sre
+
+    rng = random.Random(256)
+    built = 0
+    for k in range(60):
+        make = random_stl if k % 2 else random_sre
+        pair = build_monitor_pair(make(rng, ["x", "y"], depth=2), semiring)
+        t = random_trace(rng, ("x", "y"), rng.randint(1, 12))
+        got = []
+        for after in (0, INTERPRETED):
+            monkeypatch.setattr(arv.monitor, "KERNEL_AFTER", after)
+            pos, neg = (replace(w) for w in pair)  # fresh programs
+            got.append(repr([list(verdicts(t, pos, neg)), list(verdicts(t, neg, pos))]))
+            built += after == 0 and _kernels_built((pos, neg))
+        assert got[0] == got[1]
+    assert built > 200
+
+
+def test_kernels_equal_the_interpreted_loop_on_nfas(monkeypatch):
+    """On random NFAs, where a member passes its cost on along several
+    free edges or has no edge at all, kernels give every location's cost
+    after every step as the loop does."""
+    from arv.generators import random_automaton
+
+    rng = random.Random(1024)
+    rows = set()  # (free, priced) edge counts of the rows that got kernels
+    for _ in range(120):
+        a = random_automaton(rng, ("x", "y"), max_locations=6, max_transitions=14)
+        t = random_trace(rng, ("x", "y"), rng.randint(1, 8))
+        for semiring in ALL:
+            w = decorate(a, semiring, default_distance(semiring))
+            got, streams = [], []
+            for after in (0, INTERPRETED):
+                monkeypatch.setattr(arv.monitor, "KERNEL_AFTER", after)
+                cols, stream = stream_columns(t, replace(w))
+                got.append(repr((cols, trace_value(t, stream.w))))
+                streams.append(stream)
+            assert got[0] == got[1]
+            rows.update((len(f), len(p)) for plan in plans_of(streams[0]) if plan.kernel for f, p in plan.rows)
+    assert (0, 0) in rows and max(f for f, _ in rows) >= 2
+
+
+@pytest.mark.parametrize("semiring", ALL, ids=lambda s: s.name)
+def test_a_stream_crossing_the_threshold_mid_block_gives_a_fresh_streams_series(monkeypatch, semiring):
+    """With kernels after 7 uses, plans get them in the middle of a
+    40-sample block; later traces through the same pair run them from
+    their first sample.  Every series equals a fresh interpreted pair's.
+    Under ``boolean`` these plans meet mostly ``e_plus`` costs and keep
+    the loop."""
+    rng = random.Random(7)
+    traces = [random_trace(rng, ("x", "y"), 40, lo=0, hi=10) for _ in range(3)]
+    built = 0
+    for text in (*MONITORED, "(T ; <x <= 2>[2,4] ; T) & (T ; <y >= 8>[1,3] ; T)"):
+        pair = build_monitor_pair(_spec(text), semiring)
+        monkeypatch.setattr(arv.monitor, "KERNEL_AFTER", INTERPRETED)
+        fresh = [repr(list(verdicts(t, *(replace(w) for w in pair)))) for t in traces]
+        monkeypatch.setattr(arv.monitor, "KERNEL_AFTER", 7)
+        assert [repr(list(verdicts(t, *pair))) for t in traces] == fresh
+        built += _kernels_built(pair)
+    assert (built > 0) is (semiring is not BOOLEAN)  # Boolean plans here are sparse
+
+
+def test_boolean_star_plans_stay_interpreted():
+    """Under ``boolean`` most of the star's costs are ``e_plus``, which
+    the loop skips, so its plans keep the loop past ``KERNEL_AFTER``
+    uses; under ``minmax`` the same plans get kernels."""
+    star = parse_sre("(<x <= 7>[1,5] ; <y >= 2>[1,3])*")
+    rng = random.Random(8)
+    trace = random_trace(rng, ("x", "y"), 3000, lo=0, hi=10)
+    for semiring, kernels in ((BOOLEAN, False), (MINMAX, True)):
+        w_pos, _ = build_monitor_pair(star, semiring)
+        stream = ValueStream(w_pos)
+        stream.advance(trace)
+        plans = [plan for plan in plans_of(stream) if plan.uses >= arv.monitor.KERNEL_AFTER]
+        assert plans and all(bool(plan.kernel) is kernels for plan in plans)
 
 
 def test_verdict_is_the_last_of_verdicts():

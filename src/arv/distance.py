@@ -134,7 +134,7 @@ class Scorer:
         self.guards = tuple(guards)
         self.n_atoms = len(atoms)
         self.atoms = tuple(atoms)
-        self._discrete = dist is PointwiseDistance.DISCRETE01
+        self.discrete = dist is PointwiseDistance.DISCRETE01
         self.table = _table(self.atoms, dist)
         self.semiring = semiring
         self._compound_units = semiring.e_plus, semiring.e_times, semiring.otimes is operator.add
@@ -142,19 +142,22 @@ class Scorer:
         self._shape_ids: dict = {}  # slots -> shape id
         self.shapes: list = []  # per shape id, its slots
 
-    def tables(self, trace):
-        """Per sample of the trace, the ``(truths, distances)`` that ``table``
-        gives for it, built an atom at a time over the trace's columns."""
+    def tables(self, trace, stop: int | None = None):
+        """Per sample of the trace, or of its first ``stop``, the ``(truths,
+        distances)`` that ``table`` gives for it, built an atom at a time
+        over the trace's columns."""
         truths, dists = [], []
         for var, strict, k in self.atoms:
             try:
                 col = trace.columns[var]
             except KeyError:
                 raise UnboundVariableError(f"unbound variable {var!r}") from None
+            if stop is not None:
+                col = col[:stop]
             truths.append([v < k for v in col] if strict else [v <= k for v in col])
-            dists.append([0.0 if v == k else 1.0 for v in col] if self._discrete else [abs(v - k) for v in col])
+            dists.append([0.0 if v == k else 1.0 for v in col] if self.discrete else [abs(v - k) for v in col])
         if not truths:  # no atoms: every sample gets an empty table
-            return [((), []) for _ in range(len(trace))]
+            return [((), []) for _ in range(len(trace) if stop is None else stop)]
         return zip(zip(*truths), map(list, zip(*dists)))
 
     def recipe(self, truth):

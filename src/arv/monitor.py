@@ -19,6 +19,20 @@ per weighted automaton and shared by its streams.
 ``step`` fills the table from one sample, ``advance`` those of a block
 of samples a column at a time, and both feed one relax, ``_relax``.
 
+Within a few steps the live sets of most automata reach one that is its
+own successor, a *fixed point*; from there every sample takes the same
+edges and only their weights change.  Once ``advance`` stands on a
+fixed point with at least ``KERNEL_AFTER`` samples left in its block, it
+runs the rest of the block through a *block loop* (``_block_loop``):
+one generated loop per live set and variant (rows, final verdict, or no
+DFA run), built on first use, that reads the block's columns, scores
+the guards inline and relaxes every edge, with no recipe, shape or plan
+to look up.  Compiling one costs about as much as a few hundred
+interpreted samples, so transients, shorter blocks and live-set cycles
+longer than one step keep the plans.  So does ``step``: there a loop
+that prices every edge makes each step slower than a plan that passes
+the costs of held guards on unpriced.
+
 A specification compiles to one minimal complete DFA over the minterms
 of its automaton's guards, ``spec_dfa``, which ``arv translate``
 prints; that DFA and its flipped copy are the monitor pair.  The two
@@ -40,7 +54,8 @@ from __future__ import annotations
 
 import operator
 from dataclasses import replace
-from itertools import chain
+from functools import partial
+from itertools import chain, count
 from typing import NamedTuple
 
 from . import automaton as A
@@ -55,16 +70,19 @@ from .translate import translate_sre, translate_stl
 class _LiveSet:
     """One set of live locations, final ones first (``members[:n_final]``
     lie inside the final set); the live set after one more step
-    (``next``, filled when first needed, the same for every sample); and
-    per weight shape the ``_Plan`` of a step from it."""
+    (``next``, filled when first needed, the same for every sample); per
+    weight shape the ``_Plan`` of a step from it; and how many steps lead
+    from it to a live set that is its own successor (``settle``, -1 if
+    none does, filled by ``_Program.settle``)."""
 
-    __slots__ = ("members", "n_final", "next", "plans")
+    __slots__ = ("members", "n_final", "next", "plans", "settle")
 
     def __init__(self, members, final):
         self.members = sorted(members, key=lambda q: (q not in final, q))
         self.n_final = sum(q in final for q in members)
         self.next = None
         self.plans: dict = {}
+        self.settle = None
 
 
 class _Plan:
@@ -84,8 +102,8 @@ class _Plan:
 class _Program:
     """What the streams over one weighted automaton share: its guards'
     ``Scorer``, per source location its ``(destination, guard index)``
-    edges, the memo of live sets with their successors and plans, and
-    their relax."""
+    edges, the memo of live sets with their successors and plans, their
+    relax, and the block loops of its fixed-point live set (``loops``)."""
 
     def __init__(self, w: A.WeightedAutomaton):
         base = w.base
@@ -94,8 +112,10 @@ class _Program:
         for (src, _, dst), j in zip(base.transitions, index):
             self.out[src].append((dst, j))
         self.final = base.final
+        self.semiring = w.semiring
         self.live_sets: dict = {}
         self.relax = _relax(self, w.semiring)
+        self.loops: dict = {}  # (live set, run?, rows?) -> (loop, its variables)
 
     def live_set(self, members) -> _LiveSet:
         members = frozenset(members)
@@ -104,14 +124,47 @@ class _Program:
             live = self.live_sets[members] = _LiveSet(members, self.final)
         return live
 
+    def successor(self, live: _LiveSet) -> _LiveSet:
+        if live.next is None:
+            live.next = self.live_set(dst for q in live.members for dst, _ in self.out[q])
+        return live.next
+
+    def settle(self, live: _LiveSet, budget: int):
+        """``live.settle``, found by walking its successors and memoized on
+        every live set walked through, or None if telling takes more than
+        ``budget`` steps."""
+        start, path = live, {}  # the live sets walked through, in order
+        while live.settle is None:
+            if self.successor(live) is live:
+                live.settle = 0
+            elif live in path:  # a cycle through several live sets
+                live.settle = -1
+            elif len(path) >= budget:
+                return None
+            else:
+                path[live] = None
+                live = live.next
+        end, n = live.settle, len(path)
+        for i, q in enumerate(path):
+            q.settle = -1 if end < 0 else end + n - i
+        return start.settle
+
+    def loop(self, live: _LiveSet, run: bool, rows: bool):
+        """The ``_block_loop`` of ``live`` for a stream that moves a DFA's
+        run or not, and for a list of rows or none, built on first use."""
+        key = live, run, run and rows  # without a run there are no rows
+        loop = self.loops.get(key)
+        if loop is None:
+            loop = self.loops[key] = _block_loop(self, live, *key[1:])
+        return loop
+
     def make_plan(self, live: _LiveSet, shape: int):
         """The plan of a step from ``live`` under a weight shape.  An edge
         whose guard has no clause is left out (it never relaxes), and so
         is a priced edge to a destination its source reaches free (its
         cost ``c ⊗ w`` is never below ``c``)."""
         out = self.out
-        if live.next is None:
-            live.next = self.live_set(dst for q in live.members for dst, _ in out[q])
+        self.successor(live)
         at = {q: i for i, q in enumerate(live.next.members)}
         slots = self.scorer.shapes[shape]
         rows = []
@@ -153,9 +206,158 @@ def _kernel(rows, n: int, add: bool, e_plus):
             lines.append(f"    v = c{i} + w{s}" if add else f"    v = w{s} if w{s} > c{i} else c{i}")
             lines.append(f"    if v < n{d}: n{d} = v")
     lines.append("    return [" + ", ".join(f"n{d}" for d in range(n)) + "]")
-    namespace = {"E": e_plus}
-    exec("\n".join(lines), namespace)
-    return namespace["kernel"]
+    return _compile(lines, {"E": e_plus})
+
+
+_serial = count()  # numbers the generated functions
+
+
+def _compile(lines: list, namespace: dict):
+    """The function that the generated source ``lines`` defines, named by
+    its first line, compiled under a file name of its own, ``<arv kernel
+    17>``, so that profiles keep apart the functions of one name."""
+    name = lines[0][4:lines[0].index("(")]
+    exec(compile("\n".join(lines), f"<arv {name} {next(_serial)}>", "exec"), namespace)
+    return namespace[name]
+
+
+class _Moves(dict):
+    """The DFA run's moves from one member of a live set that is its own
+    successor: per truth code of the atoms of a block loop, the member
+    reached by its first edge whose guard holds (``find``), looked up
+    when the code is first met."""
+
+    __slots__ = ("find",)
+
+    def __init__(self, find):
+        self.find = find
+
+    def __missing__(self, code):
+        move = self[code] = self.find(code)
+        return move
+
+
+def _block_loop(prog: _Program, live: _LiveSet, run: bool, rows: bool):
+    """The rest of a block from ``live``, a live set that is its own
+    successor, as one function ``(samples, costs, run, append) -> (costs,
+    run)`` built with ``exec``; and the variables whose block columns it
+    reads, zipped, as ``samples``.  Per sample it computes each atom's
+    truth and each used literal's distance (``e_times`` if it holds) as
+    ``Scorer.tables`` does, and each guard's weight as
+    ``Scorer.compound`` does: a ⊗ over a clause's literals in their
+    order (one that holds weighs ``e_times``, which changes no ⊗), a
+    min over its clauses.  A guard that holds weighs exactly
+    ``e_times``, and ``c ⊗ e_times`` is ``c``, so pricing every edge
+    gives the costs of the interpreted loop of ``_relax``; it skips the
+    same members, at ``e_plus``.  Parallel edges (one member, one
+    destination) relax once, with the least of their weights: ``c ⊗
+    min(w)`` equals ``min(c ⊗ w)``, as ⊗ and its rounding are monotone.
+    With ``run`` it moves the DFA's run by the sample's truth code
+    (``_Moves``), and with ``rows`` it appends each prefix's verdict as
+    ``_relax`` does.  The source holds only integer indices and fixed
+    names; thresholds and units are bound in its namespace."""
+    scorer, semiring = prog.scorer, prog.semiring
+    add = semiring.otimes is operator.add  # else ⊗ is max
+    at = {q: i for i, q in enumerate(live.members)}
+    edges = []  # per member, per destination, the guards with clauses of its edges there
+    for q in live.members:
+        to: dict = {}
+        for dst, j in prog.out[q]:
+            if scorer.guards[j]:
+                to.setdefault(at[dst], set()).add(j)
+        edges.append({d: tuple(sorted(js)) for d, js in to.items()})
+    groups = list(dict.fromkeys(js for row in edges for js in row.values()))
+    guards = sorted({j for js in groups for j in js})
+    atoms = sorted({a for j in guards for clause in scorer.guards[j] for a, _ in clause})
+    variables = list(dict.fromkeys(scorer.atoms[a][0] for a in atoms))
+    m, k = len(live.members), live.n_final
+    cs, ns = [f"c{i}" for i in range(m)], [f"n{i}" for i in range(m)]
+    x_of = {a: f"x{variables.index(scorer.atoms[a][0])}" for a in atoms}
+    head = ", ".join(f"x{i}" for i in range(len(variables))) or "_"
+    lines = [
+        "def loop(samples, costs, run, append):",
+        f"    [{', '.join(cs)}] = costs",
+        f"    for {head} in samples:",
+    ]
+    body = []
+    for a in atoms:
+        x = x_of[a]
+        body.append(f"t{a} = {x} < k{a}" if scorer.atoms[a][1] else f"t{a} = {x} <= k{a}")
+    literals = {lit for j in guards for clause in scorer.guards[j] for lit in clause}
+    for a, negated in sorted(literals):
+        x = x_of[a]
+        gap = f"(0.0 if {x} == k{a} else 1.0)" if scorer.discrete else f"abs({x} - k{a})"
+        body.append(f"m{a} = {gap} if t{a} else E1" if negated else f"l{a} = E1 if t{a} else {gap}")
+    for j in guards:
+        for i, clause in enumerate(scorer.guards[j]):
+            names = [f"m{a}" if negated else f"l{a}" for a, negated in clause] or ["E1"]
+            target = f"g{j}" if i == 0 else "w"
+            if add:
+                body.append(f"{target} = {' + '.join(names)}")
+            else:
+                body.append(f"{target} = {names[0]}")
+                body += [f"if {name} > {target}: {target} = {name}" for name in names[1:]]
+            if i:
+                body.append(f"if w < g{j}: g{j} = w")
+    weight = {}  # per group of parallel edges' guards, the name of their least weight
+    for i, js in enumerate(groups):
+        weight[js] = f"g{js[0]}" if len(js) == 1 else f"u{i}"
+        if len(js) > 1:
+            body += _least([f"g{j}" for j in js], f"u{i}")
+    if m:
+        body.append(" = ".join(ns) + " = E")
+    for i, row in enumerate(edges):
+        if row:
+            body.append(f"if c{i} < E:")
+        for d, js in row.items():
+            g = weight[js]
+            body.append(f"    v = c{i} + {g}" if add else f"    v = {g} if {g} > c{i} else c{i}")
+            body.append(f"    if v < n{d}: n{d} = v")
+    body += [f"c{i} = n{i}" for i in range(m)]
+    if run:
+        code = " | ".join(f"t{a} << {b}" if b else f"t{a}" for b, a in enumerate(atoms)) or "0"
+        body.append(f"run = moves[run][{code}]")
+    if rows:
+        body.append(f"if run < {k}:")
+        if k < m:
+            body += ["    " + line for line in _least(ns[k:], "d")]
+            body.append("    append((d or 0.0, True, E1, d))")
+        else:
+            body.append("    append((INF, True, E1, E))")
+        body.append("else:")
+        if k:
+            body += ["    " + line for line in _least(ns[:k], "d")]
+            body.append("    append((-d if d else 0.0, False, d, E1))")
+        else:
+            body.append("    append((-INF, False, E, E1))")
+    lines += ["        " + line for line in body or ["pass"]]
+    lines.append(f"    return [{', '.join(cs)}], run")
+    namespace = {f"k{a}": scorer.atoms[a][2] for a in atoms}
+    namespace.update(E=semiring.e_plus, E1=semiring.e_times, INF=INF)
+    if run:
+        namespace["moves"] = [_Moves(partial(_move, prog, atoms, at, q)) for q in live.members]
+    return _compile(lines, namespace), variables
+
+
+def _least(names, target: str) -> list:
+    """Lines that set ``target`` to the first least of ``names``, as
+    ``min`` does (which, called, costs several times more)."""
+    if len(names) == 2:
+        return [f"{target} = {names[1]} if {names[1]} < {names[0]} else {names[0]}"]
+    return [f"{target} = {names[0]}"] + [f"if {name} < {target}: {target} = {name}" for name in names[1:]]
+
+
+def _move(prog: _Program, atoms, at, q, code: int) -> int:
+    """The index in ``at`` of the destination of the first edge of ``q``
+    whose guard holds, where atom ``atoms[b]`` holds iff bit ``b`` of
+    ``code`` is set; a literal holds iff its atom's truth is not its
+    ``negated``."""
+    truth = {a: bool(code >> b & 1) for b, a in enumerate(atoms)}
+    guards = prog.scorer.guards
+    for dst, j in prog.out[q]:
+        if any(all(truth[a] != negated for a, negated in clause) for clause in guards[j]):
+            return at[dst]
+    raise ValueError("the block loop's run met a location where no guard holds")
 
 
 def _relax(prog: _Program, semiring: Semiring):
@@ -236,9 +438,11 @@ class ValueStream:
     step does with a sample beyond arithmetic depends only on the
     sample's weight shape (see ``Scorer``), so each live set memoizes one
     plan per shape it has met, and a plan run ``KERNEL_AFTER`` times
-    gets a generated kernel that gives the same costs.  These memos and
-    the scorer are the automaton's ``_Program``, built by its first
-    stream and shared.  The
+    gets a generated kernel that gives the same costs.  ``advance`` runs
+    the samples of a block past a fixed-point live set in a block loop,
+    also with the same costs.  These memos, the loops and the scorer
+    are the automaton's ``_Program``, built by its first stream and
+    shared.  The
     stream keeps one cost per member of the current live set, in its
     order; ``costs`` spells them out over every location.
     """
@@ -249,6 +453,7 @@ class ValueStream:
         if prog is None:  # a flipped copy is a new automaton, with its own
             prog = _Program(w)
             object.__setattr__(w, "_program", prog)
+        self._prog = prog
         self._scorer = prog.scorer
         self._live_sets = prog.live_sets
         self._semiring = w.semiring
@@ -289,10 +494,25 @@ class ValueStream:
     def advance(self, trace, rows: list | None = None) -> None:
         """A ``Trace`` or its blocks (``speclang.trace_blocks``), block by
         block: its atom tables (``Scorer.tables``), then the relax, which
-        for a monitor pair appends each prefix's verdict to a list ``rows``."""
+        for a monitor pair appends each prefix's verdict to a list ``rows``.
+        From a fixed-point live set with at least ``KERNEL_AFTER`` samples
+        of the block left, the block loop relaxes the rest."""
+        prog = self._prog
         for block in (trace,) if isinstance(trace, Trace) else trace:
             _check_variables(self.w, block)
-            self._relax(self, self._scorer.tables(block), rows)
+            n = len(block)
+            latest = n - max(KERNEL_AFTER, 1)  # the last step a loop may start at
+            start = prog.settle(self._live, latest)
+            if start is None or not 0 <= start <= latest:
+                self._relax(self, self._scorer.tables(block), rows)
+                continue
+            if start:
+                self._relax(self, self._scorer.tables(block, start), rows)
+            loop, variables = prog.loop(self._live, self._run is not None, rows is not None)
+            cols = [block.columns[var][start:] if start else block.columns[var] for var in variables]
+            samples = cols[0] if len(cols) == 1 else zip(*cols) if cols else range(n - start)
+            append = None if rows is None else rows.append
+            self._costs, self._run = loop(samples, self._costs, self._run, append)
 
 
 def _check_variables(w: A.WeightedAutomaton, trace: Trace):

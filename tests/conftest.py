@@ -3,6 +3,9 @@ import itertools
 import sys
 from pathlib import Path
 
+import pytest
+
+import arv.monitor
 from arv.generators import all_traces
 
 
@@ -36,3 +39,10 @@ def benchmark_entries():
     corpus = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(corpus)
     return [e for w in corpus.WORKLOADS for e in corpus.entries(w)]
+
+
+@pytest.fixture
+def plans_only(monkeypatch):
+    """Block loops off: ``ValueStream.advance`` runs a live set's plan at
+    every step, as ``step`` does."""
+    monkeypatch.setattr(arv.monitor._Program, "settle", lambda self, live, budget: None)

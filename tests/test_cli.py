@@ -720,9 +720,9 @@ def test_prefix_series_is_the_same_at_any_block_size(tmp_path, monkeypatch, rows
     _check_golden_series(tmp_path)
 
 
-def test_prefix_series_is_the_same_with_kernels_from_the_first_use(tmp_path, monkeypatch):
+def test_prefix_series_is_the_same_with_kernels_from_the_first_use(tmp_path, monkeypatch, plans_only):
     """The golden series, with every dense plan run by its generated
-    kernel from its first step."""
+    kernel from its first step (and no block loop)."""
     import arv.monitor
 
     built = []
@@ -731,6 +731,19 @@ def test_prefix_series_is_the_same_with_kernels_from_the_first_use(tmp_path, mon
     monkeypatch.setattr(arv.monitor, "_kernel", lambda *args: built.append(args) or real(*args))
     _check_golden_series(tmp_path)
     assert len(built) > 100
+
+
+def test_prefix_series_is_the_same_with_block_loops_from_the_first_fixed_point(tmp_path, monkeypatch):
+    """The golden series, with each live set that is its own successor
+    running the rest of the trace in a block loop from its first step."""
+    import arv.monitor
+
+    built = []
+    real = arv.monitor._block_loop
+    monkeypatch.setattr(arv.monitor, "KERNEL_AFTER", 0)
+    monkeypatch.setattr(arv.monitor, "_block_loop", lambda *args: built.append(args) or real(*args))
+    _check_golden_series(tmp_path)
+    assert len(built) == 3 * len(SERIES_SPECS)  # one per invocation
 
 
 @pytest.mark.parametrize("mode", [["--prefix-series"], ["--out"], []])

@@ -18,6 +18,7 @@ from arv.monitor import (
     robustness_prefix_series,
     trace_value,
     verdict,
+    verdict_rows,
     verdicts,
 )
 from arv.oracles import path_costs, path_enumeration_value, trace_distance_brute_force
@@ -655,6 +656,7 @@ def test_costs_match_path_enumeration_where_guards_overlap(semiring, compiled):
 
 
 INTERPRETED = 10**9  # a KERNEL_AFTER no test trace reaches
+SHIPPED = arv.monitor.KERNEL_AFTER
 
 
 def _kernels_built(sides):
@@ -662,10 +664,10 @@ def _kernels_built(sides):
 
 
 @pytest.mark.parametrize("semiring", ALL, ids=lambda s: s.name)
-def test_kernels_equal_the_interpreted_loop(monkeypatch, semiring):
-    """With every dense plan compiled before its first step, the verdict
-    series of random STL and SRE pairs, read from either side, print the
-    same as with the loop alone."""
+def test_kernels_equal_the_interpreted_loop(monkeypatch, plans_only, semiring):
+    """With every dense plan compiled before its first step (and no block
+    loop), the verdict series of random STL and SRE pairs, read from
+    either side, print the same as with the loop alone."""
     from arv.generators import random_sre
 
     rng = random.Random(256)
@@ -709,12 +711,12 @@ def test_kernels_equal_the_interpreted_loop_on_nfas(monkeypatch):
 
 
 @pytest.mark.parametrize("semiring", ALL, ids=lambda s: s.name)
-def test_a_stream_crossing_the_threshold_mid_block_gives_a_fresh_streams_series(monkeypatch, semiring):
-    """With kernels after 7 uses, plans get them in the middle of a
-    40-sample block; later traces through the same pair run them from
-    their first sample.  Every series equals a fresh interpreted pair's.
-    Under ``boolean`` these plans meet mostly ``e_plus`` costs and keep
-    the loop."""
+def test_a_stream_crossing_the_threshold_mid_block_gives_a_fresh_streams_series(monkeypatch, plans_only, semiring):
+    """With kernels after 7 uses (and no block loop), plans get them in
+    the middle of a 40-sample block; later traces through the same pair
+    run them from their first sample.  Every series equals a fresh
+    interpreted pair's.  Under ``boolean`` these plans meet mostly
+    ``e_plus`` costs and keep the loop."""
     rng = random.Random(7)
     traces = [random_trace(rng, ("x", "y"), 40, lo=0, hi=10) for _ in range(3)]
     built = 0
@@ -728,10 +730,11 @@ def test_a_stream_crossing_the_threshold_mid_block_gives_a_fresh_streams_series(
     assert (built > 0) is (semiring is not BOOLEAN)  # Boolean plans here are sparse
 
 
-def test_boolean_star_plans_stay_interpreted():
+def test_boolean_star_plans_stay_interpreted(plans_only):
     """Under ``boolean`` most of the star's costs are ``e_plus``, which
     the loop skips, so its plans keep the loop past ``KERNEL_AFTER``
-    uses; under ``minmax`` the same plans get kernels."""
+    uses; under ``minmax`` the same plans get kernels.  (Without
+    ``plans_only`` a block loop would run these steps.)"""
     star = parse_sre("(<x <= 7>[1,5] ; <y >= 2>[1,3])*")
     rng = random.Random(8)
     trace = random_trace(rng, ("x", "y"), 3000, lo=0, hi=10)
@@ -741,6 +744,142 @@ def test_boolean_star_plans_stay_interpreted():
         stream.advance(trace)
         plans = [plan for plan in plans_of(stream) if plan.uses >= arv.monitor.KERNEL_AFTER]
         assert plans and all(bool(plan.kernel) is kernels for plan in plans)
+
+
+def _loops_built(w):
+    program = w.__dict__.get("_program")
+    return len(program.loops) if program else 0
+
+
+def _reads_with_and_without_block_loops(monkeypatch, pair, trace):
+    """``verdict_rows``, ``verdict`` and both sides' ``trace_value`` of a
+    monitor pair, as one ``repr``: on fresh programs with the block loops
+    at the shipped ``KERNEL_AFTER``, then with no loop and no kernel; and
+    how many loops the first read built."""
+    got, loops = [], 0
+    for after in (SHIPPED, INTERPRETED):
+        monkeypatch.setattr(arv.monitor, "KERNEL_AFTER", after)
+        pos, neg = (replace(w) for w in pair)  # fresh programs
+        got.append(repr((list(verdict_rows(trace, pos, neg)), verdict(trace, pos, neg),
+                         trace_value(trace, pos), trace_value(trace, neg))))
+        loops = loops or _loops_built(pos) + _loops_built(neg)
+    return got[0], got[1], loops
+
+
+@pytest.mark.parametrize("semiring", ALL, ids=lambda s: s.name)
+def test_block_loops_equal_the_per_shape_path(monkeypatch, semiring):
+    """Random STL and SRE pairs on traces of at least ``2 * KERNEL_AFTER``
+    samples: every read prints the same with the block loops as with the
+    per-shape plans alone, and most pairs build all three loop variants
+    (rows, final, no DFA run)."""
+    from arv.generators import random_sre
+
+    rng = random.Random(2718)
+    built, sizes = [], []
+    for k in range(60):
+        make = random_stl if k % 2 else random_sre
+        pair = build_monitor_pair(make(rng, ["x", "y"], depth=2 + k % 3 // 2, max_bound=3), semiring)
+        t = random_trace(rng, ("x", "y"), rng.randint(2, 3) * SHIPPED)
+        with_loops, without, loops = _reads_with_and_without_block_loops(monkeypatch, pair, t)
+        assert with_loops == without
+        built.append(loops)
+        sizes.append(pair[0].base.n_locations)
+    assert built.count(4) > 50  # rows, final and a plain stream on each side
+    assert max(sizes) >= 8
+
+
+@pytest.mark.parametrize("semiring", ALL, ids=lambda s: s.name)
+@pytest.mark.parametrize("text", [
+    "G(x < 3 -> F[0,2] !(y > 5))",
+    "G(!(x >= 3) || y <= 5 && x > 1)",
+    "(T ; <x < 3 && !(y > 5)>[2,3] ; T) & (T ; <y >= 5 || x <= 1>[1,2] ; T)",
+])
+def test_block_loops_equal_the_per_shape_path_on_thresholds(monkeypatch, semiring, text):
+    """Strict and negated literals, on traces whose values sit on their
+    thresholds or half a unit off them."""
+    rng = random.Random(text)
+    values = (0.5, 1.0, 1.5, 2.5, 3.0, 3.5, 4.5, 5.0, 5.5)
+    t = Trace(("x", "y"), [{"x": rng.choice(values), "y": rng.choice(values)} for _ in range(700)])
+    with_loops, without, loops = _reads_with_and_without_block_loops(monkeypatch, build_monitor_pair(_spec(text), semiring), t)
+    assert with_loops == without and loops >= 4
+
+
+@pytest.mark.parametrize("semiring", ALL, ids=lambda s: s.name)
+def test_block_loops_start_mid_block_and_carry_across_blocks(tmp_path, monkeypatch, semiring):
+    """Blocks of 300 rows: the loop takes over after the transient, in
+    the middle of the first block, runs whole later blocks from their
+    first row and leaves the last, shorter one to the plans; the series
+    and the verdict equal those of the whole trace without loops."""
+    import arv.speclang
+    from arv.speclang import trace_blocks, write_trace_csv
+
+    rng = random.Random(300)
+    trace = random_trace(rng, ("x", "y"), 1000, lo=0, hi=10)
+    path = tmp_path / "t.csv"
+    write_trace_csv(trace, path)
+    monkeypatch.setattr(arv.speclang, "CHUNK_ROWS", 300)
+    for text in (*MONITORED, "(T ; <x <= 2>[2,4] ; T) & (T ; <y >= 8>[1,3] ; T)"):
+        pair = build_monitor_pair(_spec(text), semiring)
+        monkeypatch.setattr(arv.monitor, "KERNEL_AFTER", INTERPRETED)
+        fresh = tuple(replace(w) for w in pair)
+        want = repr((list(verdicts(trace, *fresh)), verdict(trace, *fresh)))
+        monkeypatch.setattr(arv.monitor, "KERNEL_AFTER", SHIPPED)
+        blocks = [len(rows) for rows in verdict_rows(trace_blocks(path), *pair)]
+        assert blocks == [300, 300, 300, 100]
+        assert repr((list(verdicts(trace_blocks(path), *pair)), verdict(trace_blocks(path), *pair))) == want
+        assert 0 < pair[0]._program.live_set(pair[0].base.initial).settle < 300
+        assert _loops_built(pair[0]) == 2
+
+
+@pytest.mark.parametrize("semiring", ALL, ids=lambda s: s.name)
+def test_block_loops_weigh_multi_clause_guards(monkeypatch, semiring):
+    """The CNF star's guards have several clauses of several literals,
+    and its loop takes the min over their ⊗s as the compounds do."""
+    names = [(f"x{i}", f"y{i}") for i in range(2)]
+    text = "(" + " && ".join(f"({x} < 1 || {y} < 1)" for x, y in names) + ")*"
+    pair = build_monitor_pair(parse_sre(text), semiring)
+    guards = ValueStream(pair[0])._scorer.guards  # per guard, per clause, its literals
+    assert max(len(clauses) for clauses in guards) >= 2
+    assert max(len(clause) for clauses in guards for clause in clauses) >= 2
+    rng = random.Random(5)
+    variables = [v for xy in names for v in xy]
+    t = Trace(tuple(variables), [{v: rng.choice((0.0, 0.5, 1.0, 2.0)) for v in variables} for _ in range(800)])
+    with_loops, without, loops = _reads_with_and_without_block_loops(monkeypatch, pair, t)
+    assert with_loops == without and loops >= 4
+
+
+def test_generated_functions_have_file_names_of_their_own(monkeypatch):
+    """Kernels and block loops compile under distinct file names, so a
+    profile keys each one apart."""
+    monkeypatch.setattr(arv.monitor, "KERNEL_AFTER", 0)
+    pair = build_monitor_pair(parse_stl("G(x <= 5 -> F[0,3] y >= 2)"), MINMAX)
+    stream = ValueStream(pair[0])
+    for sample in random_trace(random.Random(3), ("x", "y"), 40, lo=0, hi=10).samples:
+        stream.step(sample)
+    verdict(random_trace(random.Random(4), ("x", "y"), 40, lo=0, hi=10), *pair)
+    kernels = [plan.kernel.__code__.co_filename for plan in plans_of(stream) if plan.kernel]
+    loops = [loop.__code__.co_filename for loop, _ in stream._prog.loops.values()]
+    assert len(kernels) >= 2 and len(loops) == 1
+    assert len(set(kernels + loops)) == len(kernels) + len(loops)
+    assert all(name.startswith("<arv kernel ") for name in kernels)
+    assert loops[0].startswith("<arv loop ")
+
+
+def test_a_period_two_live_set_cycle_never_builds_a_loop(monkeypatch):
+    """``(<y >= 1>[2,2])*`` alternates between two live sets forever, so
+    no live set is its own successor and the plans run every block."""
+    built = []
+    real = arv.monitor._block_loop
+    monkeypatch.setattr(arv.monitor, "_block_loop", lambda *args: built.append(args) or real(*args))
+    rng = random.Random(2)
+    t = random_trace(rng, ("y",), 5000, lo=0, hi=3)
+    for semiring in ALL:
+        pair = build_monitor_pair(parse_sre("(<y >= 1>[2,2])*"), semiring)
+        list(verdict_rows(t, *pair))
+        verdict(t, *pair)
+        trace_value(t, pair[1])
+        assert pair[0]._program.live_set(pair[0].base.initial).settle == -1
+    assert built == []
 
 
 def test_verdict_is_the_last_of_verdicts():

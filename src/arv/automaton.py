@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from . import predicate as P
 from .distance import PointwiseDistance, Scorer, check_fits
@@ -42,13 +42,16 @@ MAX_SUBSETS = 1 << 16
 
 @dataclass(frozen=True)
 class SymbolicAutomaton:
-    """Locations with DNF-guarded transitions."""
+    """Locations with DNF-guarded transitions.  ``complete`` says that each
+    location's guards are known to cover every valuation, as in a
+    ``determinize`` result (False: not known); equality ignores it."""
 
     variables: tuple[str, ...]
     n_locations: int
     initial: frozenset[int]
     final: frozenset[int]
     transitions: tuple[tuple[int, Dnf, int], ...]
+    complete: bool = field(default=False, compare=False, repr=False)
 
     def __eq__(self, other):
         if not isinstance(other, SymbolicAutomaton):
@@ -399,7 +402,7 @@ def determinize(a: SymbolicAutomaton) -> SymbolicAutomaton:
         columns[column] = _region_dnf(maximal, variables)
     transitions = tuple((b, guard, column[b]) for b in rep for column, guard in columns.items())
     final = frozenset(b for b, s in rep.items() if accepting[s])
-    return SymbolicAutomaton(a.variables, len(rep), frozenset({0}), final, transitions)
+    return SymbolicAutomaton(a.variables, len(rep), frozenset({0}), final, transitions, complete=True)
 
 
 def flip(d: SymbolicAutomaton) -> SymbolicAutomaton:

@@ -33,6 +33,20 @@ longer than one step keep the plans.  So does ``step``: there a loop
 that prices every edge makes each step slower than a plan that passes
 the costs of held guards on unpriced.
 
+A fixed point is *settled* (``_Program.settled``) when each member's
+edges all lead back to that member, with guards that together cover
+every valuation: the accept and reject sinks of a bounded-horizon
+specification, say.  There some guard of each member holds at every
+sample, so each cost passes on unchanged, and a priced edge offers
+``c ⊗ w``, never below ``c``: no cost, DFA run or verdict row can
+change.  ``step`` still builds each sample's atom table, so every bad
+value raises as before, and then returns; ``advance`` relaxes the
+transient (plus one step, for a row to repeat) and, with rows, repeats
+the last row for the rest of the block, after the block has been read
+and checked like any other.  No block loop is built for a settled live
+set, nor a kernel for its plans, which only that one step per block
+runs.
+
 A specification compiles to one minimal complete DFA over the minterms
 of its automaton's guards, ``spec_dfa``, which ``arv translate``
 prints; that DFA and its flipped copy are the monitor pair.  The two
@@ -55,13 +69,15 @@ from __future__ import annotations
 import operator
 from dataclasses import replace
 from functools import partial
-from itertools import chain, count
+from itertools import chain, count, repeat
 from typing import NamedTuple
 
 from . import automaton as A
 from . import speclang as S
 from .distance import HELD, PointwiseDistance, Valuation, default_distance
 from .errors import UnboundVariableError
+from .intervals import complement_cover
+from .predicate import dnf_boxes
 from .semiring import INF, Semiring, SemiringValue, to_signed
 from .speclang import SreExpr, StlFormula, Trace
 from .translate import translate_sre, translate_stl
@@ -71,18 +87,20 @@ class _LiveSet:
     """One set of live locations, final ones first (``members[:n_final]``
     lie inside the final set); the live set after one more step
     (``next``, filled when first needed, the same for every sample); per
-    weight shape the ``_Plan`` of a step from it; and how many steps lead
+    weight shape the ``_Plan`` of a step from it; how many steps lead
     from it to a live set that is its own successor (``settle``, -1 if
-    none does, filled by ``_Program.settle``)."""
+    none does, filled by ``_Program.settle``); and whether no sample can
+    change a cost on it (``settled``, from ``_Program.settled``)."""
 
-    __slots__ = ("members", "n_final", "next", "plans", "settle")
+    __slots__ = ("members", "n_final", "next", "plans", "settle", "settled")
 
-    def __init__(self, members, final):
+    def __init__(self, members, final, settled: bool):
         self.members = sorted(members, key=lambda q: (q not in final, q))
         self.n_final = sum(q in final for q in members)
         self.next = None
         self.plans: dict = {}
         self.settle = None
+        self.settled = settled
 
 
 class _Plan:
@@ -112,6 +130,7 @@ class _Program:
         for (src, _, dst), j in zip(base.transitions, index):
             self.out[src].append((dst, j))
         self.final = base.final
+        self.base = base
         self.semiring = w.semiring
         self.live_sets: dict = {}
         self.relax = _relax(self, w.semiring)
@@ -121,7 +140,7 @@ class _Program:
         members = frozenset(members)
         live = self.live_sets.get(members)
         if live is None:
-            live = self.live_sets[members] = _LiveSet(members, self.final)
+            live = self.live_sets[members] = _LiveSet(members, self.final, self.settled(members))
         return live
 
     def successor(self, live: _LiveSet) -> _LiveSet:
@@ -148,6 +167,22 @@ class _Program:
         for i, q in enumerate(path):
             q.settle = -1 if end < 0 else end + n - i
         return start.settle
+
+    def settled(self, members) -> bool:
+        """Whether no sample can change a cost on the live set of
+        ``members``: each member's edges all lead back to it, and their
+        guards together cover every valuation (so there is an edge, and
+        the live set is its own successor).  Then some guard of each
+        member holds at any sample, so its cost passes on unchanged and
+        every priced candidate ``c ⊗ w`` is no lower: no cost, run or
+        verdict row changes.  Each location of a ``complete`` automaton
+        covers; for any other, the cover is checked with boxes."""
+        out, base = self.out, self.base
+        return all(
+            all(dst == q for dst, _ in out[q])
+            and (base.complete or _covers([g for src, g, _ in base.transitions if src == q], base.variables))
+            for q in members
+        )
 
     def loop(self, live: _LiveSet, run: bool, rows: bool):
         """The ``_block_loop`` of ``live`` for a stream that moves a DFA's
@@ -368,7 +403,9 @@ def _relax(prog: _Program, semiring: Semiring):
     so relaxing is one comparison).  A plan's first ``KERNEL_AFTER`` uses
     run that loop; at the next one it gets its ``_kernel``, unless more
     than half of the costs it meets then are ``e_plus`` (members the loop
-    skips, as in Boolean plans), and it then runs interpreted for good.  A
+    skips, as in Boolean plans) or it leads from a settled live set (whose
+    plans only ``advance`` runs, for one step per block), and it then runs
+    interpreted for good.  A
     monitor pair's stream (``_stream``) also moves the DFA's run along its
     one free edge, so the run costs ``e_times`` and, with a list ``rows``,
     each prefix's verdict is read from a min over the other side alone,
@@ -385,9 +422,10 @@ def _relax(prog: _Program, semiring: Semiring):
             if compounds:
                 compound(distances, compounds)
             plan = live.plans.get(shape) or make_plan(live, shape)
-            live, kernel = plan.next, plan.kernel
-            if kernel is None and plan.uses == KERNEL_AFTER and costs.count(e_plus) * 2 <= len(costs):
-                kernel = plan.kernel = _kernel(plan.rows, len(live.members), add, e_plus)
+            kernel = plan.kernel
+            if kernel is None and plan.uses == KERNEL_AFTER and not live.settled and costs.count(e_plus) * 2 <= len(costs):
+                kernel = plan.kernel = _kernel(plan.rows, len(plan.next.members), add, e_plus)
+            live = plan.next
             if kernel:
                 costs = kernel(costs, distances)
             else:
@@ -440,11 +478,13 @@ class ValueStream:
     plan per shape it has met, and a plan run ``KERNEL_AFTER`` times
     gets a generated kernel that gives the same costs.  ``advance`` runs
     the samples of a block past a fixed-point live set in a block loop,
-    also with the same costs.  These memos, the loops and the scorer
-    are the automaton's ``_Program``, built by its first stream and
-    shared.  The
-    stream keeps one cost per member of the current live set, in its
-    order; ``costs`` spells them out over every location.
+    also with the same costs.  Once the live set is settled (no sample
+    can change a cost), ``step`` only checks each sample and ``advance``
+    only reads and checks each block, repeating the last verdict row.
+    These memos, the loops and the scorer are the automaton's
+    ``_Program``, built by its first stream and shared.  The stream
+    keeps one cost per member of the current live set, in its order;
+    ``costs`` spells them out over every location.
     """
 
     def __init__(self, w: A.WeightedAutomaton):
@@ -484,26 +524,44 @@ class ValueStream:
 
     def step(self, valuation: Valuation) -> None:
         """One sample: its atom table (``Scorer.table``; ``ParseError`` for a
-        value that is not a finite number), relaxed as a block of one."""
+        value that is not a finite number), relaxed as a block of one
+        unless the live set is settled, where it would change nothing."""
         try:
             table = self._scorer.table(valuation)
         except KeyError as exc:
             raise UnboundVariableError(f"unbound variable {exc.args[0]!r}") from None
-        self._relax(self, (table,), None)
+        if not self._live.settled:
+            self._relax(self, (table,), None)
 
     def advance(self, trace, rows: list | None = None) -> None:
         """A ``Trace`` or its blocks (``speclang.trace_blocks``), block by
         block: its atom tables (``Scorer.tables``), then the relax, which
         for a monitor pair appends each prefix's verdict to a list ``rows``.
-        From a fixed-point live set with at least ``KERNEL_AFTER`` samples
-        of the block left, the block loop relaxes the rest."""
+        Once the live set is settled, the rest of the block changes nothing,
+        and with ``rows`` one more step gives the row that each of its
+        samples repeats; from any other fixed-point live set with at least
+        ``KERNEL_AFTER`` samples of the block left, the block loop relaxes
+        the rest.  Every block is checked as a ``Trace`` and for the
+        automaton's variables either way."""
         prog = self._prog
         for block in (trace,) if isinstance(trace, Trace) else trace:
             _check_variables(self.w, block)
             n = len(block)
-            latest = n - max(KERNEL_AFTER, 1)  # the last step a loop may start at
-            start = prog.settle(self._live, latest)
-            if start is None or not 0 <= start <= latest:
+            start = prog.settle(self._live, n - 1)
+            if start is None or not 0 <= start < n:
+                self._relax(self, self._scorer.tables(block), rows)
+                continue
+            fixed = self._live
+            for _ in range(start):
+                fixed = fixed.next
+            if fixed.settled:  # a row to repeat takes one more step
+                stop = start + (rows is not None)
+                if stop:
+                    self._relax(self, self._scorer.tables(block, stop), rows)
+                if rows is not None:
+                    rows.extend(repeat(rows[-1], n - stop))
+                continue
+            if start > n - max(KERNEL_AFTER, 1):  # too few samples left for a loop
                 self._relax(self, self._scorer.tables(block), rows)
                 continue
             if start:
@@ -513,6 +571,12 @@ class ValueStream:
             samples = cols[0] if len(cols) == 1 else zip(*cols) if cols else range(n - start)
             append = None if rows is None else rows.append
             self._costs, self._run = loop(samples, self._costs, self._run, append)
+
+
+def _covers(guards, variables) -> bool:
+    """Whether the guards' regions together hold every valuation."""
+    n = len(variables) or 1  # a guard over no variables reads "_"
+    return not complement_cover([box for g in guards for box in dnf_boxes(g, variables)], n)
 
 
 def _check_variables(w: A.WeightedAutomaton, trace: Trace):

@@ -733,7 +733,7 @@ def test_prefix_series_is_the_same_with_kernels_from_the_first_use(tmp_path, mon
     assert len(built) > 100
 
 
-def test_prefix_series_is_the_same_with_block_loops_from_the_first_fixed_point(tmp_path, monkeypatch):
+def test_prefix_series_is_the_same_with_block_loops_from_the_first_fixed_point(tmp_path, monkeypatch, unsettled):
     """The golden series, with each live set that is its own successor
     running the rest of the trace in a block loop from its first step."""
     import arv.monitor
@@ -798,3 +798,24 @@ def test_many_traces_keep_their_order_across_blocks(tmp_path, monkeypatch, capsy
     alone = [run([p])[0] for p in traces]
     assert run(traces) == alone
     assert run(traces[::-1]) == alone[::-1]
+
+
+@pytest.mark.parametrize("mode", [[], ["--prefix-series"]])
+@pytest.mark.parametrize("row, message", [
+    ("nan,1", "non-finite value 'nan' in trace row 5001, column 'x'"),
+    ("abc,1", "non-numeric cell in trace row 5001, column 'x'"),
+    ("7", "trace row 5001 has 1 cells, expected 2"),
+])
+def test_a_bad_row_after_the_horizon_still_fails(tmp_path, capsys, mode, row, message):
+    """``G[0,20] F[0,5] x >= 8`` settles long before row 5000, where its
+    second block of rows holds a NaN, a non-numeric cell or a missing
+    one: each still fails with its ``ParseError`` and exit code 2."""
+    spec = write(tmp_path / "spec.stl", "G[0,20] F[0,5] x >= 8\n")
+    rng = random.Random(5)
+    lines = ["x,y"] + [f"{rng.randint(0, 40) / 4},1" for _ in range(6000)]
+    lines[5000] = row
+    trace = write(tmp_path / "t.csv", "\n".join(lines) + "\n")
+    out = [str(tmp_path / "series.csv")] if mode else []
+    assert main(["monitor", "--spec", spec, "--trace", trace, "--semiring", "minmax", *mode, *out]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")

@@ -573,7 +573,7 @@ def test_step_reads_each_distinct_atom_once(compiled):
     ["G(x <= 5 -> F[0,6] y >= 2)", "G[0,20] F[0,5] x >= 8", "(<x <= 7>[1,5] ; <y >= 2>[1,3])*"],
     ids=["response-k6", "bounded-recurrence", "star"],
 )
-def test_live_set_memo_does_not_grow_with_trace_length(monkeypatch, text):
+def test_live_set_memo_does_not_grow_with_trace_length(monkeypatch, unsettled, text):
     """Live sets, plans and kernels, with kernels after ``KERNEL_AFTER``
     uses and with kernels from the first use."""
     spec = parse_stl(text) if text.startswith("G") else parse_sre(text)
@@ -767,7 +767,7 @@ def _reads_with_and_without_block_loops(monkeypatch, pair, trace):
 
 
 @pytest.mark.parametrize("semiring", ALL, ids=lambda s: s.name)
-def test_block_loops_equal_the_per_shape_path(monkeypatch, semiring):
+def test_block_loops_equal_the_per_shape_path(monkeypatch, unsettled, semiring):
     """Random STL and SRE pairs on traces of at least ``2 * KERNEL_AFTER``
     samples: every read prints the same with the block loops as with the
     per-shape plans alone, and most pairs build all three loop variants
@@ -1101,3 +1101,204 @@ def test_a_trace_in_blocks_reads_as_the_whole_trace():
                 else:
                     stream.advance(Trace(trace.variables, [sample]))
             assert stream.value == trace_value(trace, pair[0])
+
+
+BOUNDED_STL = (  # templates whose live sets end on the accept and reject sinks
+    "G[0,{a}] F[0,{b}] ({p})",
+    "F[0,{a}] G[0,{b}] ({p})",
+    "G[0,{a}](({p}) -> F[0,{b}] ({q}))",
+    "({p}) U[{a},{b}] ({q})",
+)
+
+
+def _bounded_spec(rng, k):
+    """A random specification that settles once its horizon is past: a
+    bounded STL template over random predicates, or a star-free SRE."""
+    from arv.generators import random_predicate, random_sre
+
+    if k % 2:
+        return random_sre(rng, ["x", "y"], depth=3, max_bound=3, star_budget=0)
+    p, q = (random_predicate(rng, ["x", "y"], depth=1, lo=0, hi=4) for _ in range(2))
+    a = rng.randint(0, 4)
+    return parse_stl(rng.choice(BOUNDED_STL).format(a=a, b=rng.randint(a, a + 3), p=p, q=q))
+
+
+def _reads(pair, trace):
+    """``verdict_rows``, ``verdict``, both sides' ``trace_value`` and both
+    sides' costs after every ``step``, as one ``repr``, on fresh programs;
+    and how many settled live sets they met.  ``trace`` is a ``Trace`` or
+    a CSV file, which the reads take in blocks (``trace_blocks``)."""
+    from arv.speclang import read_trace_csv, trace_blocks
+
+    if isinstance(trace, Trace):
+        samples, blocks = trace.samples, lambda: trace
+    else:
+        samples, blocks = read_trace_csv(str(trace)).samples, lambda: trace_blocks(str(trace))
+    pos, neg = (replace(w) for w in pair)
+    costs = []
+    for w in (pos, neg):
+        stream = ValueStream(w)
+        for sample in samples:
+            stream.step(sample)
+            costs.append(stream.costs)
+    rows = [row for block in verdict_rows(blocks(), pos, neg) for row in block]
+    reads = rows, verdict(blocks(), pos, neg), trace_value(blocks(), pos), trace_value(blocks(), neg), costs
+    settled = sum(live.settled for w in (pos, neg) for live in w._program.live_sets.values())
+    return repr(reads), settled
+
+
+def _with_and_without_settling(monkeypatch, pair, trace, whole=None):
+    """``_reads`` of ``trace`` with settled live sets on, then of ``whole``
+    (by default the same trace) with them off."""
+    on, settled = _reads(pair, trace)
+    with monkeypatch.context() as m:
+        m.setattr(arv.monitor._Program, "settled", lambda self, members: False)
+        off, _ = _reads(pair, trace if whole is None else whole)
+    return on, off, settled
+
+
+@pytest.mark.parametrize("semiring", ALL, ids=lambda s: s.name)
+def test_settling_changes_no_value(monkeypatch, semiring):
+    """Random bounded STL and star-free SRE pairs: every verdict row,
+    verdict, trace value and cost after every step prints the same with
+    settled live sets as with every sample relaxed, and most pairs
+    settle within their traces."""
+    rng = random.Random(28)
+    settled = 0
+    for k in range(60):
+        pair = build_monitor_pair(_bounded_spec(rng, k), semiring)
+        t = random_trace(rng, ("x", "y"), rng.randint(1, 40), lo=0, hi=5)
+        on, off, met = _with_and_without_settling(monkeypatch, pair, t)
+        assert on == off
+        settled += met > 0
+    assert settled > 40
+
+
+@pytest.mark.parametrize("semiring", ALL, ids=lambda s: s.name)
+@pytest.mark.parametrize("rows", [1, 2, 5, 16])
+def test_settling_mid_block_at_a_block_start_and_across_blocks(tmp_path, monkeypatch, semiring, rows):
+    """Traces read ``rows`` samples a block at a time, so streams settle
+    in the middle of a block, at its first sample and before whole later
+    blocks; each read equals that of the whole trace with every sample
+    relaxed."""
+    import arv.speclang
+    from arv.speclang import write_trace_csv
+
+    monkeypatch.setattr(arv.speclang, "CHUNK_ROWS", rows)
+    rng = random.Random(rows)
+    settled = 0
+    for k in range(16):
+        pair = build_monitor_pair(_bounded_spec(rng, k), semiring)
+        t = random_trace(rng, ("x", "y"), rng.randint(20, 60), lo=0, hi=5)
+        path = tmp_path / "t.csv"
+        write_trace_csv(t, path)
+        on, off, met = _with_and_without_settling(monkeypatch, pair, path, t)
+        assert on == off
+        settled += met > 0
+    assert settled > 8
+
+
+def test_golden_series_are_the_same_with_settled_live_sets(tmp_path, monkeypatch):
+    """Every golden series file, byte for byte, with settled live sets on;
+    ``bounded-recurrence`` settles in each of its semirings."""
+    from test_cli import _check_golden_series
+
+    met = []
+    real = arv.monitor._Program.settled
+    monkeypatch.setattr(arv.monitor._Program, "settled", lambda self, members: met.append(real(self, members)) or met[-1])
+    _check_golden_series(tmp_path)
+    assert met.count(True) >= 3
+
+
+def test_errors_after_the_horizon_are_unchanged(tmp_path, monkeypatch):
+    """A settled stream still reads and checks every sample: a bad row in
+    a later block raises the ``ParseError`` that a stream relaxing every
+    sample raises, and a settled ``step`` refuses a NaN and an unbound
+    variable."""
+    from arv.errors import ParseError
+    from arv.speclang import trace_blocks
+
+    pair = build_monitor_pair(parse_stl("G[0,20] F[0,5] x >= 8"), MINMAX)
+    rng = random.Random(5)
+    lines = ["x,y"] + [f"{rng.randint(0, 40) / 4},1" for _ in range(6000)]
+    cases = {
+        "nan,1": "non-finite value 'nan' in trace row 5001, column 'x'",
+        "abc,1": "non-numeric cell in trace row 5001, column 'x'",
+        "7": "trace row 5001 has 1 cells, expected 2",
+    }
+    for row, message in cases.items():
+        path = tmp_path / "t.csv"
+        path.write_text("\n".join(lines[:5000] + [row] + lines[5001:]) + "\n")
+        for settled in (True, False):
+            with monkeypatch.context() as m:
+                if not settled:
+                    m.setattr(arv.monitor._Program, "settled", lambda self, members: False)
+                fresh = [replace(w) for w in pair]
+                with pytest.raises(ParseError) as err:
+                    list(verdict_rows(trace_blocks(str(path)), *fresh))
+                assert str(err.value) == message
+                with pytest.raises(ParseError) as err:
+                    verdict(trace_blocks(str(path)), *fresh)
+                assert str(err.value) == message
+    stream = ValueStream(pair[0])
+    for sample in random_trace(rng, ("x", "y"), 40, lo=0, hi=10).samples:
+        stream.step(sample)
+    assert stream._live.settled
+    with pytest.raises(ParseError, match="non-finite value nan for variable 'x'"):
+        stream.step({"x": math.nan})
+    with pytest.raises(UnboundVariableError, match="unbound variable 'x'"):
+        stream.step({})
+
+
+@pytest.mark.parametrize("semiring", ALL, ids=lambda s: s.name)
+def test_a_self_loop_that_leaves_valuations_uncovered_never_settles(semiring):
+    """One location whose one edge loops on ``x <= 0``: its live set is
+    its own successor, but a sample with ``x = 1`` prices the loop, so it
+    is not settled and the cost grows by ``⊗ 1``.  With the other half,
+    ``x > 0``, on a second loop, the loops cover and it settles."""
+    loop = P.Dnf(((P.comparison("x", "<=", 0.0),),))
+    rest = P.Dnf(((P.comparison("x", ">", 0.0),),))
+    costs = {"boolean": [1.0, 1.0], "minmax": [1.0, 1.0], "tropical": [1.0, 2.0]}[semiring.name]
+    for guards, settles in (((loop,), False), ((loop, rest), True)):
+        a = make_automaton(("x",), 1, {0}, {0}, [(0, g, 0) for g in guards])
+        assert not a.complete
+        stream = ValueStream(decorate(a, semiring, default_distance(semiring)))
+        got = []
+        for _ in range(2):
+            stream.step({"x": 1.0})
+            got.append(stream.costs[0])
+        assert stream._live.settled is settles
+        assert got == ([semiring.e_times] * 2 if settles else costs)
+
+
+@pytest.mark.parametrize("semiring", ALL, ids=lambda s: s.name)
+def test_a_settled_stream_builds_nothing_more(monkeypatch, semiring):
+    """Plans, kernels and block loops of a settled stream are the same
+    after 30 samples as after 10⁴, fed by ``step`` or by ``advance``; and
+    with kernels from the first use, the plans of a settled live set,
+    which run at most once per block, get none."""
+    rng = random.Random(30)
+    t = random_trace(rng, ("x",), 10_000, lo=0, hi=10)
+    counts = []
+    for n in (30, 10_000):
+        prefix = Trace.from_columns(("x",), {"x": t.columns["x"][:n]})
+        pair = build_monitor_pair(parse_stl("G[0,20] F[0,5] x >= 8"), semiring)
+        assert pair[0].base.complete and pair[1].base.complete  # no cover is checked with boxes
+        stream = ValueStream(pair[0])
+        for sample in prefix.samples:
+            stream.step(sample)
+        assert stream._live.settled
+        list(verdict_rows(prefix, *pair))
+        verdict(prefix, *pair)
+        trace_value(prefix, pair[1])
+        counts.append([(plan_count(ValueStream(w)), kernel_count(ValueStream(w)), _loops_built(w)) for w in pair])
+    assert counts[0] == counts[1]
+    assert counts[0][0][2] == counts[0][1][2] == 0
+    monkeypatch.setattr(arv.monitor, "KERNEL_AFTER", 0)
+    pair = build_monitor_pair(parse_stl("G[0,20] F[0,5] x >= 8"), semiring)
+    blocks = [Trace.from_columns(("x",), {"x": t.columns["x"][i:i + 100]}) for i in range(0, 1000, 100)]
+    list(verdict_rows(iter(blocks), *pair))
+    lives = ValueStream(pair[0])._live_sets.values()
+    settled = [plan for live in lives if live.settled for plan in live.plans.values()]
+    assert settled and not any(plan.kernel for plan in settled)
+    assert any(plan.kernel for live in lives for plan in live.plans.values())

@@ -13,29 +13,28 @@ memoized, since each depends only on the one before, and each keeps one
 destinations its cost passes to unchanged (a guard that holds) and the
 ``(destination, slot)`` pairs it is ⊗-ed into.  A step allocates and
 touches only live entries, and its work is independent of trace length.
-A plan used ``KERNEL_AFTER`` times gets a straight-line *kernel* of its
-loop, with the same arithmetic in the same order.  These are built once
-per weighted automaton and shared by its streams.
+These are built once per weighted automaton and shared by its streams.
 ``step`` fills the table from one sample, ``advance`` those of a block
 of samples a column at a time, and both feed one relax, ``_relax``.
 
 Within a few steps the live sets of most automata reach one that is its
 own successor, a *fixed point*; from there every sample takes the same
-edges and only their weights change.  Once ``advance`` stands on a
-fixed point with at least ``KERNEL_AFTER`` samples left in its block, it
-runs the rest of the block through a *block loop* (``_block_loop``):
-one generated loop per live set and variant (rows, final verdict, or no
-DFA run), built on first use, that reads the block's columns, scores
-the guards inline and relaxes every edge, with no recipe, shape or plan
-to look up.  Compiling one costs about as much as a few hundred
-interpreted samples, so transients, shorter blocks and live-set cycles
-longer than one step keep the plans.  So does ``step``: there a loop
-that prices every edge makes each step slower than a plan that passes
-the costs of held guards on unpriced.
+edges and only their weights change.  There a generated *loop*
+(``_block_loop``) takes over from the plans: one function per live set
+and variant, built on first use, that scores the guards inline and
+relaxes every edge, with no table, recipe, shape or plan to look up.
+Once ``advance`` stands on a fixed point with at least ``LOOP_AFTER``
+samples left in its block, it runs the rest of the block through a loop
+that reads the block's columns (with rows, for a final verdict, or with
+no DFA run); once ``step`` has stood on a fixed point ``LOOP_AFTER``
+times, it runs the one-sample variant, which reads the valuation.
+Compiling a loop costs about as much as a few hundred interpreted
+samples, so transients, shorter blocks, live-set cycles longer than one
+step and the first ``LOOP_AFTER`` steps keep the plans.
 
-A fixed point is *settled* (``_Program.settled``) when each member's
-edges all lead back to that member, with guards that together cover
-every valuation: the accept and reject sinks of a bounded-horizon
+A fixed point of a complete automaton (as ``determinize`` builds) is
+*settled* (``_Program.settled``) when each member's edges all lead back
+to that member: the accept and reject sinks of a bounded-horizon
 specification, say.  There some guard of each member holds at every
 sample, so each cost passes on unchanged, and a priced edge offers
 ``c ⊗ w``, never below ``c``: no cost, DFA run or verdict row can
@@ -43,9 +42,7 @@ change.  ``step`` still builds each sample's atom table, so every bad
 value raises as before, and then returns; ``advance`` relaxes the
 transient (plus one step, for a row to repeat) and, with rows, repeats
 the last row for the rest of the block, after the block has been read
-and checked like any other.  No block loop is built for a settled live
-set, nor a kernel for its plans, which only that one step per block
-runs.
+and checked like any other.  No loop is built for a settled live set.
 
 A specification compiles to one minimal complete DFA over the minterms
 of its automaton's guards, ``spec_dfa``, which ``arv translate``
@@ -76,8 +73,6 @@ from . import automaton as A
 from . import speclang as S
 from .distance import HELD, PointwiseDistance, Valuation, default_distance
 from .errors import UnboundVariableError
-from .intervals import complement_cover
-from .predicate import dnf_boxes
 from .semiring import INF, Semiring, SemiringValue, to_signed
 from .speclang import SreExpr, StlFormula, Trace
 from .translate import translate_sre, translate_stl
@@ -89,10 +84,11 @@ class _LiveSet:
     (``next``, filled when first needed, the same for every sample); per
     weight shape the ``_Plan`` of a step from it; how many steps lead
     from it to a live set that is its own successor (``settle``, -1 if
-    none does, filled by ``_Program.settle``); and whether no sample can
-    change a cost on it (``settled``, from ``_Program.settled``)."""
+    none does, filled by ``_Program.settle``); whether no sample can
+    change a cost on it (``settled``, from ``_Program.settled``); and how
+    many of ``step``'s samples have run its plans (``stood``)."""
 
-    __slots__ = ("members", "n_final", "next", "plans", "settle", "settled")
+    __slots__ = ("members", "n_final", "next", "plans", "settle", "settled", "stood")
 
     def __init__(self, members, final, settled: bool):
         self.members = sorted(members, key=lambda q: (q not in final, q))
@@ -101,6 +97,7 @@ class _LiveSet:
         self.plans: dict = {}
         self.settle = None
         self.settled = settled
+        self.stood = 0
 
 
 class _Plan:
@@ -108,20 +105,19 @@ class _Plan:
     it (``next``) and one row ``(free, priced)`` per member, where ``free``
     lists the destinations (indices into ``next.members``) of its edges
     whose guard holds and ``priced`` the ``(destination, slot)`` pairs of
-    the others; how many steps have run its loop (``uses``); and, once
-    built, its ``kernel`` (``_kernel``), which later steps run instead."""
+    the others."""
 
-    __slots__ = ("next", "rows", "uses", "kernel")
+    __slots__ = ("next", "rows")
 
     def __init__(self, nxt: _LiveSet, rows: list):
-        self.next, self.rows, self.uses, self.kernel = nxt, rows, 0, None
+        self.next, self.rows = nxt, rows
 
 
 class _Program:
     """What the streams over one weighted automaton share: its guards'
     ``Scorer``, per source location its ``(destination, guard index)``
     edges, the memo of live sets with their successors and plans, their
-    relax, and the block loops of its fixed-point live set (``loops``)."""
+    relax, and the generated loops of its fixed-point live sets (``loops``)."""
 
     def __init__(self, w: A.WeightedAutomaton):
         base = w.base
@@ -130,11 +126,11 @@ class _Program:
         for (src, _, dst), j in zip(base.transitions, index):
             self.out[src].append((dst, j))
         self.final = base.final
-        self.base = base
+        self.complete = base.complete
         self.semiring = w.semiring
         self.live_sets: dict = {}
         self.relax = _relax(self, w.semiring)
-        self.loops: dict = {}  # (live set, run?, rows?) -> (loop, its variables)
+        self.loops: dict = {}  # (live set, run?, rows?, step?) -> (loop, its variables)
 
     def live_set(self, members) -> _LiveSet:
         members = frozenset(members)
@@ -170,24 +166,21 @@ class _Program:
 
     def settled(self, members) -> bool:
         """Whether no sample can change a cost on the live set of
-        ``members``: each member's edges all lead back to it, and their
-        guards together cover every valuation (so there is an edge, and
-        the live set is its own successor).  Then some guard of each
-        member holds at any sample, so its cost passes on unchanged and
-        every priced candidate ``c ⊗ w`` is no lower: no cost, run or
-        verdict row changes.  Each location of a ``complete`` automaton
-        covers; for any other, the cover is checked with boxes."""
-        out, base = self.out, self.base
-        return all(
-            all(dst == q for dst, _ in out[q])
-            and (base.complete or _covers([g for src, g, _ in base.transitions if src == q], base.variables))
-            for q in members
-        )
+        ``members``: the automaton is ``complete`` and each member's edges
+        all lead back to it (so the live set is its own successor).  Then
+        some guard of each member holds at any sample, so its cost passes
+        on unchanged and every priced candidate ``c ⊗ w`` is no lower: no
+        cost, run or verdict row changes.  A live set of an automaton not
+        known to be complete never settles, which changes no value."""
+        out = self.out
+        return self.complete and all(all(dst == q for dst, _ in out[q]) for q in members)
 
-    def loop(self, live: _LiveSet, run: bool, rows: bool):
+    def loop(self, live: _LiveSet, run: bool, rows: bool, step: bool = False):
         """The ``_block_loop`` of ``live`` for a stream that moves a DFA's
-        run or not, and for a list of rows or none, built on first use."""
-        key = live, run, run and rows  # without a run there are no rows
+        run or not, for a list of rows or none (always none with
+        ``step``), and for a block or, with ``step``, one sample, built on
+        first use."""
+        key = live, run, run and rows, step  # without a run there are no rows
         loop = self.loops.get(key)
         if loop is None:
             loop = self.loops[key] = _block_loop(self, live, *key[1:])
@@ -215,33 +208,7 @@ class _Program:
         return plan
 
 
-KERNEL_AFTER = 256  # interpreted uses of a plan before it gets a kernel
-
-
-def _kernel(rows, n: int, add: bool, e_plus):
-    """A plan's relax as one straight-line function ``(costs, distances) ->
-    new costs``, built with ``exec``: the loop of ``_relax`` unrolled over
-    the plan's rows, with the same members in the same order, the same
-    ``c + w`` or ``w if w > c else c`` and the same ``<``, so its costs
-    are the loop's.  It does not skip members that cost ``e_plus``: ⊗
-    never lowers a cost, so none of their candidates is below a
-    destination's cost, which starts at ``e_plus``.  The source holds only
-    integer indices and fixed names, never text from a spec or a trace."""
-    lines = [
-        "def kernel(costs, distances):",
-        "    [" + ", ".join(f"c{i}" for i in range(len(rows))) + "] = costs",
-        "    " + "".join(f"n{d} = " for d in range(n)) + "E",
-    ]
-    for s in sorted({s for _, priced in rows for _, s in priced}):
-        lines.append(f"    w{s} = distances[{s}]")
-    for i, (free, priced) in enumerate(rows):
-        for d in free:
-            lines.append(f"    if c{i} < n{d}: n{d} = c{i}")
-        for d, s in priced:
-            lines.append(f"    v = c{i} + w{s}" if add else f"    v = w{s} if w{s} > c{i} else c{i}")
-            lines.append(f"    if v < n{d}: n{d} = v")
-    lines.append("    return [" + ", ".join(f"n{d}" for d in range(n)) + "]")
-    return _compile(lines, {"E": e_plus})
+LOOP_AFTER = 256  # samples run through the plans on a fixed point before its loop runs
 
 
 _serial = count()  # numbers the generated functions
@@ -249,7 +216,7 @@ _serial = count()  # numbers the generated functions
 
 def _compile(lines: list, namespace: dict):
     """The function that the generated source ``lines`` defines, named by
-    its first line, compiled under a file name of its own, ``<arv kernel
+    its first line, compiled under a file name of its own, ``<arv loop
     17>``, so that profiles keep apart the functions of one name."""
     name = lines[0][4:lines[0].index("(")]
     exec(compile("\n".join(lines), f"<arv {name} {next(_serial)}>", "exec"), namespace)
@@ -272,7 +239,7 @@ class _Moves(dict):
         return move
 
 
-def _block_loop(prog: _Program, live: _LiveSet, run: bool, rows: bool):
+def _block_loop(prog: _Program, live: _LiveSet, run: bool, rows: bool, step: bool):
     """The rest of a block from ``live``, a live set that is its own
     successor, as one function ``(samples, costs, run, append) -> (costs,
     run)`` built with ``exec``; and the variables whose block columns it
@@ -289,8 +256,16 @@ def _block_loop(prog: _Program, live: _LiveSet, run: bool, rows: bool):
     min(w)`` equals ``min(c ⊗ w)``, as ⊗ and its rounding are monotone.
     With ``run`` it moves the DFA's run by the sample's truth code
     (``_Moves``), and with ``rows`` it appends each prefix's verdict as
-    ``_relax`` does.  The source holds only integer indices and fixed
-    names; thresholds and units are bound in its namespace."""
+    ``_relax`` does.
+
+    With ``step`` it is the same body for one sample, ``(valuation,
+    costs, run) -> (costs, run)``: it reads every variable of the
+    scorer's atoms, not only those the body uses, and checks each with
+    ``-INF < v < INF``.  On a failed check, a ``KeyError`` or a
+    ``TypeError`` it calls ``Scorer.table``, which raises what a step
+    through the plans raises, and the stream keeps its costs.  The
+    source holds only integer indices and fixed names; thresholds, units
+    and variable names are bound in its namespace."""
     scorer, semiring = prog.scorer, prog.semiring
     add = semiring.otimes is operator.add  # else ⊗ is max
     at = {q: i for i, q in enumerate(live.members)}
@@ -304,16 +279,10 @@ def _block_loop(prog: _Program, live: _LiveSet, run: bool, rows: bool):
     groups = list(dict.fromkeys(js for row in edges for js in row.values()))
     guards = sorted({j for js in groups for j in js})
     atoms = sorted({a for j in guards for clause in scorer.guards[j] for a, _ in clause})
-    variables = list(dict.fromkeys(scorer.atoms[a][0] for a in atoms))
+    variables = list(dict.fromkeys(scorer.atoms[a][0] for a in (range(scorer.n_atoms) if step else atoms)))
     m, k = len(live.members), live.n_final
     cs, ns = [f"c{i}" for i in range(m)], [f"n{i}" for i in range(m)]
     x_of = {a: f"x{variables.index(scorer.atoms[a][0])}" for a in atoms}
-    head = ", ".join(f"x{i}" for i in range(len(variables))) or "_"
-    lines = [
-        "def loop(samples, costs, run, append):",
-        f"    [{', '.join(cs)}] = costs",
-        f"    for {head} in samples:",
-    ]
     body = []
     for a in atoms:
         x = x_of[a]
@@ -365,10 +334,26 @@ def _block_loop(prog: _Program, live: _LiveSet, run: bool, rows: bool):
             body.append("    append((-d if d else 0.0, False, d, E1))")
         else:
             body.append("    append((-INF, False, E, E1))")
-    lines += ["        " + line for line in body or ["pass"]]
-    lines.append(f"    return [{', '.join(cs)}], run")
+    xs = [f"x{i}" for i in range(len(variables))]
+    lines = [
+        "def step(valuation, costs, run):" if step else "def loop(samples, costs, run, append):",
+        f"    [{', '.join(cs)}] = costs",
+    ]
+    if step:
+        lines.append("    try:")
+        lines += [f"        {x} = valuation[v{i}]" for i, x in enumerate(xs)]
+        lines.append(f"        if {' and '.join(f'-INF < {x} < INF' for x in xs) or 'True'}:")
+        lines += ["            " + line for line in body]
+        lines.append(f"            return [{', '.join(cs)}], run")
+        lines += ["    except (KeyError, TypeError):", "        pass", "    table(valuation)"]
+        lines.append('    raise ValueError("the step loop refused a valuation that the atom table takes")')
+    else:
+        lines.append(f"    for {', '.join(xs) or '_'} in samples:")
+        lines += ["        " + line for line in body or ["pass"]]
+        lines.append(f"    return [{', '.join(cs)}], run")
     namespace = {f"k{a}": scorer.atoms[a][2] for a in atoms}
-    namespace.update(E=semiring.e_plus, E1=semiring.e_times, INF=INF)
+    namespace.update({f"v{i}": var for i, var in enumerate(variables)})
+    namespace.update(E=semiring.e_plus, E1=semiring.e_times, INF=INF, table=scorer.table)
     if run:
         namespace["moves"] = [_Moves(partial(_move, prog, atoms, at, q)) for q in live.members]
     return _compile(lines, namespace), variables
@@ -400,12 +385,7 @@ def _relax(prog: _Program, semiring: Semiring):
     block, the recipe of its truths and the live set's plan for their
     shape, then a free edge passes its source's cost on and a priced one
     ⊗s it with its slot's weight, written out as ``+`` or max (⊕ is min,
-    so relaxing is one comparison).  A plan's first ``KERNEL_AFTER`` uses
-    run that loop; at the next one it gets its ``_kernel``, unless more
-    than half of the costs it meets then are ``e_plus`` (members the loop
-    skips, as in Boolean plans) or it leads from a settled live set (whose
-    plans only ``advance`` runs, for one step per block), and it then runs
-    interpreted for good.  A
+    so relaxing is one comparison); a member at ``e_plus`` is skipped.  A
     monitor pair's stream (``_stream``) also moves the DFA's run along its
     one free edge, so the run costs ``e_times`` and, with a list ``rows``,
     each prefix's verdict is read from a min over the other side alone,
@@ -422,27 +402,20 @@ def _relax(prog: _Program, semiring: Semiring):
             if compounds:
                 compound(distances, compounds)
             plan = live.plans.get(shape) or make_plan(live, shape)
-            kernel = plan.kernel
-            if kernel is None and plan.uses == KERNEL_AFTER and not live.settled and costs.count(e_plus) * 2 <= len(costs):
-                kernel = plan.kernel = _kernel(plan.rows, len(plan.next.members), add, e_plus)
             live = plan.next
-            if kernel:
-                costs = kernel(costs, distances)
-            else:
-                plan.uses += 1
-                new_costs = [e_plus] * len(live.members)
-                for c, (free, priced) in zip(costs, plan.rows):
-                    if c == e_plus:
-                        continue
-                    for d in free:
-                        if c < new_costs[d]:
-                            new_costs[d] = c
-                    for d, s in priced:
-                        w = distances[s]
-                        v = c + w if add else w if w > c else c
-                        if v < new_costs[d]:
-                            new_costs[d] = v
-                costs = new_costs
+            new_costs = [e_plus] * len(live.members)
+            for c, (free, priced) in zip(costs, plan.rows):
+                if c == e_plus:
+                    continue
+                for d in free:
+                    if c < new_costs[d]:
+                        new_costs[d] = c
+                for d, s in priced:
+                    w = distances[s]
+                    v = c + w if add else w if w > c else c
+                    if v < new_costs[d]:
+                        new_costs[d] = v
+            costs = new_costs
             if run is None:
                 continue
             run = plan.rows[run][0][0]
@@ -475,16 +448,17 @@ class ValueStream:
     and memoized by its members, together with its successor.  What a
     step does with a sample beyond arithmetic depends only on the
     sample's weight shape (see ``Scorer``), so each live set memoizes one
-    plan per shape it has met, and a plan run ``KERNEL_AFTER`` times
-    gets a generated kernel that gives the same costs.  ``advance`` runs
-    the samples of a block past a fixed-point live set in a block loop,
-    also with the same costs.  Once the live set is settled (no sample
-    can change a cost), ``step`` only checks each sample and ``advance``
-    only reads and checks each block, repeating the last verdict row.
-    These memos, the loops and the scorer are the automaton's
-    ``_Program``, built by its first stream and shared.  The stream
-    keeps one cost per member of the current live set, in its order;
-    ``costs`` spells them out over every location.
+    plan per shape it has met.  On a fixed-point live set a generated
+    loop gives the same costs as the plans: ``advance`` runs the samples
+    of a long block through its block variant, and ``step`` runs its
+    one-sample variant once it has stood there ``LOOP_AFTER`` times.
+    Once the live set is settled (no sample can change a cost), ``step``
+    only checks each sample and ``advance`` only reads and checks each
+    block, repeating the last verdict row.  These memos, the loops and
+    the scorer are the automaton's ``_Program``, built by its first
+    stream and shared.  The stream keeps one cost per member of the
+    current live set, in its order, and the step loop it runs
+    (``_loop``); ``costs`` spells the costs out over every location.
     """
 
     def __init__(self, w: A.WeightedAutomaton):
@@ -501,6 +475,7 @@ class ValueStream:
         self._live = prog.live_set(w.base.initial)
         self._costs = [w.semiring.e_times] * len(self._live.members)
         self._run = None  # a DFA's own location, as an index into the live set
+        self._loop = None  # the step loop of the live set, a fixed point
 
     @property
     def costs(self) -> dict:
@@ -525,12 +500,22 @@ class ValueStream:
     def step(self, valuation: Valuation) -> None:
         """One sample: its atom table (``Scorer.table``; ``ParseError`` for a
         value that is not a finite number), relaxed as a block of one
-        unless the live set is settled, where it would change nothing."""
+        unless the live set is settled, where it would change nothing.  On
+        a fixed point (``_Program.settle``) that steps have stood on
+        ``LOOP_AFTER`` times, the step loop (``_block_loop``) does both,
+        with the same costs and errors."""
+        loop, live = self._loop, self._live
+        if loop is None and live.stood == LOOP_AFTER and not live.settled and self._prog.settle(live, 0) == 0:
+            loop = self._loop = self._prog.loop(live, self._run is not None, False, step=True)[0]
         try:
+            if loop:
+                self._costs, self._run = loop(valuation, self._costs, self._run)
+                return
             table = self._scorer.table(valuation)
         except KeyError as exc:
             raise UnboundVariableError(f"unbound variable {exc.args[0]!r}") from None
-        if not self._live.settled:
+        live.stood += 1
+        if not live.settled:
             self._relax(self, (table,), None)
 
     def advance(self, trace, rows: list | None = None) -> None:
@@ -540,7 +525,7 @@ class ValueStream:
         Once the live set is settled, the rest of the block changes nothing,
         and with ``rows`` one more step gives the row that each of its
         samples repeats; from any other fixed-point live set with at least
-        ``KERNEL_AFTER`` samples of the block left, the block loop relaxes
+        ``LOOP_AFTER`` samples of the block left, the block loop relaxes
         the rest.  Every block is checked as a ``Trace`` and for the
         automaton's variables either way."""
         prog = self._prog
@@ -561,7 +546,7 @@ class ValueStream:
                 if rows is not None:
                     rows.extend(repeat(rows[-1], n - stop))
                 continue
-            if start > n - max(KERNEL_AFTER, 1):  # too few samples left for a loop
+            if start > n - max(LOOP_AFTER, 1):  # too few samples left for a loop
                 self._relax(self, self._scorer.tables(block), rows)
                 continue
             if start:
@@ -571,12 +556,6 @@ class ValueStream:
             samples = cols[0] if len(cols) == 1 else zip(*cols) if cols else range(n - start)
             append = None if rows is None else rows.append
             self._costs, self._run = loop(samples, self._costs, self._run, append)
-
-
-def _covers(guards, variables) -> bool:
-    """Whether the guards' regions together hold every valuation."""
-    n = len(variables) or 1  # a guard over no variables reads "_"
-    return not complement_cover([box for g in guards for box in dnf_boxes(g, variables)], n)
 
 
 def _check_variables(w: A.WeightedAutomaton, trace: Trace):

@@ -43,14 +43,14 @@ def benchmark_entries():
 
 @pytest.fixture
 def plans_only(monkeypatch):
-    """Block loops off: ``ValueStream.advance`` runs a live set's plan at
-    every step, as ``step`` does."""
+    """Generated loops off: ``ValueStream.advance`` and ``step`` run a
+    live set's plan at every step."""
     monkeypatch.setattr(arv.monitor._Program, "settle", lambda self, live, budget: None)
 
 
 @pytest.fixture
 def unsettled(monkeypatch):
     """Settled live sets off: ``step`` and ``advance`` relax every sample,
-    also once no sample can change a cost, so plans, kernels and block
-    loops get built there too."""
+    also once no sample can change a cost, so plans and loops get built
+    there too."""
     monkeypatch.setattr(arv.monitor._Program, "settled", lambda self, members: False)

@@ -720,17 +720,17 @@ def test_prefix_series_is_the_same_at_any_block_size(tmp_path, monkeypatch, rows
     _check_golden_series(tmp_path)
 
 
-def test_prefix_series_is_the_same_with_kernels_from_the_first_use(tmp_path, monkeypatch, plans_only):
-    """The golden series, with every dense plan run by its generated
-    kernel from its first step (and no block loop)."""
+def test_prefix_series_is_the_same_with_plans_only(tmp_path, monkeypatch, plans_only):
+    """The golden series with every step run by the live set's plans: no
+    generated loop, even with ``LOOP_AFTER`` at 0."""
     import arv.monitor
 
     built = []
-    real = arv.monitor._kernel
-    monkeypatch.setattr(arv.monitor, "KERNEL_AFTER", 0)
-    monkeypatch.setattr(arv.monitor, "_kernel", lambda *args: built.append(args) or real(*args))
+    real = arv.monitor._block_loop
+    monkeypatch.setattr(arv.monitor, "LOOP_AFTER", 0)
+    monkeypatch.setattr(arv.monitor, "_block_loop", lambda *args: built.append(args) or real(*args))
     _check_golden_series(tmp_path)
-    assert len(built) > 100
+    assert built == []
 
 
 def test_prefix_series_is_the_same_with_block_loops_from_the_first_fixed_point(tmp_path, monkeypatch, unsettled):
@@ -740,7 +740,7 @@ def test_prefix_series_is_the_same_with_block_loops_from_the_first_fixed_point(t
 
     built = []
     real = arv.monitor._block_loop
-    monkeypatch.setattr(arv.monitor, "KERNEL_AFTER", 0)
+    monkeypatch.setattr(arv.monitor, "LOOP_AFTER", 0)
     monkeypatch.setattr(arv.monitor, "_block_loop", lambda *args: built.append(args) or real(*args))
     _check_golden_series(tmp_path)
     assert len(built) == 3 * len(SERIES_SPECS)  # one per invocation

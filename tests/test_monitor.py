@@ -13,6 +13,7 @@ from arv.generators import random_stl, random_trace
 from arv.monitor import (
     RobustnessVerdict,
     ValueStream,
+    _stream,
     build_monitor_pair,
     robustness,
     robustness_prefix_series,
@@ -574,28 +575,28 @@ def test_step_reads_each_distinct_atom_once(compiled):
     ids=["response-k6", "bounded-recurrence", "star"],
 )
 def test_live_set_memo_does_not_grow_with_trace_length(monkeypatch, unsettled, text):
-    """Live sets, plans and kernels, with kernels after ``KERNEL_AFTER``
-    uses and with kernels from the first use."""
+    """Live sets, plans and step loops, with the loop after ``LOOP_AFTER``
+    steps on a fixed point and from the first one: at most one step loop
+    per fixed point (the streams here move no DFA run), built by the
+    first 1000 samples and no more after 20000."""
     spec = parse_stl(text) if text.startswith("G") else parse_sre(text)
     rng = random.Random(31)
     samples = [{"x": rng.randint(0, 40) / 4, "y": rng.randint(0, 16) / 4} for _ in range(20_000)]
-    for kernel_after in (arv.monitor.KERNEL_AFTER, 0):
-        monkeypatch.setattr(arv.monitor, "KERNEL_AFTER", kernel_after)
+    for loop_after in (arv.monitor.LOOP_AFTER, 0):
+        monkeypatch.setattr(arv.monitor, "LOOP_AFTER", loop_after)
         w_pos, _ = build_monitor_pair(spec, TROPICAL)
-        counts, plans, kernels = [], [], []
+        counts, plans, loops = [], [], []
         for n in (1_000, 20_000):
             stream = ValueStream(w_pos)
             for sample in samples[:n]:
                 stream.step(sample)
             counts.append(len(stream._live_sets))
             plans.append(plan_count(stream))
-            kernels.append(kernel_count(stream))
+            loops.append(len(step_loops(w_pos)))
         assert counts[0] == counts[1]
         assert plans[0] == plans[1]
-        # kernels are kept per plan, so they are bounded like plans
-        assert 0 < kernels[0] <= kernels[1] <= plans[1]
-        if kernel_after == 0:
-            assert kernels[0] == kernels[1]
+        fixed_points = sum(live.next is live for live in stream._live_sets.values())
+        assert 0 < loops[0] == loops[1] <= fixed_points
         # keyed by members, not by the order a step visits them in
         assert counts[0] <= w_pos.base.n_locations + 1
 
@@ -608,21 +609,45 @@ def plan_count(stream):
     return len(plans_of(stream))
 
 
-def kernel_count(stream):
-    return sum(plan.kernel is not None for plan in plans_of(stream))
+def step_loops(w):
+    """The keys of the step loops built for a weighted automaton."""
+    program = w.__dict__.get("_program")
+    return [key for key in program.loops if key[3]] if program else []
 
 
-def test_plans_are_keyed_by_weight_shape_not_by_truths():
+FLAT = [f"x{i}" for i in range(12)]  # the variables of a flat disjunction over 12 atoms
+
+
+def _flat_disjunction_samples(seed: int):
+    rng = random.Random(seed)
+    while True:
+        yield {x: rng.choice((0.0, 0.5, 1.0, 2.0)) for x in FLAT}
+
+
+def test_plans_are_keyed_by_weight_shape_not_by_truths(plans_only):
     """A flat disjunction over 12 atoms meets thousands of truth vectors,
     but they fall into a few weight shapes, and plans are kept per shape."""
-    names = [f"x{i}" for i in range(12)]
-    w_pos, _ = build_monitor_pair(parse_stl("G(" + " || ".join(f"{x} < 1" for x in names) + ")"), MINMAX)
-    rng = random.Random(12)
+    w_pos, _ = build_monitor_pair(parse_stl("G(" + " || ".join(f"{x} < 1" for x in FLAT) + ")"), MINMAX)
     stream = ValueStream(w_pos)
-    for _ in range(8000):
-        stream.step({x: rng.choice((0.0, 0.5, 1.0, 2.0)) for x in names})
+    for _, sample in zip(range(8000), _flat_disjunction_samples(12)):
+        stream.step(sample)
     assert len(stream._scorer.recipes) > 2000
     assert plan_count(stream) <= 30
+
+
+def test_a_step_loop_stops_the_recipe_memo_growing():
+    """The flat disjunction's live set is a fixed point from the second
+    sample, so after ``LOOP_AFTER`` samples the step loop scores them with
+    no recipe: the memo holds as many recipes after 80000 samples as
+    after 8000."""
+    w_pos, _ = build_monitor_pair(parse_stl("G(" + " || ".join(f"{x} < 1" for x in FLAT) + ")"), MINMAX)
+    stream = ValueStream(w_pos)
+    samples, recipes = _flat_disjunction_samples(12), []
+    for n in (8000, 72_000):  # 8000, then 80000 in all
+        for _, sample in zip(range(n), samples):
+            stream.step(sample)
+        recipes.append(len(stream._scorer.recipes))
+    assert stream._loop and 0 < recipes[0] == recipes[1] <= arv.monitor.LOOP_AFTER + 1
 
 
 @pytest.mark.parametrize("semiring", ALL, ids=lambda s: s.name)
@@ -655,19 +680,46 @@ def test_costs_match_path_enumeration_where_guards_overlap(semiring, compiled):
         assert max(free) >= 2
 
 
-INTERPRETED = 10**9  # a KERNEL_AFTER no test trace reaches
-SHIPPED = arv.monitor.KERNEL_AFTER
+INTERPRETED = 10**9  # a LOOP_AFTER no test trace reaches
+SHIPPED = arv.monitor.LOOP_AFTER
 
 
-def _kernels_built(sides):
-    return sum(kernel_count(ValueStream(w)) for w in sides)
+def _half_grid_samples(rng, n):
+    """``n`` samples over x and y whose values sit on the integer
+    thresholds of the random specs or half a unit off them."""
+    return [{"x": rng.randint(-1, 9) / 2, "y": rng.randint(-1, 9) / 2} for _ in range(n)]
+
+
+def _step_reads(sides, samples):
+    """One stream per side, and for a monitor pair a ``_stream`` that moves
+    the DFA's run, stepped over the samples: per step each stream's
+    costs, value, path_exists and run, as one ``repr``."""
+    streams = [ValueStream(w) for w in sides]
+    if len(sides) == 2:
+        streams.append(_stream(*sides))
+    reads = []
+    for sample in samples:
+        for stream in streams:
+            stream.step(sample)
+            reads.append((stream.costs, stream.value, stream.path_exists, stream._run))
+    return repr(reads)
+
+
+def _stepped(monkeypatch, sides, samples, loop_after):
+    """``_step_reads`` on fresh programs with ``LOOP_AFTER`` at
+    ``loop_after``, and the step loops they built."""
+    monkeypatch.setattr(arv.monitor, "LOOP_AFTER", loop_after)
+    sides = [replace(w) for w in sides]
+    return _step_reads(sides, samples), [(w, key) for w in sides for key in step_loops(w)]
 
 
 @pytest.mark.parametrize("semiring", ALL, ids=lambda s: s.name)
-def test_kernels_equal_the_interpreted_loop(monkeypatch, plans_only, semiring):
-    """With every dense plan compiled before its first step (and no block
-    loop), the verdict series of random STL and SRE pairs, read from
-    either side, print the same as with the loop alone."""
+def test_step_loops_equal_the_interpreted_loop(monkeypatch, semiring):
+    """Random STL and SRE pairs, stepped over samples on and half a unit
+    off the thresholds: after every step, both sides' costs, value and
+    path_exists and the DFA run of a ``_stream`` are the same with the
+    step loop from the first step on a fixed point as with the plans
+    alone."""
     from arv.generators import random_sre
 
     rng = random.Random(256)
@@ -675,75 +727,56 @@ def test_kernels_equal_the_interpreted_loop(monkeypatch, plans_only, semiring):
     for k in range(60):
         make = random_stl if k % 2 else random_sre
         pair = build_monitor_pair(make(rng, ["x", "y"], depth=2), semiring)
-        t = random_trace(rng, ("x", "y"), rng.randint(1, 12))
-        got = []
-        for after in (0, INTERPRETED):
-            monkeypatch.setattr(arv.monitor, "KERNEL_AFTER", after)
-            pos, neg = (replace(w) for w in pair)  # fresh programs
-            got.append(repr([list(verdicts(t, pos, neg)), list(verdicts(t, neg, pos))]))
-            built += after == 0 and _kernels_built((pos, neg))
-        assert got[0] == got[1]
-    assert built > 200
+        samples = _half_grid_samples(rng, rng.randint(1, 12))
+        with_loops, loops = _stepped(monkeypatch, pair, samples, 0)
+        without, none = _stepped(monkeypatch, pair, samples, INTERPRETED)
+        assert with_loops == without and none == []
+        built += len(loops)
+    assert built > 50
 
 
-def test_kernels_equal_the_interpreted_loop_on_nfas(monkeypatch):
+def test_step_loops_equal_the_interpreted_loop_on_nfas(monkeypatch):
     """On random NFAs, where a member passes its cost on along several
-    free edges or has no edge at all, kernels give every location's cost
-    after every step as the loop does."""
+    free edges or has no edge at all, the step loop gives every
+    location's cost, the value and path_exists after every step as the
+    plans do."""
     from arv.generators import random_automaton
 
     rng = random.Random(1024)
-    rows = set()  # (free, priced) edge counts of the rows that got kernels
+    edges = set()  # per member of a live set with a step loop, its number of edges
     for _ in range(120):
         a = random_automaton(rng, ("x", "y"), max_locations=6, max_transitions=14)
-        t = random_trace(rng, ("x", "y"), rng.randint(1, 8))
+        samples = _half_grid_samples(rng, rng.randint(1, 8))
         for semiring in ALL:
             w = decorate(a, semiring, default_distance(semiring))
-            got, streams = [], []
-            for after in (0, INTERPRETED):
-                monkeypatch.setattr(arv.monitor, "KERNEL_AFTER", after)
-                cols, stream = stream_columns(t, replace(w))
-                got.append(repr((cols, trace_value(t, stream.w))))
-                streams.append(stream)
-            assert got[0] == got[1]
-            rows.update((len(f), len(p)) for plan in plans_of(streams[0]) if plan.kernel for f, p in plan.rows)
-    assert (0, 0) in rows and max(f for f, _ in rows) >= 2
+            with_loops, loops = _stepped(monkeypatch, (w,), samples, 0)
+            without, _ = _stepped(monkeypatch, (w,), samples, INTERPRETED)
+            assert with_loops == without
+            edges.update(len(v._program.out[q]) for v, key in loops for q in key[0].members)
+    assert 0 in edges and max(edges) >= 2
 
 
 @pytest.mark.parametrize("semiring", ALL, ids=lambda s: s.name)
-def test_a_stream_crossing_the_threshold_mid_block_gives_a_fresh_streams_series(monkeypatch, plans_only, semiring):
-    """With kernels after 7 uses (and no block loop), plans get them in
-    the middle of a 40-sample block; later traces through the same pair
-    run them from their first sample.  Every series equals a fresh
-    interpreted pair's.  Under ``boolean`` these plans meet mostly
-    ``e_plus`` costs and keep the loop."""
+def test_a_stream_crossing_the_threshold_mid_block_gives_a_fresh_streams_series(monkeypatch, semiring):
+    """With ``LOOP_AFTER`` at 7, a 40-sample trace crosses it mid-trace:
+    stepped, its streams switch to the step loop after 7 steps on the
+    fixed point, and read as one block, the block loop takes over after
+    the transient.  Later traces through the same pair run the loops
+    from their first step on the fixed point.  Every read equals a fresh
+    pair's with the plans alone."""
     rng = random.Random(7)
     traces = [random_trace(rng, ("x", "y"), 40, lo=0, hi=10) for _ in range(3)]
     built = 0
     for text in (*MONITORED, "(T ; <x <= 2>[2,4] ; T) & (T ; <y >= 8>[1,3] ; T)"):
         pair = build_monitor_pair(_spec(text), semiring)
-        monkeypatch.setattr(arv.monitor, "KERNEL_AFTER", INTERPRETED)
-        fresh = [repr(list(verdicts(t, *(replace(w) for w in pair)))) for t in traces]
-        monkeypatch.setattr(arv.monitor, "KERNEL_AFTER", 7)
-        assert [repr(list(verdicts(t, *pair))) for t in traces] == fresh
-        built += _kernels_built(pair)
-    assert (built > 0) is (semiring is not BOOLEAN)  # Boolean plans here are sparse
-
-
-def test_boolean_star_plans_stay_interpreted(plans_only):
-    """Under ``boolean`` most of the star's costs are ``e_plus``, which
-    the loop skips, so its plans keep the loop past ``KERNEL_AFTER``
-    uses; under ``minmax`` the same plans get kernels.  (Without
-    ``plans_only`` a block loop would run these steps.)"""
-    star = parse_sre("(<x <= 7>[1,5] ; <y >= 2>[1,3])*")
-    rng = random.Random(8)
-    trace = random_trace(rng, ("x", "y"), 3000, lo=0, hi=10)
-    for semiring, kernels in ((BOOLEAN, False), (MINMAX, True)):
-        w_pos, _ = build_monitor_pair(star, semiring)
-        stream = ValueStream(w_pos)
-        stream.advance(trace)
-        plans = [plan for plan in plans_of(stream) if plan.uses >= arv.monitor.KERNEL_AFTER]
-        assert plans and all(bool(plan.kernel) is kernels for plan in plans)
+        for t in traces:
+            fresh, _ = _stepped(monkeypatch, pair, t.samples, INTERPRETED)
+            fresh_series = repr(list(verdicts(t, *(replace(w) for w in pair))))
+            monkeypatch.setattr(arv.monitor, "LOOP_AFTER", 7)
+            assert _step_reads(pair, t.samples) == fresh
+            assert repr(list(verdicts(t, *pair))) == fresh_series
+        built += len(step_loops(pair[0])) + len(step_loops(pair[1]))
+    assert built == 9  # per spec, a plain and a run variant on the positive side and a plain one on the negative
 
 
 def _loops_built(w):
@@ -754,11 +787,11 @@ def _loops_built(w):
 def _reads_with_and_without_block_loops(monkeypatch, pair, trace):
     """``verdict_rows``, ``verdict`` and both sides' ``trace_value`` of a
     monitor pair, as one ``repr``: on fresh programs with the block loops
-    at the shipped ``KERNEL_AFTER``, then with no loop and no kernel; and
-    how many loops the first read built."""
+    at the shipped ``LOOP_AFTER``, then with no loop; and how many loops
+    the first read built."""
     got, loops = [], 0
     for after in (SHIPPED, INTERPRETED):
-        monkeypatch.setattr(arv.monitor, "KERNEL_AFTER", after)
+        monkeypatch.setattr(arv.monitor, "LOOP_AFTER", after)
         pos, neg = (replace(w) for w in pair)  # fresh programs
         got.append(repr((list(verdict_rows(trace, pos, neg)), verdict(trace, pos, neg),
                          trace_value(trace, pos), trace_value(trace, neg))))
@@ -768,7 +801,7 @@ def _reads_with_and_without_block_loops(monkeypatch, pair, trace):
 
 @pytest.mark.parametrize("semiring", ALL, ids=lambda s: s.name)
 def test_block_loops_equal_the_per_shape_path(monkeypatch, unsettled, semiring):
-    """Random STL and SRE pairs on traces of at least ``2 * KERNEL_AFTER``
+    """Random STL and SRE pairs on traces of at least ``2 * LOOP_AFTER``
     samples: every read prints the same with the block loops as with the
     per-shape plans alone, and most pairs build all three loop variants
     (rows, final, no DFA run)."""
@@ -820,10 +853,10 @@ def test_block_loops_start_mid_block_and_carry_across_blocks(tmp_path, monkeypat
     monkeypatch.setattr(arv.speclang, "CHUNK_ROWS", 300)
     for text in (*MONITORED, "(T ; <x <= 2>[2,4] ; T) & (T ; <y >= 8>[1,3] ; T)"):
         pair = build_monitor_pair(_spec(text), semiring)
-        monkeypatch.setattr(arv.monitor, "KERNEL_AFTER", INTERPRETED)
+        monkeypatch.setattr(arv.monitor, "LOOP_AFTER", INTERPRETED)
         fresh = tuple(replace(w) for w in pair)
         want = repr((list(verdicts(trace, *fresh)), verdict(trace, *fresh)))
-        monkeypatch.setattr(arv.monitor, "KERNEL_AFTER", SHIPPED)
+        monkeypatch.setattr(arv.monitor, "LOOP_AFTER", SHIPPED)
         blocks = [len(rows) for rows in verdict_rows(trace_blocks(path), *pair)]
         assert blocks == [300, 300, 300, 100]
         assert repr((list(verdicts(trace_blocks(path), *pair)), verdict(trace_blocks(path), *pair))) == want
@@ -849,20 +882,22 @@ def test_block_loops_weigh_multi_clause_guards(monkeypatch, semiring):
 
 
 def test_generated_functions_have_file_names_of_their_own(monkeypatch):
-    """Kernels and block loops compile under distinct file names, so a
+    """Step loops and block loops compile under distinct file names, so a
     profile keys each one apart."""
-    monkeypatch.setattr(arv.monitor, "KERNEL_AFTER", 0)
+    monkeypatch.setattr(arv.monitor, "LOOP_AFTER", 0)
     pair = build_monitor_pair(parse_stl("G(x <= 5 -> F[0,3] y >= 2)"), MINMAX)
-    stream = ValueStream(pair[0])
-    for sample in random_trace(random.Random(3), ("x", "y"), 40, lo=0, hi=10).samples:
-        stream.step(sample)
+    for w in pair:
+        stream = ValueStream(w)
+        for sample in random_trace(random.Random(3), ("x", "y"), 40, lo=0, hi=10).samples:
+            stream.step(sample)
     verdict(random_trace(random.Random(4), ("x", "y"), 40, lo=0, hi=10), *pair)
-    kernels = [plan.kernel.__code__.co_filename for plan in plans_of(stream) if plan.kernel]
-    loops = [loop.__code__.co_filename for loop, _ in stream._prog.loops.values()]
-    assert len(kernels) >= 2 and len(loops) == 1
-    assert len(set(kernels + loops)) == len(kernels) + len(loops)
-    assert all(name.startswith("<arv kernel ") for name in kernels)
-    assert loops[0].startswith("<arv loop ")
+    names = {key: loop.__code__.co_filename for w in pair for key, (loop, _) in w._program.loops.items()}
+    steps = [name for key, name in names.items() if key[3]]
+    blocks = [name for key, name in names.items() if not key[3]]
+    assert len(steps) == 2 and len(blocks) == 1
+    assert len(set(names.values())) == len(names)
+    assert all(name.startswith("<arv step ") for name in steps)
+    assert blocks[0].startswith("<arv loop ")
 
 
 def test_a_period_two_live_set_cycle_never_builds_a_loop(monkeypatch):
@@ -1254,36 +1289,32 @@ def test_errors_after_the_horizon_are_unchanged(tmp_path, monkeypatch):
 def test_a_self_loop_that_leaves_valuations_uncovered_never_settles(semiring):
     """One location whose one edge loops on ``x <= 0``: its live set is
     its own successor, but a sample with ``x = 1`` prices the loop, so it
-    is not settled and the cost grows by ``⊗ 1``.  With the other half,
-    ``x > 0``, on a second loop, the loops cover and it settles."""
+    is not settled and the cost grows by ``⊗ 1``."""
     loop = P.Dnf(((P.comparison("x", "<=", 0.0),),))
-    rest = P.Dnf(((P.comparison("x", ">", 0.0),),))
-    costs = {"boolean": [1.0, 1.0], "minmax": [1.0, 1.0], "tropical": [1.0, 2.0]}[semiring.name]
-    for guards, settles in (((loop,), False), ((loop, rest), True)):
-        a = make_automaton(("x",), 1, {0}, {0}, [(0, g, 0) for g in guards])
-        assert not a.complete
-        stream = ValueStream(decorate(a, semiring, default_distance(semiring)))
-        got = []
-        for _ in range(2):
-            stream.step({"x": 1.0})
-            got.append(stream.costs[0])
-        assert stream._live.settled is settles
-        assert got == ([semiring.e_times] * 2 if settles else costs)
+    a = make_automaton(("x",), 1, {0}, {0}, [(0, loop, 0)])
+    assert not a.complete
+    stream = ValueStream(decorate(a, semiring, default_distance(semiring)))
+    got = []
+    for _ in range(2):
+        stream.step({"x": 1.0})
+        got.append(stream.costs[0])
+    assert not stream._live.settled
+    assert got == {"boolean": [1.0, 1.0], "minmax": [1.0, 1.0], "tropical": [1.0, 2.0]}[semiring.name]
 
 
 @pytest.mark.parametrize("semiring", ALL, ids=lambda s: s.name)
 def test_a_settled_stream_builds_nothing_more(monkeypatch, semiring):
-    """Plans, kernels and block loops of a settled stream are the same
-    after 30 samples as after 10⁴, fed by ``step`` or by ``advance``; and
-    with kernels from the first use, the plans of a settled live set,
-    which run at most once per block, get none."""
+    """Plans, step loops and block loops of a settled stream are the same
+    after 30 samples as after 10⁴, fed by ``step`` or by ``advance``, and
+    no loop is built: not even with the loops from the first step on a
+    fixed point, which build them once settling is off."""
     rng = random.Random(30)
     t = random_trace(rng, ("x",), 10_000, lo=0, hi=10)
     counts = []
     for n in (30, 10_000):
         prefix = Trace.from_columns(("x",), {"x": t.columns["x"][:n]})
         pair = build_monitor_pair(parse_stl("G[0,20] F[0,5] x >= 8"), semiring)
-        assert pair[0].base.complete and pair[1].base.complete  # no cover is checked with boxes
+        assert pair[0].base.complete and pair[1].base.complete
         stream = ValueStream(pair[0])
         for sample in prefix.samples:
             stream.step(sample)
@@ -1291,14 +1322,67 @@ def test_a_settled_stream_builds_nothing_more(monkeypatch, semiring):
         list(verdict_rows(prefix, *pair))
         verdict(prefix, *pair)
         trace_value(prefix, pair[1])
-        counts.append([(plan_count(ValueStream(w)), kernel_count(ValueStream(w)), _loops_built(w)) for w in pair])
+        counts.append([(plan_count(ValueStream(w)), len(step_loops(w)), _loops_built(w)) for w in pair])
     assert counts[0] == counts[1]
-    assert counts[0][0][2] == counts[0][1][2] == 0
-    monkeypatch.setattr(arv.monitor, "KERNEL_AFTER", 0)
-    pair = build_monitor_pair(parse_stl("G[0,20] F[0,5] x >= 8"), semiring)
+    assert counts[0][0][1:] == counts[0][1][1:] == (0, 0)
+    monkeypatch.setattr(arv.monitor, "LOOP_AFTER", 0)
     blocks = [Trace.from_columns(("x",), {"x": t.columns["x"][i:i + 100]}) for i in range(0, 1000, 100)]
-    list(verdict_rows(iter(blocks), *pair))
-    lives = ValueStream(pair[0])._live_sets.values()
-    settled = [plan for live in lives if live.settled for plan in live.plans.values()]
-    assert settled and not any(plan.kernel for plan in settled)
-    assert any(plan.kernel for live in lives for plan in live.plans.values())
+    for settling in (True, False):
+        if not settling:
+            monkeypatch.setattr(arv.monitor._Program, "settled", lambda self, members: False)
+        pair = build_monitor_pair(parse_stl("G[0,20] F[0,5] x >= 8"), semiring)
+        stream = ValueStream(pair[0])
+        for sample in t.samples[:1000]:
+            stream.step(sample)
+        list(verdict_rows(iter(blocks), *pair))
+        assert (_loops_built(pair[0]) == 0) is settling
+
+
+@pytest.mark.parametrize("text", ["G(x <= 5 -> F[0,2] y >= 2)", "G(x >= 0) && F[0,3] y >= 2"])
+def test_a_step_loop_refuses_what_the_atom_table_refuses(text):
+    """At a step loop, NaN, ±inf, a string, ``None``, a complex value and
+    a missing variable each raise what ``Scorer.table`` raises (a missing
+    one as ``UnboundVariableError``), with the same message, and leave the
+    costs as they were, so the stream goes on as if it had not seen them.
+    The response runs on its monitor pair, with a DFA run.  The second
+    spec runs on its tableau, whose fixed point reads only ``x`` (a DFA
+    splits every guard by every atom): a NaN in ``y`` still raises."""
+    bad = [
+        {"x": math.nan, "y": 1.0}, {"x": 1.0, "y": math.nan}, {"x": math.inf, "y": 1.0},
+        {"x": 1.0, "y": -math.inf}, {"x": "a", "y": 1.0}, {"x": None, "y": 1.0},
+        {"x": 1j, "y": 1.0}, {"x": 1.0}, {"y": 1.0},
+    ]
+    rng = random.Random(text)
+    good = [{"x": rng.randint(0, 16) / 2, "y": rng.randint(0, 8) / 2} for _ in range(SHIPPED + 40)]
+    for semiring in ALL:
+        if text.startswith("G(x <= 5"):
+            pair = build_monitor_pair(_spec(text), semiring)
+            streams, fresh = ([ValueStream(pair[0]), _stream(*pair)] for _ in range(2))
+        else:
+            w = decorate(translate_stl(parse_stl(text)), semiring, default_distance(semiring))
+            streams, fresh = [ValueStream(w)], [ValueStream(w)]
+        for sample in good[:SHIPPED + 20]:
+            for stream in streams + fresh:
+                stream.step(sample)
+        assert all(stream._loop for stream in streams)
+        for valuation in bad:
+            try:
+                streams[0]._scorer.table(valuation)
+            except KeyError as exc:
+                want = UnboundVariableError(f"unbound variable {exc.args[0]!r}")
+            except Exception as exc:
+                want = exc
+            for stream in streams:
+                before = stream.costs, stream._run
+                with pytest.raises(type(want)) as err:
+                    stream.step(valuation)
+                assert str(err.value) == str(want)
+                assert (stream.costs, stream._run) == before
+        for sample in good[SHIPPED + 20:]:
+            for stream in streams + fresh:
+                stream.step(sample)
+        assert [(s.costs, s._run) for s in streams] == [(s.costs, s._run) for s in fresh]
+    if text.startswith("G(x >= 0)"):  # the step loop checks y, which its body does not read
+        live, prog = streams[0]._live, streams[0]._prog
+        assert prog.loop(live, False, False, True)[1] == ["x", "y"]
+        assert prog.loop(live, False, False)[1] == ["x"]
